@@ -31,7 +31,7 @@ from .evaluate import DEFAULT_FPR_MAX, auc, render_loglog_svg, roc, write_roc_cs
 from .features import DEFAULT_LEVELS, DEFAULT_OFFSETS, DEFAULT_PATCH
 from .hacd import AnomalyMap, save_model
 from .raster import Raster, load_ground_truth, load_raster, make_pair, save_raster
-from .synth import config_from_json, config_to_json, generate_scene, scene_suite
+from .synth import SceneConfig, config_from_json, config_to_json, generate_scene, scene_suite
 
 _DETECT_DEFAULTS = {
     "detector": None,

@@ -24,6 +24,8 @@ DEFAULT_FPR_FLOOR = 1e-5
 
 # cap on polyline vertices per curve when rendering
 _SVG_MAX_POINTS = 4096
+# roc.csv rows formatted per block, bounding the text held in memory
+_CSV_CHUNK_ROWS = 65536
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -159,18 +161,21 @@ def write_roc_csv(band: RocBand, path: str) -> None:
     band's points exactly.
     """
     ic, oc = band.inner_curve, band.outer_curve
-    lines = ["threshold,fpr_inner,tpr_inner,fpr_outer,tpr_outer"]
-    for i in range(ic.thresholds.size):
-        lines.append(
-            ",".join(
-                repr(v)
-                for v in (ic.thresholds[i].item(), ic.fpr[i].item(), ic.tpr[i].item(),
-                          oc.fpr[i].item(), oc.tpr[i].item())
-            )
-        )
+    rate_columns = (ic.fpr, ic.tpr, oc.fpr, oc.tpr)
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("threshold,fpr_inner,tpr_inner,fpr_outer,tpr_outer\n")
+            for lo in range(0, ic.thresholds.size, _CSV_CHUNK_ROWS):
+                hi = lo + _CSV_CHUNK_ROWS
+                # Rates repeat heavily (fpr_inner == fpr_outer, few distinct
+                # tpr), so each distinct bit pattern is formatted once;
+                # comparing bits keeps -0.0 apart from 0.0.
+                rates = np.concatenate([c[lo:hi] for c in rate_columns])
+                bits, inv = np.unique(rates.view(np.int64), return_inverse=True)
+                text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+                cols = text[inv.reshape(4, -1)].tolist()
+                thresholds = map(repr, ic.thresholds[lo:hi].tolist())
+                fh.write("\n".join(map(",".join, zip(thresholds, *cols))) + "\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -186,10 +191,10 @@ def _decimate(n: int) -> np.ndarray:
 def _polyline_points(
     curve: RocCurve, floor: float, to_px
 ) -> str:
-    lf = np.log10(np.maximum(curve.fpr, floor))
-    lt = np.log10(np.maximum(curve.tpr, floor))
-    idx = _decimate(lf.size)
-    return " ".join(f"{to_px(lf[i], lt[i])[0]:.2f},{to_px(lf[i], lt[i])[1]:.2f}" for i in idx)
+    idx = _decimate(curve.fpr.size)
+    xs, ys = to_px(np.log10(np.maximum(curve.fpr[idx], floor)),
+                   np.log10(np.maximum(curve.tpr[idx], floor)))
+    return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs.tolist(), ys.tolist()))
 
 
 def render_loglog_svg(bands, path: str, fpr_floor: float = DEFAULT_FPR_FLOOR) -> None:

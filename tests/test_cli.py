@@ -1,5 +1,7 @@
+import inspect
 import json
 import os
+import typing
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from acdkit import (
     run_detector,
     save_raster,
 )
+import acdkit.cli
 from acdkit.cli import main
 
 
@@ -317,3 +320,12 @@ def test_threads_env_does_not_change_bytes(tmp_path, monkeypatch):
         assert main(["synth", "--config", cfg_path, "--out", out]) == 0
         outs.append(open(os.path.join(out, "t1.r32"), "rb").read())
     assert outs[0] == outs[1]
+
+
+def test_cli_annotations_resolve():
+    # every name used in an annotation of the CLI module must be importable
+    functions = [f for _, f in inspect.getmembers(acdkit.cli, inspect.isfunction)
+                 if f.__module__ == "acdkit.cli"]
+    assert functions
+    for f in functions:
+        typing.get_type_hints(f)

@@ -1,14 +1,20 @@
 import csv
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import acdkit.evaluate as evaluate
 from acdkit import (
     AnomalyMap,
     EmptyClass,
     GridMismatch,
     GroundTruth,
+    RocBand,
     RocCurve,
     auc,
     pauc,
@@ -226,3 +232,110 @@ def test_svg_multiple_bands(tmp_path):
 def test_svg_requires_a_band(tmp_path):
     with pytest.raises(ValueError):
         render_loglog_svg({}, str(tmp_path / "no.svg"))
+
+
+# Reference writers: the straightforward per-cell / per-vertex formatting
+# that the vectorised writers must reproduce byte for byte.
+
+def _reference_write_roc_csv(band, path):
+    ic, oc = band.inner_curve, band.outer_curve
+    lines = ["threshold,fpr_inner,tpr_inner,fpr_outer,tpr_outer"]
+    for i in range(ic.thresholds.size):
+        lines.append(
+            ",".join(
+                repr(v)
+                for v in (ic.thresholds[i].item(), ic.fpr[i].item(), ic.tpr[i].item(),
+                          oc.fpr[i].item(), oc.tpr[i].item())
+            )
+        )
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _reference_polyline_points(curve, floor, to_px):
+    lf = np.log10(np.maximum(curve.fpr, floor))
+    lt = np.log10(np.maximum(curve.tpr, floor))
+    idx = evaluate._decimate(lf.size)
+    return " ".join(f"{to_px(lf[i], lt[i])[0]:.2f},{to_px(lf[i], lt[i])[1]:.2f}" for i in idx)
+
+
+def _assert_csv_matches_reference(band, tmp_path):
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    write_roc_csv(band, str(new))
+    _reference_write_roc_csv(band, str(ref))
+    assert new.read_bytes() == ref.read_bytes()
+
+
+def _assert_svg_matches_reference(bands, tmp_path):
+    new, ref = tmp_path / "new.svg", tmp_path / "ref.svg"
+    render_loglog_svg(bands, str(new))
+    with mock.patch.object(evaluate, "_polyline_points", _reference_polyline_points):
+        render_loglog_svg(bands, str(ref))
+    assert new.read_bytes() == ref.read_bytes()
+
+
+def _random_large_band(seed, side):
+    rng = np.random.default_rng(seed)
+    outer = np.zeros((side, side), bool)
+    outer[side // 4: side // 2, side // 3: 2 * side // 3] = True
+    inner = outer.copy()
+    inner[side // 4: side // 4 + 3, :] = False
+    scores = rng.normal(size=(side, side))
+    scores[outer] += 1.5
+    return roc(_amap(scores), _gt(inner, outer))
+
+
+def test_csv_bytes_match_reference_across_chunks(tmp_path):
+    band = _random_large_band(41, 300)
+    assert band.inner_curve.thresholds.size > evaluate._CSV_CHUNK_ROWS
+    _assert_csv_matches_reference(band, tmp_path)
+
+
+def test_csv_bytes_match_reference_on_awkward_values(tmp_path):
+    # ties, negative scores, -0.0 and thresholds whose repr uses an exponent
+    scores = [[1e-05, 1e+16, -0.0, -3.5],
+              [1e-05, 2.5e-300, -1e+16, 0.1 + 0.2],
+              [-1e-05, 1e+16, 7.0, -3.5]]
+    outer = [[True, True, False, False],
+             [True, False, False, True],
+             [False, True, False, False]]
+    inner = [[True, False, False, False],
+             [True, False, False, True],
+             [False, True, False, False]]
+    band = roc(_amap(scores), _gt(inner, outer))
+    assert "-0.0" in map(repr, band.inner_curve.thresholds.tolist())
+    _assert_csv_matches_reference(band, tmp_path)
+    # an externally built band whose rates hold -0.0 next to 0.0
+    curve = RocCurve([math.inf, 0.5, -0.0], [-0.0, 0.0, 1.0], [0.0, -0.0, 1.0])
+    _assert_csv_matches_reference(RocBand(curve, curve, 0.0, 0.0, 0.01), tmp_path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    chunk_rows=st.integers(1, 5),
+)
+def test_writers_match_reference_property(tmp_path_factory, data, shape, chunk_rows):
+    scores = data.draw(hnp.arrays(np.float64, shape, elements=st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-05, 1e+16]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )))
+    outer = data.draw(hnp.arrays(np.bool_, shape))
+    inner = outer & data.draw(hnp.arrays(np.bool_, shape))
+    assume(inner.any() and not outer.all())
+    band = roc(_amap(scores), _gt(inner, outer))
+    tmp_path = tmp_path_factory.mktemp("writers")
+    with mock.patch.object(evaluate, "_CSV_CHUNK_ROWS", chunk_rows):
+        _assert_csv_matches_reference(band, tmp_path)
+    _assert_svg_matches_reference({"a": band}, tmp_path)
+
+
+def test_svg_bytes_match_reference_with_decimation(tmp_path):
+    bands = {
+        "large": _random_large_band(42, 100),
+        "larger": _random_large_band(43, 120),
+        "fixture": roc(FOUR_PIXEL_MAP, FOUR_PIXEL_GT),
+    }
+    assert bands["large"].inner_curve.fpr.size > evaluate._SVG_MAX_POINTS
+    _assert_svg_matches_reference(bands, tmp_path)
