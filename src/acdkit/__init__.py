@@ -68,10 +68,10 @@ THREADS_ENV_VAR = "ACDKIT_THREADS"
 
 
 def worker_cap() -> int:
-    """Upper bound on internal worker count, from ACDKIT_THREADS (default 1).
+    """Validated worker count from ACDKIT_THREADS (default 1).
 
-    All library operations are bitwise deterministic regardless of this
-    value; it only caps parallelism.
+    No library operation reads it yet; outputs are bitwise deterministic
+    regardless of this value.
     """
     raw = os.environ.get(THREADS_ENV_VAR)
     if raw is None:

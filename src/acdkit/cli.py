@@ -9,8 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 user/data error (the diagnostic names the
 originating error class), 3 internal invariant violation.  Option
-precedence is flags > config file > defaults.  ACDKIT_THREADS caps the
-worker count and never changes output bytes.
+precedence is flags > config file > defaults.  ACDKIT_THREADS is checked
+to be a positive integer; nothing else reads it yet.
 """
 
 from __future__ import annotations
@@ -30,7 +30,15 @@ from .errors import AcdError, BadConfig, FormatError, IoError, NotFound
 from .evaluate import DEFAULT_FPR_MAX, auc, render_loglog_svg, roc, write_roc_csv
 from .features import DEFAULT_LEVELS, DEFAULT_OFFSETS, DEFAULT_PATCH
 from .hacd import AnomalyMap, save_model
-from .raster import Raster, load_ground_truth, load_raster, make_pair, save_raster
+from .raster import (
+    CoregisteredPair,
+    Raster,
+    _base_path,
+    load_ground_truth,
+    load_raster,
+    make_pair,
+    save_raster,
+)
 from .synth import SceneConfig, config_from_json, config_to_json, generate_scene, scene_suite
 
 _DETECT_DEFAULTS = {
@@ -122,14 +130,14 @@ def _write_json(doc: dict, path: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _detect(cfg: dict, out_dir: str) -> None:
-    detector = _require(cfg, "detector")
-    if detector not in DETECTOR_NAMES:
-        raise BadConfig(f"unknown detector {detector!r}, expected one of {DETECTOR_NAMES}")
-    pair = make_pair(load_raster(str(_require(cfg, "t0"))), load_raster(str(_require(cfg, "t1"))))
+def _detect_pair(cfg: dict, pair: CoregisteredPair, out_dir: str) -> str:
+    """Run cfg's detector on ``pair``, write its map (and model) into out_dir.
+
+    Returns the base path of the written anomaly map.
+    """
     ridge = cfg["ridge"]
     amap, model = run_detector(
-        detector,
+        cfg["detector"],
         pair,
         patch=int(cfg["patch"]),
         levels=int(cfg["glcm_levels"]),
@@ -137,9 +145,19 @@ def _detect(cfg: dict, out_dir: str) -> None:
         ridge=None if ridge is None else float(ridge),
     )
     os.makedirs(out_dir, exist_ok=True)
-    _write_map(amap, os.path.join(out_dir, "anomaly"))
+    map_base = os.path.join(out_dir, "anomaly")
+    _write_map(amap, map_base)
     if model is not None:
         save_model(model, os.path.join(out_dir, "model.json"))
+    return map_base
+
+
+def _detect(cfg: dict, out_dir: str) -> None:
+    detector = _require(cfg, "detector")
+    if detector not in DETECTOR_NAMES:
+        raise BadConfig(f"unknown detector {detector!r}, expected one of {DETECTOR_NAMES}")
+    pair = make_pair(load_raster(str(_require(cfg, "t0"))), load_raster(str(_require(cfg, "t1"))))
+    _detect_pair(cfg, pair, out_dir)
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
@@ -179,10 +197,7 @@ def _eval_one(amap: AnomalyMap, gt, fpr_max: float, name: str, out_dir: str) -> 
 def cmd_eval(args: argparse.Namespace) -> int:
     amap = _load_map(args.map)
     gt = load_ground_truth(args.inner, args.outer, (amap.width, amap.height))
-    name = os.path.basename(os.path.normpath(args.map))
-    for ext in (".r32", ".json"):
-        if name.endswith(ext):
-            name = name[: -len(ext)]
+    name = _base_path(os.path.basename(os.path.normpath(args.map)))
     _eval_one(amap, gt, args.fpr_max, name or "map", args.out)
     return 0
 
@@ -261,20 +276,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     rows = []
     for name in detectors:
         det_dir = os.path.join(out_dir, name)
-        os.makedirs(det_dir, exist_ok=True)
-        ridge = cfg["ridge"]
-        amap, model = run_detector(
-            name,
-            pair,
-            patch=int(cfg["patch"]),
-            levels=int(cfg["glcm_levels"]),
-            offsets=_offsets_tuple(cfg["glcm_offsets"]),
-            ridge=None if ridge is None else float(ridge),
-        )
-        map_base = os.path.join(det_dir, "anomaly")
-        _write_map(amap, map_base)
-        if model is not None:
-            save_model(model, os.path.join(det_dir, "model.json"))
+        map_base = _detect_pair({**cfg, "detector": name}, pair, det_dir)
         # evaluate the persisted f32 map, labeled by its stem, so the
         # per-detector outputs are byte-identical to detect + eval composed
         result = _eval_one(_load_map(map_base), gt, fpr_max, "anomaly", det_dir)
@@ -324,10 +326,7 @@ def _parse_text(path: str) -> Raster:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    base = args.src
-    for ext in (".r32", ".json"):
-        if base.endswith(ext):
-            base = base[: -len(ext)]
+    base = _base_path(args.src)
     if os.path.isfile(base + ".r32") and os.path.isfile(base + ".json"):
         _dump_text(load_raster(args.src), args.dst)
     elif os.path.isfile(args.src):

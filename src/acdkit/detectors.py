@@ -5,27 +5,28 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadConfig
-from .features import (
+from .features import (  # noqa: F401  patch_features: bench/spans.py traces it by name here
     DEFAULT_LEVELS,
     DEFAULT_OFFSETS,
     DEFAULT_PATCH,
-    FeatureStack,
+    PatchWindows,
     glcm_features,
     identity_features,
     patch_features,
     quantize,
 )
-from .hacd import AnomalyMap, HacdModel, diff_score, fit_hacd, score_map
+from .hacd import AnomalyMap, Features, HacdModel, diff_score, fit_hacd, score_map
 from .raster import CoregisteredPair, Raster
 
 DETECTOR_NAMES = ("diff", "hacd", "patch-hacd", "glcm-hacd")
 
 
-def _features(name: str, r: Raster, patch: int, levels: int, offsets) -> FeatureStack:
+def _features(name: str, r: Raster, patch: int, levels: int, offsets) -> Features:
     if name == "hacd":
         return identity_features(r)
     if name == "patch-hacd":
-        return patch_features(r, patch)
+        # streamed: fit and score cut each tile's patches from the raster
+        return PatchWindows(r, patch)
     # glcm-hacd: each epoch is quantized against its own quantiles, so a
     # global monotone intensity change between epochs is already neutralized
     return glcm_features(quantize(r, levels), patch, offsets)

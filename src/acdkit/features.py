@@ -48,6 +48,10 @@ class FeatureStack:
     def dim(self) -> int:
         return self.data.shape[2]
 
+    def fill(self, r0: int, r1: int, out: np.ndarray) -> None:
+        """Write the vectors of rows r0:r1 into ``out``, shape ((r1-r0)*width, dim)."""
+        out[...] = self.data[r0:r1].reshape(-1, self.dim)
+
 
 @dataclass(frozen=True, eq=False)
 class QuantizedRaster:
@@ -91,15 +95,35 @@ def _check_patch(patch: int, height: int, width: int) -> int:
     return (patch - 1) // 2
 
 
+class PatchWindows:
+    """Patch features that are cut from the raster one row tile at a time.
+
+    Holds only the mirror-padded raster; ``fill`` writes the same vectors
+    ``patch_features`` would hold, so fit and score can stream them
+    without an O(pixels x dim) stack.
+    """
+
+    def __init__(self, r: Raster, patch: int = DEFAULT_PATCH):
+        pad = _check_patch(patch, r.height, r.width)
+        self.height, self.width = r.height, r.width
+        self.patch = patch
+        self.dim = patch * patch
+        self._padded = np.pad(r.data.astype(np.float64), pad, mode="reflect")
+
+    def fill(self, r0: int, r1: int, out: np.ndarray) -> None:
+        """Write the vectors of rows r0:r1 into ``out``, shape ((r1-r0)*width, dim)."""
+        p = self.patch
+        # output rows r0:r1 read padded rows r0 : r1 + 2*pad
+        windows = np.lib.stride_tricks.sliding_window_view(self._padded[r0 : r1 + p - 1], (p, p))
+        out.reshape(r1 - r0, self.width, p, p, copy=False)[...] = windows
+
+
 def patch_features(r: Raster, patch: int = DEFAULT_PATCH) -> FeatureStack:
     """Row-major flattening of the mirror-padded patch centered at each pixel."""
-    pad = _check_patch(patch, r.height, r.width)
-    src = r.data.astype(np.float64)
-    if pad == 0:
-        return FeatureStack(src[:, :, np.newaxis])
-    padded = np.pad(src, pad, mode="reflect")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (patch, patch))
-    return FeatureStack(windows.reshape(r.height, r.width, patch * patch))
+    windows = PatchWindows(r, patch)
+    data = np.empty((r.height, r.width, windows.dim))
+    windows.fill(0, r.height, data.reshape(-1, windows.dim))
+    return FeatureStack(data)
 
 
 def quantize(r: Raster, levels: int = DEFAULT_LEVELS) -> QuantizedRaster:

@@ -24,12 +24,14 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, GridMismatch, IoError, SingularCovariance
-from .features import FeatureStack
+from .features import FeatureStack, PatchWindows
 from .raster import CoregisteredPair
 
-# Covariance accumulation and scoring walk the image in fixed 256-row tiles,
-# combined in ascending order, so results are independent of worker count.
-TILE_ROWS = 256
+# Fit and score share one loop over row tiles of about TILE_PIXELS pixels
+# (at least one row each), taken in ascending order.  Each tile's [x | y]
+# vectors are written into one reused (tile pixels, d_x + d_y) buffer, so
+# the working memory does not grow with the image.
+TILE_PIXELS = 1 << 15
 
 DEFAULT_RIDGE_SCALE = 1e-6
 
@@ -147,27 +149,42 @@ class HacdModel:
         return cls(mean_x, mean_y, c, ridge=float(ridge))
 
 
-def _check_grids(x: FeatureStack, y: FeatureStack) -> None:
+Features = FeatureStack | PatchWindows
+
+
+def _check_grids(x: Features, y: Features) -> None:
     if (x.height, x.width) != (y.height, y.width):
         raise GridMismatch(
             f"x grid {x.width}x{x.height} != y grid {y.width}x{y.height}"
         )
 
 
-def _tiles(height: int):
-    for r0 in range(0, height, TILE_ROWS):
-        yield r0, min(r0 + TILE_ROWS, height)
+def _tiles(x: Features, y: Features):
+    """Yield (r0, r1, z) with z the [x | y] vectors of rows r0:r1, one per pixel.
+
+    Every z is a view of one reused buffer: callers may change it in place
+    but must be done with it before asking for the next tile.
+    """
+    rows = max(1, TILE_PIXELS // x.width)
+    buf = np.empty((min(rows, x.height) * x.width, x.dim + y.dim))
+    for r0 in range(0, x.height, rows):
+        r1 = min(r0 + rows, x.height)
+        z = buf[: (r1 - r0) * x.width]
+        x.fill(r0, r1, z[:, : x.dim])
+        y.fill(r0, r1, z[:, x.dim :])
+        yield r0, r1, z
 
 
 def fit_hacd(
-    x: FeatureStack,
-    y: FeatureStack,
+    x: Features,
+    y: Features,
     ridge: float | None = None,
     fit_mask: np.ndarray | None = None,
 ) -> HacdModel:
     """Fit the joint Gaussian over all pixels of the scene (in-sample).
 
-    Mean and covariance are the sample mean and population covariance
+    ``x`` and ``y`` are FeatureStacks or PatchWindows on one grid.  Mean
+    and covariance are the sample mean and population covariance
     (denominator N) of the stacked per-pixel vectors [x; y].  ``ridge`` is
     the epsilon added to the covariance diagonal before inversion; None
     selects the default 1e-6 * trace(C) / (d_x + d_y).  ``fit_mask``
@@ -179,8 +196,7 @@ def fit_hacd(
     pixels than d_x + d_y with ridge 0).
     """
     _check_grids(x, y)
-    dx, dy = x.dim, y.dim
-    d = dx + dy
+    d = x.dim + y.dim
     if fit_mask is not None:
         fit_mask = np.asarray(fit_mask, dtype=bool)
         if fit_mask.shape != (x.height, x.width):
@@ -189,33 +205,37 @@ def fit_hacd(
                 f"{x.height}x{x.width}"
             )
 
-    def tile_vectors(r0: int, r1: int) -> np.ndarray:
-        xs = x.data[r0:r1].reshape(-1, dx)
-        ys = y.data[r0:r1].reshape(-1, dy)
-        if fit_mask is not None:
-            keep = fit_mask[r0:r1].ravel()
-            xs, ys = xs[keep], ys[keep]
-        return np.concatenate([xs, ys], axis=1)
-
-    # Two passes over fixed tiles: means first, then centered products.
+    # One pass: each tile's (count, mean, centered scatter) is merged into
+    # the running totals in tile order with the pairwise update of Chan,
+    # Golub & LeVeque (1983).  Moments are taken about the first tile's mean,
+    # so a common offset that is large against the spread costs no digits.
     n = 0
-    total = np.zeros(d)
-    for r0, r1 in _tiles(x.height):
-        z = tile_vectors(r0, r1)
-        n += z.shape[0]
-        total += z.sum(axis=0)
+    shift = None
+    mean = np.zeros(d)
+    scatter = np.zeros((d, d))
+    for r0, r1, z in _tiles(x, y):
+        if fit_mask is not None:
+            z = z[fit_mask[r0:r1].ravel()]
+        m = z.shape[0]
+        if m == 0:
+            continue
+        if shift is None:
+            shift = z.mean(axis=0)
+        z -= shift
+        tile_mean = z.mean(axis=0)
+        z -= tile_mean
+        delta = tile_mean - mean
+        scatter += z.T @ z
+        scatter += np.outer(delta, delta) * (n * m / (n + m))
+        mean += delta * (m / (n + m))
+        n += m
     if n == 0:
         raise SingularCovariance("fit mask selects no pixels")
-    mean = total / n
-
-    scatter = np.zeros((d, d))
-    for r0, r1 in _tiles(x.height):
-        z = tile_vectors(r0, r1) - mean
-        scatter += z.T @ z
+    mean += shift
     cov = scatter / n
 
     eps = DEFAULT_RIDGE_SCALE * float(np.trace(cov)) / d if ridge is None else float(ridge)
-    return HacdModel.from_covariance(mean[:dx], mean[dx:], cov, ridge=eps)
+    return HacdModel.from_covariance(mean[: x.dim], mean[x.dim :], cov, ridge=eps)
 
 
 def hacd_score(m: HacdModel, x: np.ndarray, y: np.ndarray) -> float:
@@ -230,18 +250,20 @@ def hacd_score(m: HacdModel, x: np.ndarray, y: np.ndarray) -> float:
     return 0.5 * float(z @ m.quad @ z) + m.log_det_const
 
 
-def score_map(m: HacdModel, x: FeatureStack, y: FeatureStack) -> AnomalyMap:
-    """Apply hacd_score at every pixel of a co-registered stack pair."""
+def score_map(m: HacdModel, x: Features, y: Features) -> AnomalyMap:
+    """Apply hacd_score at every pixel of a co-registered feature pair.
+
+    ``x`` and ``y`` are FeatureStacks or PatchWindows, as for fit_hacd.
+    """
     _check_grids(x, y)
     if x.dim != m.d_x or y.dim != m.d_y:
         raise DimensionMismatch(
             f"stack dims ({x.dim}, {y.dim}) do not match model ({m.d_x}, {m.d_y})"
         )
     out = np.empty((x.height, x.width))
-    for r0, r1 in _tiles(x.height):
-        xs = x.data[r0:r1].reshape(-1, x.dim) - m.mean_x
-        ys = y.data[r0:r1].reshape(-1, y.dim) - m.mean_y
-        z = np.concatenate([xs, ys], axis=1)
+    for r0, r1, z in _tiles(x, y):
+        z[:, : m.d_x] -= m.mean_x
+        z[:, m.d_x :] -= m.mean_y
         s = 0.5 * np.einsum("nd,nd->n", z @ m.quad, z) + m.log_det_const
         out[r0:r1] = s.reshape(r1 - r0, x.width)
     return AnomalyMap(out)

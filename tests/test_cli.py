@@ -294,6 +294,36 @@ def test_convert_round_trip(tmp_path):
     assert load_raster(back) == r
 
 
+@pytest.mark.parametrize("ext", [".r32", ".json"])
+def test_convert_accepts_either_sidecar_path(tmp_path, ext):
+    r = Raster((np.arange(6, dtype=np.float32).reshape(2, 3) / 3.0))
+    base = str(tmp_path / "r")
+    save_raster(r, base)
+    via_base, via_file = str(tmp_path / "base.txt"), str(tmp_path / "file.txt")
+    assert main(["convert", base, via_base]) == 0
+    assert main(["convert", base + ext, via_file]) == 0
+    assert open(via_file).read() == open(via_base).read()
+
+
+@pytest.mark.parametrize("ext", [".r32", ".json"])
+def test_eval_accepts_either_sidecar_path(tmp_path, ext):
+    paths = _write_scene_files(tmp_path)
+    det_out = str(tmp_path / "det")
+    assert main(["detect", "--detector", "diff", "--t0", paths["t0"],
+                 "--t1", paths["t1"], "--out", det_out]) == 0
+    outs = {}
+    for label, map_path in (("base", "anomaly"), ("file", "anomaly" + ext)):
+        outs[label] = str(tmp_path / label)
+        assert main(["eval", "--map", os.path.join(det_out, map_path),
+                     "--inner", paths["inner"], "--out", outs[label]]) == 0
+    for name in ("roc.csv", "roc.svg", "summary.json"):
+        with open(os.path.join(outs["base"], name), "rb") as a, \
+                open(os.path.join(outs["file"], name), "rb") as b:
+            assert a.read() == b.read()
+    # the plot is labeled by the map's stem, not by the sidecar file name
+    assert ">anomaly<" in open(os.path.join(outs["file"], "roc.svg")).read()
+
+
 def test_convert_missing_source(tmp_path, capsys):
     rc = main(["convert", str(tmp_path / "ghost"), str(tmp_path / "out.txt")])
     assert rc == 2

@@ -1,10 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
+import acdkit.hacd
 from acdkit import (
+    DETECTOR_NAMES,
     DimensionMismatch,
     FeatureStack,
     GridMismatch,
@@ -13,9 +18,14 @@ from acdkit import (
     SingularCovariance,
     diff_score,
     fit_hacd,
+    glcm_features,
     hacd_score,
+    identity_features,
     load_model,
     make_pair,
+    patch_features,
+    quantize,
+    run_detector,
     save_model,
     score_map,
 )
@@ -245,3 +255,107 @@ def test_scoring_is_deterministic_across_calls():
     a = score_map(m, x, y).scores
     b = score_map(m, x, y).scores
     assert a.tobytes() == b.tobytes()
+
+
+# --- streamed tile loop against the materialised reference -----------------
+
+def _textured_pair(height, width, seed=30):
+    rng = np.random.default_rng(seed)
+    t0 = rng.gamma(4.0, size=(height, width)).astype(np.float32)
+    t1 = (0.8 * t0 + rng.normal(scale=0.3, size=(height, width))).astype(np.float32)
+    return make_pair(Raster(t0), Raster(t1))
+
+
+def _reference_run(name, pair, patch, levels, fit_mask=None):
+    """Build both full stacks, fit with two passes over the concatenated
+    vectors and score every pixel in one block."""
+    if name == "diff":
+        return np.abs(pair.t1.data.astype(np.float64) - pair.t0.data.astype(np.float64))
+    extract = {
+        "hacd": identity_features,
+        "patch-hacd": lambda r: patch_features(r, patch),
+        "glcm-hacd": lambda r: glcm_features(quantize(r, levels), patch),
+    }[name]
+    fx, fy = extract(pair.t0), extract(pair.t1)
+    z = np.concatenate([fx.data.reshape(-1, fx.dim), fy.data.reshape(-1, fy.dim)], axis=1)
+    sample = z if fit_mask is None else z[fit_mask.ravel()]
+    mean = sample.mean(axis=0)
+    centered = sample - mean
+    cov = centered.T @ centered / sample.shape[0]
+    ridge = acdkit.hacd.DEFAULT_RIDGE_SCALE * np.trace(cov) / z.shape[1]
+    m = HacdModel.from_covariance(mean[: fx.dim], mean[fx.dim :], cov, ridge=ridge)
+    zc = z - mean
+    s = 0.5 * np.einsum("nd,nd->n", zc @ m.quad, zc) + m.log_det_const
+    return s.reshape(pair.t0.height, pair.t0.width)
+
+
+def _assert_close_scores(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", DETECTOR_NAMES)
+@pytest.mark.parametrize(
+    "shape, tile_pixels",
+    [
+        ((23, 17), 5 * 17 + 3),  # 5-row tiles; the last tile has 3 rows
+        ((3, acdkit.hacd.TILE_PIXELS + 5), None),  # wider than a tile: one row per tile
+    ],
+)
+def test_streamed_detector_matches_materialised_reference(name, shape, tile_pixels, monkeypatch):
+    if tile_pixels is not None:
+        monkeypatch.setattr(acdkit.hacd, "TILE_PIXELS", tile_pixels)
+    pair = _textured_pair(*shape)
+    amap, _ = run_detector(name, pair, patch=5, levels=4)
+    _assert_close_scores(amap.scores, _reference_run(name, pair, 5, 4))
+
+
+@pytest.mark.parametrize("name", DETECTOR_NAMES[1:])
+def test_streamed_fit_mask_matches_materialised_reference(name, monkeypatch):
+    monkeypatch.setattr(acdkit.hacd, "TILE_PIXELS", 4 * 17)
+    pair = _textured_pair(23, 17, seed=31)
+    mask = np.random.default_rng(32).random((23, 17)) < 0.6
+    mask[4:8] = False  # one whole tile contributes no pixels
+    amap, _ = run_detector(name, pair, patch=5, levels=4, fit_mask=mask)
+    _assert_close_scores(amap.scores, _reference_run(name, pair, 5, 4, fit_mask=mask))
+    with pytest.raises(SingularCovariance):
+        run_detector(name, pair, patch=5, levels=4, fit_mask=np.zeros((23, 17), bool))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    height=st.integers(1, 12),
+    width=st.integers(1, 9),
+    dx=st.integers(1, 3),
+    dy=st.integers(1, 3),
+    tile_pixels=st.integers(1, 40),
+)
+def test_merged_tile_moments_match_numpy_cov(seed, height, width, dx, dy, tile_pixels):
+    # a large common offset is where a naive sum-of-squares update loses digits
+    rng = np.random.default_rng(seed)
+    x = 1e4 + rng.normal(size=(height, width, dx))
+    y = 1e4 + rng.normal(size=(height, width, dy)) + 0.5 * x[:, :, :1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(acdkit.hacd, "TILE_PIXELS", tile_pixels)
+        m = fit_hacd(_stack(x), _stack(y), ridge=1.0)
+    z = np.concatenate([x.reshape(-1, dx), y.reshape(-1, dy)], axis=1)
+    np.testing.assert_allclose(
+        np.concatenate([m.mean_x, m.mean_y]), z.mean(axis=0), rtol=1e-12, atol=0
+    )
+    want = np.atleast_2d(np.cov(z, rowvar=False, bias=True))
+    np.testing.assert_allclose(m.cov - np.eye(dx + dy), want, rtol=0, atol=1e-12)
+
+
+def test_patch_detector_memory_does_not_grow_with_pixels_times_dim():
+    def peak(height):
+        pair = _textured_pair(height, 128, seed=33)
+        tracemalloc.start()
+        try:
+            run_detector("patch-hacd", pair)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(256), peak(1024)
+    assert large < 1.5 * small
