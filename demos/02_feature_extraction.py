@@ -2,8 +2,8 @@
 """Per-pixel feature stacks: raw intensity, local patches, GLCM texture.
 
 Shows how a single-band image becomes a per-pixel feature vector of
-dimension 1 (intensity), patch**2 (flattened neighborhood), or levels**2
-(co-occurrence matrix), and why the GLCM step is insensitive to any
+dimension 1 (intensity), patch**2 (flattened neighborhood), or
+levels*(levels+1)/2 (co-occurrence of unordered level pairs), and why the GLCM step is insensitive to any
 monotone rescaling of the intensities.
 """
 
@@ -38,14 +38,15 @@ print("level histogram:", np.bincount(q.data.ravel(), minlength=8))
 q_rescaled = quantize(Raster(np.exp(noisy.data / 2)), levels=8)
 print("levels invariant under exp(x/2):", np.array_equal(q.data, q_rescaled.data), "\n")
 
-# A GLCM feature is the normalized co-occurrence matrix of the levels in
-# the patch around each pixel: a probability vector of length L*L.
+# A GLCM feature is the normalized co-occurrence histogram of unordered
+# level pairs {i <= j} in the patch around each pixel: a probability
+# vector of length L*(L+1)/2, cells in np.triu_indices(L) order.
 texture = glcm_features(q, patch=11)
 vec = texture.data[32, 32]
+i, j = np.triu_indices(8)
 print("GLCM feature dim:", texture.dim)
 print("entries sum to:", vec.sum())
-print("mass near the diagonal (|i-j|<=1):",
-      sum(vec[i * 8 + j] for i in range(8) for j in range(8) if abs(i - j) <= 1))
+print("mass near the diagonal (j-i<=1):", vec[j - i <= 1].sum())
 
 # A checkerboard puts all co-occurrence mass off the diagonal.
 cb = Raster((np.indices((9, 9)).sum(axis=0) % 2).astype(np.float32))

@@ -7,8 +7,6 @@ patch and co-occurrence-texture feature augmentation, dual-mask ROC
 evaluation, and a deterministic synthetic scene generator for benchmarks.
 """
 
-import os
-
 from .detectors import DETECTOR_NAMES, run_detector
 from .errors import (
     AcdError,
@@ -63,23 +61,3 @@ from .raster import (
 from .synth import SceneConfig, config_from_json, config_to_json, generate_scene, scene_suite
 
 __version__ = "0.1.0"
-
-THREADS_ENV_VAR = "ACDKIT_THREADS"
-
-
-def worker_cap() -> int:
-    """Validated worker count from ACDKIT_THREADS (default 1).
-
-    No library operation reads it yet; outputs are bitwise deterministic
-    regardless of this value.
-    """
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise BadConfig(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise BadConfig(f"{THREADS_ENV_VAR} must be >= 1, got {cap}")
-    return cap

@@ -9,8 +9,7 @@ Subcommands:
 
 Exit codes: 0 success, 2 user/data error (the diagnostic names the
 originating error class), 3 internal invariant violation.  Option
-precedence is flags > config file > defaults.  ACDKIT_THREADS is checked
-to be a positive integer; nothing else reads it yet.
+precedence is flags > config file > defaults.
 """
 
 from __future__ import annotations
@@ -18,13 +17,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import traceback
 
 import numpy as np
 
-from . import worker_cap
 from .detectors import DETECTOR_NAMES, run_detector
 from .errors import AcdError, BadConfig, FormatError, IoError, NotFound
 from .evaluate import DEFAULT_FPR_MAX, auc, render_loglog_svg, roc, write_roc_csv
@@ -56,15 +55,51 @@ _DETECT_DEFAULTS = {
 }
 
 
-def _parse_offsets(text: str) -> list[list[int]]:
-    """Parse '0,1;1,0;1,-1' into offset pairs."""
+def _parse_offsets(text: str) -> list[list[str]]:
+    """Split '0,1;1,0;1,-1' into offset pairs; _options checks them."""
+    return [part.split(",") for part in text.split(";") if part]
+
+
+def _offset_pairs(value) -> tuple[tuple[int, int], ...]:
+    """``value`` as a non-empty tuple of integer (dy, dx) pairs, or BadConfig."""
     try:
-        pairs = [[int(v) for v in part.split(",")] for part in text.split(";") if part]
-    except ValueError as exc:
-        raise BadConfig(f"bad --offsets value {text!r}: {exc}") from exc
-    if not pairs or any(len(p) != 2 for p in pairs):
-        raise BadConfig(f"bad --offsets value {text!r}: expected dy,dx pairs")
+        pairs = tuple((int(dy), int(dx)) for dy, dx in value)
+    except (TypeError, ValueError):
+        pairs = ()
+    if not pairs or any(isinstance(p, str) for p in value):
+        raise BadConfig(f"glcm_offsets must be a non-empty list of dy,dx pairs, got {value!r}")
     return pairs
+
+
+# numeric option -> (conversion, accepted values, their description)
+_NUMBERS = {
+    "patch": (int, lambda v: True, "an integer"),
+    "glcm_levels": (int, lambda v: v >= 1, "an integer >= 1"),
+    "ridge": (float, math.isfinite, "a finite number"),
+    "roc_fpr_max": (float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]"),
+    "seed": (int, lambda v: True, "an integer"),
+}
+
+
+def _number(key: str, value):
+    kind, valid, expected = _NUMBERS[key]
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or not valid(number):
+        raise BadConfig(f"{key} must be {expected}, got {value!r}")
+    return number
+
+
+def _options(config: dict, flags: dict) -> dict:
+    """Defaults < config < flags (None means unset), converted and checked
+    once, so a bad flag and a bad config field fail alike."""
+    cfg = dict(_DETECT_DEFAULTS)
+    cfg.update((k, v) for src in (config, flags) for k, v in src.items() if v is not None)
+    cfg.update((k, _number(k, cfg[k])) for k in _NUMBERS if cfg.get(k) is not None)
+    cfg["glcm_offsets"] = _offset_pairs(cfg["glcm_offsets"])
+    return cfg
 
 
 def _load_json_config(path: str, allowed: set[str]) -> dict:
@@ -85,21 +120,10 @@ def _load_json_config(path: str, allowed: set[str]) -> dict:
     return doc
 
 
-def _merge(defaults: dict, config: dict, flags: dict) -> dict:
-    merged = dict(defaults)
-    merged.update(config)
-    merged.update({k: v for k, v in flags.items() if v is not None})
-    return merged
-
-
 def _require(cfg: dict, key: str) -> object:
     if cfg.get(key) is None:
         raise BadConfig(f"required option {key!r} missing (flag or config)")
     return cfg[key]
-
-
-def _offsets_tuple(value) -> tuple[tuple[int, int], ...]:
-    return tuple((int(dy), int(dx)) for dy, dx in value)
 
 
 def _write_map(amap: AnomalyMap, path: str) -> None:
@@ -135,14 +159,13 @@ def _detect_pair(cfg: dict, pair: CoregisteredPair, out_dir: str) -> str:
 
     Returns the base path of the written anomaly map.
     """
-    ridge = cfg["ridge"]
     amap, model = run_detector(
         cfg["detector"],
         pair,
-        patch=int(cfg["patch"]),
-        levels=int(cfg["glcm_levels"]),
-        offsets=_offsets_tuple(cfg["glcm_offsets"]),
-        ridge=None if ridge is None else float(ridge),
+        patch=cfg["patch"],
+        levels=cfg["glcm_levels"],
+        offsets=cfg["glcm_offsets"],
+        ridge=cfg["ridge"],
     )
     os.makedirs(out_dir, exist_ok=True)
     map_base = os.path.join(out_dir, "anomaly")
@@ -172,7 +195,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         "t1": args.t1,
         "out": args.out,
     }
-    cfg = _merge(_DETECT_DEFAULTS, config, flags)
+    cfg = _options(config, flags)
     _detect(cfg, str(_require(cfg, "out")))
     return 0
 
@@ -195,10 +218,11 @@ def _eval_one(amap: AnomalyMap, gt, fpr_max: float, name: str, out_dir: str) -> 
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    fpr_max = _number("roc_fpr_max", args.fpr_max)
     amap = _load_map(args.map)
     gt = load_ground_truth(args.inner, args.outer, (amap.width, amap.height))
     name = _base_path(os.path.basename(os.path.normpath(args.map)))
-    _eval_one(amap, gt, args.fpr_max, name or "map", args.out)
+    _eval_one(amap, gt, fpr_max, name or "map", args.out)
     return 0
 
 
@@ -238,7 +262,7 @@ _RUN_KEYS = set(_DETECT_DEFAULTS) | {"detectors", "scene", "seed"}
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load_json_config(args.config, _RUN_KEYS)
-    cfg = _merge(_DETECT_DEFAULTS, config, {"out": args.out})
+    cfg = _options(config, {"out": args.out})
     out_dir = str(_require(cfg, "out"))
     detectors = config.get("detectors")
     if not detectors or not isinstance(detectors, list):
@@ -250,8 +274,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     scene = config.get("scene")
     if isinstance(scene, str):
         scene_cfg = _resolve_scene_config(scene, None)
-        if config.get("seed") is not None:
-            scene_cfg = dataclasses.replace(scene_cfg, seed=int(config["seed"]))
+        if cfg["seed"] is not None:
+            scene_cfg = dataclasses.replace(scene_cfg, seed=cfg["seed"])
         scene_dir = os.path.join(out_dir, "scene")
         _write_scene(scene_cfg, scene_dir)
         paths = {k: os.path.join(scene_dir, k) for k in ("t0", "t1", "inner", "outer")}
@@ -270,7 +294,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     pair = make_pair(load_raster(paths["t0"]), load_raster(paths["t1"]))
     gt = load_ground_truth(paths["inner"], paths.get("outer"), (pair.t0.width, pair.t0.height))
-    fpr_max = float(cfg["roc_fpr_max"])
 
     bands = {}
     rows = []
@@ -279,7 +302,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         map_base = _detect_pair({**cfg, "detector": name}, pair, det_dir)
         # evaluate the persisted f32 map, labeled by its stem, so the
         # per-detector outputs are byte-identical to detect + eval composed
-        result = _eval_one(_load_map(map_base), gt, fpr_max, "anomaly", det_dir)
+        result = _eval_one(_load_map(map_base), gt, cfg["roc_fpr_max"], "anomaly", det_dir)
         bands[name] = result["band"]
         s = result["summary"]
         rows.append((name, s["pauc_inner"], s["pauc_outer"], s["auc_inner"], s["auc_outer"]))
@@ -386,7 +409,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        worker_cap()  # validate ACDKIT_THREADS before doing any work
         return args.func(args)
     except AcdError as exc:
         print(f"error {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Per-pixel feature extraction: raw intensities, local patches, GLCM texture.
+"""Per-pixel feature extraction: intensities, patches, unordered-pair GLCMs.
 
 Every extractor maps a Raster (or QuantizedRaster) to a FeatureStack of
 float64 vectors, one vector per pixel on the same grid.  Borders are
@@ -145,11 +145,12 @@ def quantize(r: Raster, levels: int = DEFAULT_LEVELS) -> QuantizedRaster:
     return QuantizedRaster(levels, lev.reshape(r.data.shape))
 
 
-def _window_sums(indicator: np.ndarray, win_h: int, win_w: int, out_h: int, out_w: int) -> np.ndarray:
-    """Sum of ``indicator`` over every win_h x win_w window whose top-left
-    corner is (r, c), for r < out_h, c < out_w.  Exact integer arithmetic."""
-    sat = np.zeros((indicator.shape[0] + 1, indicator.shape[1] + 1), dtype=np.int64)
-    sat[1:, 1:] = indicator
+def _window_sums(a: np.ndarray, win_h: int, win_w: int, out_h: int, out_w: int) -> np.ndarray:
+    """Sum of ``a`` over every win_h x win_w window whose top-left corner is
+    (r, c), for r < out_h, c < out_w, via one summed-area table.  Integer and
+    boolean input is summed exactly in int64; float input in float64."""
+    sat = np.zeros((a.shape[0] + 1, a.shape[1] + 1), dtype=np.result_type(a.dtype, np.int64))
+    sat[1:, 1:] = a
     np.cumsum(sat, axis=0, out=sat)
     np.cumsum(sat, axis=1, out=sat)
     return (
@@ -165,13 +166,16 @@ def glcm_features(
     patch: int = DEFAULT_PATCH,
     offsets: tuple[tuple[int, int], ...] = DEFAULT_OFFSETS,
 ) -> FeatureStack:
-    """Per-pixel symmetric gray-level co-occurrence matrix, flattened row-major.
+    """Per-pixel histogram of unordered level pairs: the symmetric gray-level
+    co-occurrence matrix without its duplicate cells.
 
     For each pixel the mirror-padded level patch centered there is scanned
-    once per offset (dy, dx): every ordered in-patch pair
-    (level[i, j], level[i+dy, j+dx]) is counted.  Counts are symmetrized by
-    adding the transpose, summed over offsets, and normalized to sum to 1,
-    giving an L*L probability vector (dim = levels**2).
+    once per offset (dy, dx): every in-patch pair (level[i, j],
+    level[i+dy, j+dx]) is counted in the cell {a, b} of its two levels,
+    a <= b, and the counts are summed over offsets and divided by the number
+    of pairs scanned.  The L*(L+1)/2 cells are in ``np.triu_indices(L)``
+    order and sum to 1.  Cell {a, b} equals the symmetric L x L matrix's
+    entry (a, a) when a == b and (a, b) + (b, a) otherwise.
 
     Args:
         q: quantized raster with L = q.levels.
@@ -194,27 +198,28 @@ def glcm_features(
     h, w = q.height, q.width
     padded = np.pad(q.data, pad, mode="reflect") if pad else q.data
 
-    # Ordered pair counts per pixel, accumulated code by code.  The window
-    # of pair positions for the patch at (r, c) is the (patch-|dy|) x
-    # (patch-|dx|) block of the shifted-code image whose top-left corner is
-    # (r, c), so each code reduces to one summed-area-table pass.
-    counts = np.zeros((h, w, lvl, lvl), dtype=np.int64)
+    # cell_of[a, b] = cell_of[b, a] = position of {min, max} in triu order
+    upper = np.triu_indices(lvl)
+    cell_of = np.zeros((lvl, lvl), dtype=np.intp)
+    cell_of[upper] = cell_of[upper[::-1]] = np.arange(upper[0].size)
+
+    # Pair counts per pixel, accumulated cell by cell.  The window of pair
+    # positions for the patch at (r, c) is the (patch-|dy|) x (patch-|dx|)
+    # block of the shifted-cell image whose top-left corner is (r, c), so
+    # each cell reduces to one summed-area-table pass.
+    out = np.zeros((h, w, upper[0].size))
     total = 0
     for dy, dx in offsets:
         r0, c0 = max(0, -dy), max(0, -dx)
         r1 = padded.shape[0] - max(0, dy)
         c1 = padded.shape[1] - max(0, dx)
-        first = padded[r0:r1, c0:c1]
-        second = padded[r0 + dy : r1 + dy, c0 + dx : c1 + dx]
-        codes = first.astype(np.int64) * lvl + second
+        cells = cell_of[padded[r0:r1, c0:c1], padded[r0 + dy : r1 + dy, c0 + dx : c1 + dx]]
         win_h, win_w = patch - abs(dy), patch - abs(dx)
-        total += 2 * win_h * win_w
-        for code in np.unique(codes):
-            hits = _window_sums(codes == code, win_h, win_w, h, w)
-            counts[:, :, code // lvl, code % lvl] += hits
+        total += win_h * win_w
+        for c in np.unique(cells):
+            out[:, :, c] += _window_sums(cells == c, win_h, win_w, h, w)
 
-    sym = counts + counts.transpose(0, 1, 3, 2)
     # Every pixel sees the same pair geometry (mirror padding), so the
-    # normalizer is the constant 2 * sum_offsets (patch-|dy|)(patch-|dx|).
-    out = sym.reshape(h, w, lvl * lvl).astype(np.float64) / float(total)
+    # normalizer is the constant sum_offsets (patch-|dy|)(patch-|dx|).
+    out /= float(total)
     return FeatureStack(out)

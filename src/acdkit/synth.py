@@ -24,6 +24,7 @@ import numpy as np
 
 from . import rng
 from .errors import BadConfig, IoError
+from .features import _window_sums
 from .raster import GroundTruth, Raster
 
 BG_LEVEL = 4.0
@@ -106,19 +107,9 @@ def _box_mean(a: np.ndarray, radius: int) -> np.ndarray:
     """Mean over (2*radius+1)^2 mirror-padded windows, via summed-area table."""
     if radius == 0:
         return a.astype(np.float64, copy=True)
-    p = np.pad(a, radius, mode="reflect")
-    sat = np.zeros((p.shape[0] + 1, p.shape[1] + 1))
-    sat[1:, 1:] = p
-    np.cumsum(sat, axis=0, out=sat)
-    np.cumsum(sat, axis=1, out=sat)
     side = 2 * radius + 1
     h, w = a.shape
-    total = (
-        sat[side : side + h, side : side + w]
-        - sat[side : side + h, :w]
-        - sat[:h, side : side + w]
-        + sat[:h, :w]
-    )
+    total = _window_sums(np.pad(a, radius, mode="reflect"), side, side, h, w)
     return total / float(side * side)
 
 

@@ -330,26 +330,35 @@ def test_convert_missing_source(tmp_path, capsys):
     assert "NotFound" in capsys.readouterr().err
 
 
-def test_bad_threads_env_is_exit_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ACDKIT_THREADS", "zero")
-    rc = main(["synth", "textured", "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert "ACDKIT_THREADS" in capsys.readouterr().err
-
-
-def test_threads_env_does_not_change_bytes(tmp_path, monkeypatch):
-    outs = []
-    cfg_path = str(tmp_path / "small.json")
-    with open(cfg_path, "w") as fh:
-        json.dump({"width": 64, "height": 64, "seed": 7,
-                   "anomaly_rect": [20, 20, 16, 16],
-                   "anomaly_texture_gain": 2.0, "noise_sigma": 0.1}, fh)
-    for threads in ("1", "4"):
-        monkeypatch.setenv("ACDKIT_THREADS", threads)
-        out = str(tmp_path / f"o{threads}")
-        assert main(["synth", "--config", cfg_path, "--out", out]) == 0
-        outs.append(open(os.path.join(out, "t1.r32"), "rb").read())
-    assert outs[0] == outs[1]
+@pytest.mark.parametrize("command,fields,flags", [
+    ("eval", None, ["--fpr-max", "0"]),
+    ("run", {"roc_fpr_max": 0}, []),
+    ("detect", {"glcm_offsets": [[0]]}, []),
+    ("detect", {"patch": "abc"}, []),
+    ("run", {"scene": "textured", "seed": "x"}, []),
+    ("detect", {"glcm_levels": 0}, []),
+    ("detect", {}, ["--offsets", "0,1;2"]),
+    ("detect", {}, ["--ridge", "nan"]),
+], ids=["eval-fpr-max-0", "run-fpr-max-0", "offsets-not-pairs", "patch-not-int",
+        "seed-not-int", "levels-0", "offsets-flag-not-pairs", "ridge-nan"])
+def test_malformed_option_is_exit_2(tmp_path, capsys, command, fields, flags):
+    paths = _write_scene_files(tmp_path, side=16)
+    out = str(tmp_path / "o")
+    if command == "eval":
+        argv = ["eval", "--map", paths["t0"], "--inner", paths["inner"], "--out", out]
+    else:
+        cfg = {"t0": paths["t0"], "t1": paths["t1"], **fields}
+        if command == "run":
+            cfg.update(detectors=["diff"], inner=paths["inner"])
+        else:
+            cfg["detector"] = "glcm-hacd"
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        argv = ["run", cfg_path] if command == "run" else ["detect", "--config", cfg_path]
+        argv += ["--out", out]
+    assert main(argv + flags) == 2
+    assert "error BadConfig" in capsys.readouterr().err
 
 
 def test_cli_annotations_resolve():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acdkit import (
     BadOffset,
@@ -8,9 +10,12 @@ from acdkit import (
     Raster,
     glcm_features,
     identity_features,
+    make_pair,
     patch_features,
     quantize,
+    run_detector,
 )
+from acdkit.features import DEFAULT_OFFSETS
 
 
 def _raster(a):
@@ -129,19 +134,61 @@ def test_quantize_ties_share_levels():
     assert len(set(ones.tolist())) == 1
 
 
+def _glcm_reference(q, patch, offsets):
+    """Symmetric L x L co-occurrence matrix per pixel, shape (h, w, L, L).
+
+    The full-matrix extraction glcm_features used before it dropped the
+    duplicate cells: ordered pair counts per code, symmetrized by adding
+    the transpose and normalized by twice the number of pairs scanned.
+    """
+    lvl, h, w = q.levels, q.height, q.width
+    pad = (patch - 1) // 2
+    padded = np.pad(q.data, pad, mode="reflect") if pad else q.data
+    counts = np.zeros((h, w, lvl, lvl), dtype=np.int64)
+    total = 0
+    for dy, dx in offsets:
+        r0, c0 = max(0, -dy), max(0, -dx)
+        r1 = padded.shape[0] - max(0, dy)
+        c1 = padded.shape[1] - max(0, dx)
+        first = padded[r0:r1, c0:c1]
+        second = padded[r0 + dy : r1 + dy, c0 + dx : c1 + dx]
+        codes = first.astype(np.int64) * lvl + second
+        win_h, win_w = patch - abs(dy), patch - abs(dx)
+        total += 2 * win_h * win_w
+        for code in np.unique(codes):
+            windows = np.lib.stride_tricks.sliding_window_view(codes == code, (win_h, win_w))
+            hits = windows[:h, :w].sum(axis=(2, 3), dtype=np.int64)
+            counts[:, :, code // lvl, code % lvl] += hits
+    sym = counts + counts.transpose(0, 1, 3, 2)
+    return sym.astype(np.float64) / float(total)
+
+
+def _fold(m):
+    # cell {a, b} of the unordered histogram, in np.triu_indices order
+    a, b = np.triu_indices(m.shape[-1])
+    return np.where(a == b, m[..., a, b], m[..., a, b] + m[..., b, a])
+
+
+def _assert_folded_reference(q, patch, offsets):
+    fs = glcm_features(q, patch, offsets)
+    assert fs.dim == q.levels * (q.levels + 1) // 2
+    expect = _fold(_glcm_reference(q, patch, offsets))
+    assert fs.data.tobytes() == expect.tobytes()
+
+
 def test_glcm_constant_patch():
     q = QuantizedRaster(2, np.zeros((5, 5), np.int32))
     fs = glcm_features(q, 3, ((0, 1),))
-    assert fs.dim == 4
-    assert np.allclose(fs.data[2, 2], [1, 0, 0, 0])
+    assert fs.dim == 3
+    assert fs.data[2, 2].tolist() == [1.0, 0.0, 0.0]
 
 
 def test_glcm_checkerboard_hand_count():
     cb = np.indices((3, 3)).sum(axis=0) % 2
     q = QuantizedRaster(2, cb.astype(np.int32))
     fs = glcm_features(q, 3, ((0, 1),))
-    # ordered (0,1) x3 and (1,0) x3, symmetrized and normalized
-    assert np.allclose(fs.data[1, 1], [0.0, 0.5, 0.5, 0.0])
+    # six horizontal pairs, each {0, 1}: all mass in cell (0, 1)
+    assert fs.data[1, 1].tolist() == [0.0, 1.0, 0.0]
 
 
 def test_glcm_probability_vector():
@@ -154,11 +201,39 @@ def test_glcm_probability_vector():
 
 
 def test_glcm_symmetry():
+    # the symmetric matrix folds onto its upper triangle with nothing lost,
+    # and reversing every offset scans the same unordered pairs
     rng = np.random.default_rng(7)
     q = QuantizedRaster(3, rng.integers(0, 3, size=(12, 12)).astype(np.int32))
-    fs = glcm_features(q, 5)
-    mats = fs.data.reshape(12, 12, 3, 3)
-    assert np.array_equal(mats, mats.transpose(0, 1, 3, 2))
+    offsets = ((0, 1), (1, 0), (2, -1))
+    _assert_folded_reference(q, 5, offsets)
+    reversed_ = tuple((-dy, -dx) for dy, dx in offsets)
+    assert glcm_features(q, 5, reversed_).data.tobytes() == glcm_features(q, 5, offsets).data.tobytes()
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 8])
+@pytest.mark.parametrize("patch", [1, 3, 5, 11])
+def test_glcm_equals_folded_reference(levels, patch):
+    rng = np.random.default_rng(100 * levels + patch)
+    q = QuantizedRaster(levels, rng.integers(0, levels, size=(23, 17)).astype(np.int32))
+    # a 1x1 patch admits only the zero offset
+    _assert_folded_reference(q, patch, DEFAULT_OFFSETS if patch > 1 else ((0, 0),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_glcm_equals_folded_reference_property(data):
+    h = data.draw(st.integers(1, 8), label="h")
+    w = data.draw(st.integers(1, 8), label="w")
+    levels = data.draw(st.integers(1, 5), label="levels")
+    patch = data.draw(st.sampled_from(range(1, 2 * min(h, w), 2)), label="patch")
+    comp = st.integers(-(patch - 1), patch - 1)
+    offsets = tuple(data.draw(st.lists(st.tuples(comp, comp), min_size=1, max_size=3),
+                              label="offsets"))
+    cells = data.draw(st.lists(st.integers(0, levels - 1), min_size=h * w, max_size=h * w),
+                      label="levels map")
+    q = QuantizedRaster(levels, np.array(cells, dtype=np.int32).reshape(h, w))
+    _assert_folded_reference(q, patch, offsets)
 
 
 def test_glcm_monotone_intensity_invariance():
@@ -173,7 +248,7 @@ def test_glcm_default_parameters():
     rng = np.random.default_rng(9)
     q = quantize(_raster(rng.normal(size=(24, 24))), 8)
     fs = glcm_features(q)
-    assert fs.dim == 64
+    assert fs.dim == 36
 
 
 def test_glcm_bad_offset():
@@ -188,3 +263,16 @@ def test_glcm_bad_patch():
     q = QuantizedRaster(2, np.zeros((8, 8), np.int32))
     with pytest.raises(BadPatchSize):
         glcm_features(q, 4)
+
+
+def test_glcm_joint_covariance_rank():
+    # every level pair occurs, so the only null directions of the unridged
+    # joint covariance are the two epochs' sum-to-1 constraints
+    rng = np.random.default_rng(10)
+    t0 = rng.normal(size=(40, 40)).astype(np.float32)
+    t1 = rng.normal(size=(40, 40)).astype(np.float32)
+    _, model = run_detector("glcm-hacd", make_pair(Raster(t0), Raster(t1)))
+    d = model.d_x + model.d_y
+    assert d == 72
+    cov = model.cov - model.ridge * np.eye(d)
+    assert np.linalg.matrix_rank(cov, hermitian=True) == d - 2
