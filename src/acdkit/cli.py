@@ -60,10 +60,17 @@ def _parse_offsets(text: str) -> list[list[str]]:
     return [part.split(",") for part in text.split(";") if part]
 
 
+def _integer(value) -> int:
+    """int(value), refusing a float with a fractional part that int() would drop."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _offset_pairs(value) -> tuple[tuple[int, int], ...]:
     """``value`` as a non-empty tuple of integer (dy, dx) pairs, or BadConfig."""
     try:
-        pairs = tuple((int(dy), int(dx)) for dy, dx in value)
+        pairs = tuple((_integer(dy), _integer(dx)) for dy, dx in value)
     except (TypeError, ValueError):
         pairs = ()
     if not pairs or any(isinstance(p, str) for p in value):
@@ -73,11 +80,11 @@ def _offset_pairs(value) -> tuple[tuple[int, int], ...]:
 
 # numeric option -> (conversion, accepted values, their description)
 _NUMBERS = {
-    "patch": (int, lambda v: True, "an integer"),
-    "glcm_levels": (int, lambda v: v >= 1, "an integer >= 1"),
+    "patch": (_integer, lambda v: True, "an integer"),
+    "glcm_levels": (_integer, lambda v: v >= 1, "an integer >= 1"),
     "ridge": (float, math.isfinite, "a finite number"),
     "roc_fpr_max": (float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]"),
-    "seed": (int, lambda v: True, "an integer"),
+    "seed": (_integer, lambda v: True, "an integer"),
 }
 
 
@@ -274,7 +281,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     scene = config.get("scene")
     if isinstance(scene, str):
         scene_cfg = _resolve_scene_config(scene, None)
-        if cfg["seed"] is not None:
+        if cfg.get("seed") is not None:
             scene_cfg = dataclasses.replace(scene_cfg, seed=cfg["seed"])
         scene_dir = os.path.join(out_dir, "scene")
         _write_scene(scene_cfg, scene_dir)

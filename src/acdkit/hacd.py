@@ -13,6 +13,20 @@ score is
 which is the exact value of the log density ratio, normalization constants
 included, so scores are directly comparable against density oracles and
 across detectors.  Independent x and y give Q = 0, k = 0, score = 0.
+
+Scoring evaluates the same value in canonical-correlation coordinates, the
+transform behind MAD change detection (Nielsen, Conradsen & Simpson 1998).
+With C_xx = L_x L_x' and C_yy = L_y L_y' (Cholesky), the thin SVD
+L_x^-1 C_xy L_y^-T = U diag(rho) V' gives A = L_x^-T U and B = L_y^-T V, and
+the canonical variates u = (x - mu_x) A, v = (y - mu_y) B have identity
+marginal covariances and cross-covariance diag(rho).  Then
+
+    score(x, y) = 0.5 * sum_i [alpha_i (u_i^2 + v_i^2) - 2 beta_i u_i v_i] + k
+    alpha = rho^2 / (1 - rho^2),  beta = rho / (1 - rho^2)
+    k = 0.5 * sum_i log(1 - rho_i^2)
+
+which costs n * (d_x + d_y) * min(d_x, d_y) multiply-adds for n pixels
+instead of the n * (d_x + d_y)^2 of z' Q z.
 """
 
 from __future__ import annotations
@@ -27,11 +41,12 @@ from .errors import DimensionMismatch, GridMismatch, IoError, SingularCovariance
 from .features import FeatureStack, PatchWindows
 from .raster import CoregisteredPair
 
-# Fit and score share one loop over row tiles of about TILE_PIXELS pixels
-# (at least one row each), taken in ascending order.  Each tile's [x | y]
-# vectors are written into one reused (tile pixels, d_x + d_y) buffer, so
-# the working memory does not grow with the image.
-TILE_PIXELS = 1 << 15
+# Fit and score share one loop over row tiles, taken in ascending order.
+# Each tile's [x | y] vectors are written into one reused float64 buffer of
+# at most TILE_BYTES (at least one row), about one core's L2 cache, so the
+# fill, the GEMM and the reductions over a tile stay in cache and the
+# working memory does not grow with the image.
+TILE_BYTES = 2 << 20
 
 DEFAULT_RIDGE_SCALE = 1e-6
 
@@ -60,9 +75,10 @@ class AnomalyMap:
         return self.scores.shape[0]
 
 
-def _cholesky(c: np.ndarray, what: str):
+def _cholesky(c: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor of ``c``, or SingularCovariance."""
     try:
-        return scipy.linalg.cho_factor(c, lower=True)
+        return scipy.linalg.cholesky(c, lower=True)
     except np.linalg.LinAlgError as exc:
         lo = float(np.linalg.eigvalsh(c).min())
         raise SingularCovariance(
@@ -78,14 +94,18 @@ class HacdModel:
     ``cov`` is the ridge-regularized joint covariance actually used for
     scoring; ``ridge`` records the epsilon that was added to its diagonal
     at fit time.  The marginal blocks are its top-left d_x x d_x and
-    bottom-right d_y x d_y submatrices.
+    bottom-right d_y x d_y submatrices.  ``canon_x`` (d_x x r) and
+    ``canon_y`` (d_y x r) map centered features to canonical variates whose
+    correlations are ``rho`` (r = min(d_x, d_y), descending).
     """
 
     mean_x: np.ndarray
     mean_y: np.ndarray
     cov: np.ndarray
     ridge: float = 0.0
-    quad: np.ndarray = field(init=False, repr=False)
+    canon_x: np.ndarray = field(init=False, repr=False)
+    canon_y: np.ndarray = field(init=False, repr=False)
+    rho: np.ndarray = field(init=False, repr=False)
     log_det_const: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -103,20 +123,25 @@ class HacdModel:
         c = np.ascontiguousarray((c + c.T) / 2.0)
 
         dx = mx.size
-        cho = _cholesky(c, "joint covariance")
-        cho_xx = _cholesky(c[:dx, :dx], "x-marginal covariance")
-        cho_yy = _cholesky(c[dx:, dx:], "y-marginal covariance")
-        quad = scipy.linalg.cho_solve(cho, np.eye(d))
-        quad[:dx, :dx] -= scipy.linalg.cho_solve(cho_xx, np.eye(dx))
-        quad[dx:, dx:] -= scipy.linalg.cho_solve(cho_yy, np.eye(d - dx))
-        logdet = 2.0 * np.sum(np.log(np.diag(cho[0])))
-        logdet_xx = 2.0 * np.sum(np.log(np.diag(cho_xx[0])))
-        logdet_yy = 2.0 * np.sum(np.log(np.diag(cho_yy[0])))
+        _cholesky(c, "joint covariance")  # only the positive-definiteness check
+        lx = _cholesky(c[:dx, :dx], "x-marginal covariance")
+        ly = _cholesky(c[dx:, dx:], "y-marginal covariance")
+        solve = scipy.linalg.solve_triangular
+        whitened_xy = solve(ly, solve(lx, c[:dx, dx:], lower=True).T, lower=True).T
+        u, rho, vt = np.linalg.svd(whitened_xy, full_matrices=False)
+        if rho[0] >= 1.0:
+            raise SingularCovariance(
+                f"x and y are perfectly correlated (canonical correlation {rho[0]:.17g}); "
+                "increase the ridge"
+            )
+        canon_x = solve(lx, u, lower=True, trans="T")
+        canon_y = solve(ly, vt.T, lower=True, trans="T")
 
-        for name, val in (("mean_x", mx), ("mean_y", my), ("cov", c), ("quad", quad)):
+        for name, val in (("mean_x", mx), ("mean_y", my), ("cov", c),
+                          ("canon_x", canon_x), ("canon_y", canon_y), ("rho", rho)):
             val.setflags(write=False)
             object.__setattr__(self, name, val)
-        object.__setattr__(self, "log_det_const", 0.5 * float(logdet - logdet_xx - logdet_yy))
+        object.__setattr__(self, "log_det_const", 0.5 * float(np.sum(np.log1p(-rho * rho))))
 
     @property
     def d_x(self) -> int:
@@ -165,7 +190,7 @@ def _tiles(x: Features, y: Features):
     Every z is a view of one reused buffer: callers may change it in place
     but must be done with it before asking for the next tile.
     """
-    rows = max(1, TILE_PIXELS // x.width)
+    rows = max(1, TILE_BYTES // (8 * x.width * (x.dim + y.dim)))
     buf = np.empty((min(rows, x.height) * x.width, x.dim + y.dim))
     for r0 in range(0, x.height, rows):
         r1 = min(r0 + rows, x.height)
@@ -238,6 +263,21 @@ def fit_hacd(
     return HacdModel.from_covariance(mean[: x.dim], mean[x.dim :], cov, ridge=eps)
 
 
+def _score_rows(m: HacdModel, z: np.ndarray) -> np.ndarray:
+    """Scores of the rows of ``z``, the raw [x | y] vectors (n, d_x + d_y)."""
+    u = z[:, : m.d_x] @ m.canon_x
+    u -= m.mean_x @ m.canon_x
+    v = z[:, m.d_x :] @ m.canon_y
+    v -= m.mean_y @ m.canon_y
+    one_minus = 1.0 - m.rho * m.rho
+    alpha, beta = m.rho * m.rho / one_minus, m.rho / one_minus
+    uv = u * v
+    u *= u
+    v *= v
+    u += v
+    return 0.5 * (u @ alpha) - uv @ beta + m.log_det_const
+
+
 def hacd_score(m: HacdModel, x: np.ndarray, y: np.ndarray) -> float:
     """Score one (x, y) feature pair; the exact log density ratio value."""
     x = np.asarray(x, dtype=np.float64).ravel()
@@ -246,8 +286,7 @@ def hacd_score(m: HacdModel, x: np.ndarray, y: np.ndarray) -> float:
         raise DimensionMismatch(
             f"input dims ({x.size}, {y.size}) do not match model ({m.d_x}, {m.d_y})"
         )
-    z = np.concatenate([x - m.mean_x, y - m.mean_y])
-    return 0.5 * float(z @ m.quad @ z) + m.log_det_const
+    return float(_score_rows(m, np.concatenate([x, y])[None, :])[0])
 
 
 def score_map(m: HacdModel, x: Features, y: Features) -> AnomalyMap:
@@ -262,10 +301,7 @@ def score_map(m: HacdModel, x: Features, y: Features) -> AnomalyMap:
         )
     out = np.empty((x.height, x.width))
     for r0, r1, z in _tiles(x, y):
-        z[:, : m.d_x] -= m.mean_x
-        z[:, m.d_x :] -= m.mean_y
-        s = 0.5 * np.einsum("nd,nd->n", z @ m.quad, z) + m.log_det_const
-        out[r0:r1] = s.reshape(r1 - r0, x.width)
+        out[r0:r1] = _score_rows(m, z).reshape(r1 - r0, x.width)
     return AnomalyMap(out)
 
 

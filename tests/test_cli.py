@@ -339,8 +339,13 @@ def test_convert_missing_source(tmp_path, capsys):
     ("detect", {"glcm_levels": 0}, []),
     ("detect", {}, ["--offsets", "0,1;2"]),
     ("detect", {}, ["--ridge", "nan"]),
+    ("detect", {"patch": 3.9}, []),
+    ("detect", {"glcm_levels": 2.5}, []),
+    ("run", {"scene": "textured", "seed": 0.5}, []),
+    ("detect", {"glcm_offsets": [[0, 1.5]]}, []),
 ], ids=["eval-fpr-max-0", "run-fpr-max-0", "offsets-not-pairs", "patch-not-int",
-        "seed-not-int", "levels-0", "offsets-flag-not-pairs", "ridge-nan"])
+        "seed-not-int", "levels-0", "offsets-flag-not-pairs", "ridge-nan",
+        "patch-fractional", "levels-fractional", "seed-fractional", "offsets-fractional"])
 def test_malformed_option_is_exit_2(tmp_path, capsys, command, fields, flags):
     paths = _write_scene_files(tmp_path, side=16)
     out = str(tmp_path / "o")
@@ -359,6 +364,35 @@ def test_malformed_option_is_exit_2(tmp_path, capsys, command, fields, flags):
         argv += ["--out", out]
     assert main(argv + flags) == 2
     assert "error BadConfig" in capsys.readouterr().err
+
+
+def test_integral_float_options_equal_their_integers(tmp_path):
+    paths = _write_scene_files(tmp_path, side=32)
+    cfg_path = str(tmp_path / "cfg.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({"detector": "glcm-hacd", "t0": paths["t0"], "t1": paths["t1"],
+                   "patch": 5.0, "glcm_levels": 4.0, "glcm_offsets": [[0.0, 1.0], [1, 0]]}, fh)
+    out_cfg, out_flags = str(tmp_path / "cfg"), str(tmp_path / "flags")
+    assert main(["detect", "--config", cfg_path, "--out", out_cfg]) == 0
+    assert main(["detect", "--detector", "glcm-hacd", "--t0", paths["t0"], "--t1", paths["t1"],
+                 "--patch", "5", "--levels", "4", "--offsets", "0,1;1,0",
+                 "--out", out_flags]) == 0
+    for name in ("anomaly.r32", "model.json"):
+        with open(os.path.join(out_cfg, name), "rb") as a, \
+                open(os.path.join(out_flags, name), "rb") as b:
+            assert a.read() == b.read(), name
+
+
+def test_run_suite_scene_without_seed_uses_the_suite_seed(tmp_path):
+    cfg_path = str(tmp_path / "run.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({"scene": "textured", "detectors": ["diff"]}, fh)
+    run_out, synth_out = str(tmp_path / "run"), str(tmp_path / "synth")
+    assert main(["run", cfg_path, "--out", run_out]) == 0
+    assert main(["synth", "textured", "--out", synth_out]) == 0
+    with open(os.path.join(run_out, "scene", "t0.r32"), "rb") as a, \
+            open(os.path.join(synth_out, "t0.r32"), "rb") as b:
+        assert a.read() == b.read()
 
 
 def test_cli_annotations_resolve():

@@ -84,7 +84,7 @@ def test_independent_model_scores_zero():
     cov[:2, :2] = a @ a.T + 2 * np.eye(2)
     cov[2:, 2:] = b @ b.T + 2 * np.eye(2)
     m = HacdModel.from_covariance(rng.normal(size=2), rng.normal(size=2), cov)
-    assert np.max(np.abs(m.quad)) <= 1e-10
+    assert np.max(m.rho) <= 1e-10
     assert abs(m.log_det_const) <= 1e-10
     for _ in range(200):
         assert abs(hacd_score(m, rng.normal(size=2), rng.normal(size=2))) <= 1e-10
@@ -111,14 +111,14 @@ def test_fit_matches_two_pass_covariance_oracle():
     assert m.cov[0, 0] == pytest.approx(1.0, abs=0.03)
 
 
-def test_fit_independent_features_gives_vanishing_quad():
+def test_fit_independent_features_gives_vanishing_correlations():
     rng = np.random.default_rng(14)
     norms = []
     for n_side in (20, 60, 180):
         x = rng.normal(size=(n_side, n_side, 1))
         y = rng.normal(size=(n_side, n_side, 1))
         m = fit_hacd(_stack(x), _stack(y), ridge=0.0)
-        norms.append(np.max(np.abs(m.quad)))
+        norms.append(np.max(m.rho))
     assert norms[2] < norms[0]
     assert norms[2] < 0.05
 
@@ -131,7 +131,15 @@ def test_rank_deficient_needs_ridge():
     with pytest.raises(SingularCovariance):
         fit_hacd(fx, fy, ridge=0.0)
     m = fit_hacd(fx, fy, ridge=1e-3)
-    assert np.all(np.isfinite(m.quad))
+    assert np.all(np.isfinite(m.canon_x)) and np.all(np.isfinite(m.canon_y))
+    assert np.max(m.rho) < 1.0
+
+
+def test_perfectly_correlated_epochs_raise():
+    # the joint Cholesky passes, but the canonical correlation rounds to 1
+    eps = 3e-16
+    with pytest.raises(SingularCovariance, match="perfectly correlated"):
+        HacdModel([0.0], [0.0], np.array([[1 + eps, 1.0], [1.0, 1 + eps]]))
 
 
 def test_default_ridge_is_trace_scaled():
@@ -266,9 +274,21 @@ def _textured_pair(height, width, seed=30):
     return make_pair(Raster(t0), Raster(t1))
 
 
+def _explicit_q_scores(cov, mean, d_x, z):
+    """0.5 * (z - mean)' Q (z - mean) + k for each row of z, with Q and k
+    built from the covariance by explicit inverses and determinants."""
+    cov = np.asarray(cov)
+    q = np.linalg.inv(cov)
+    q[:d_x, :d_x] -= np.linalg.inv(cov[:d_x, :d_x])
+    q[d_x:, d_x:] -= np.linalg.inv(cov[d_x:, d_x:])
+    logdet = [np.linalg.slogdet(c)[1] for c in (cov, cov[:d_x, :d_x], cov[d_x:, d_x:])]
+    zc = z - mean
+    return 0.5 * np.einsum("nd,nd->n", zc @ q, zc) + 0.5 * (logdet[0] - logdet[1] - logdet[2])
+
+
 def _reference_run(name, pair, patch, levels, fit_mask=None):
     """Build both full stacks, fit with two passes over the concatenated
-    vectors and score every pixel in one block."""
+    vectors and score every pixel in one block with the explicit Q form."""
     if name == "diff":
         return np.abs(pair.t1.data.astype(np.float64) - pair.t0.data.astype(np.float64))
     extract = {
@@ -282,10 +302,8 @@ def _reference_run(name, pair, patch, levels, fit_mask=None):
     mean = sample.mean(axis=0)
     centered = sample - mean
     cov = centered.T @ centered / sample.shape[0]
-    ridge = acdkit.hacd.DEFAULT_RIDGE_SCALE * np.trace(cov) / z.shape[1]
-    m = HacdModel.from_covariance(mean[: fx.dim], mean[fx.dim :], cov, ridge=ridge)
-    zc = z - mean
-    s = 0.5 * np.einsum("nd,nd->n", zc @ m.quad, zc) + m.log_det_const
+    cov += acdkit.hacd.DEFAULT_RIDGE_SCALE * np.trace(cov) / z.shape[1] * np.eye(z.shape[1])
+    s = _explicit_q_scores(cov, mean, fx.dim, z)
     return s.reshape(pair.t0.height, pair.t0.width)
 
 
@@ -294,25 +312,39 @@ def _assert_close_scores(got, want):
     assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
+# joint feature dim d_x + d_y of each detector at patch 5, levels 4
+_JOINT_DIM = {"diff": 2, "hacd": 2, "patch-hacd": 2 * 5 * 5, "glcm-hacd": 2 * 4 * 5 // 2}
+
+
+def _set_tile_pixels(monkeypatch, name, tile_pixels):
+    """Patch TILE_BYTES to the buffer of ``tile_pixels`` of this detector's vectors."""
+    monkeypatch.setattr(acdkit.hacd, "TILE_BYTES", tile_pixels * 8 * _JOINT_DIM[name])
+
+
 @pytest.mark.parametrize("name", DETECTOR_NAMES)
 @pytest.mark.parametrize(
     "shape, tile_pixels",
     [
         ((23, 17), 5 * 17 + 3),  # 5-row tiles; the last tile has 3 rows
-        ((3, acdkit.hacd.TILE_PIXELS + 5), None),  # wider than a tile: one row per tile
+        # width None: one row is 5 pixels wider than the default TILE_BYTES
+        # holds, so every tile is a single row
+        ((3, None), None),
     ],
 )
 def test_streamed_detector_matches_materialised_reference(name, shape, tile_pixels, monkeypatch):
     if tile_pixels is not None:
-        monkeypatch.setattr(acdkit.hacd, "TILE_PIXELS", tile_pixels)
-    pair = _textured_pair(*shape)
+        _set_tile_pixels(monkeypatch, name, tile_pixels)
+    height, width = shape
+    if width is None:
+        width = acdkit.hacd.TILE_BYTES // (8 * _JOINT_DIM[name]) + 5
+    pair = _textured_pair(height, width)
     amap, _ = run_detector(name, pair, patch=5, levels=4)
     _assert_close_scores(amap.scores, _reference_run(name, pair, 5, 4))
 
 
 @pytest.mark.parametrize("name", DETECTOR_NAMES[1:])
 def test_streamed_fit_mask_matches_materialised_reference(name, monkeypatch):
-    monkeypatch.setattr(acdkit.hacd, "TILE_PIXELS", 4 * 17)
+    _set_tile_pixels(monkeypatch, name, 4 * 17)  # 4-row tiles
     pair = _textured_pair(23, 17, seed=31)
     mask = np.random.default_rng(32).random((23, 17)) < 0.6
     mask[4:8] = False  # one whole tile contributes no pixels
@@ -337,7 +369,7 @@ def test_merged_tile_moments_match_numpy_cov(seed, height, width, dx, dy, tile_p
     x = 1e4 + rng.normal(size=(height, width, dx))
     y = 1e4 + rng.normal(size=(height, width, dy)) + 0.5 * x[:, :, :1]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(acdkit.hacd, "TILE_PIXELS", tile_pixels)
+        mp.setattr(acdkit.hacd, "TILE_BYTES", tile_pixels * 8 * (dx + dy))
         m = fit_hacd(_stack(x), _stack(y), ridge=1.0)
     z = np.concatenate([x.reshape(-1, dx), y.reshape(-1, dy)], axis=1)
     np.testing.assert_allclose(
@@ -345,6 +377,35 @@ def test_merged_tile_moments_match_numpy_cov(seed, height, width, dx, dy, tile_p
     )
     want = np.atleast_2d(np.cov(z, rowvar=False, bias=True))
     np.testing.assert_allclose(m.cov - np.eye(dx + dy), want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    height=st.integers(1, 9),
+    width=st.integers(1, 7),
+    dx=st.integers(1, 4),
+    dy=st.integers(1, 4),
+    tile_rows=st.integers(1, 9),
+)
+def test_canonical_scores_match_explicit_q_form(seed, height, width, dx, dy, tile_rows):
+    # tile_rows 1 gives one-row tiles; any other value below height a ragged last tile
+    rng = np.random.default_rng(seed)
+    d = dx + dy
+    a = rng.normal(size=(d, d))
+    cov = a @ a.T + 0.1 * d * np.eye(d)
+    mean = rng.normal(size=d)
+    m = HacdModel(mean[:dx], mean[dx:], cov)
+    z = mean + 3.0 * rng.normal(size=(height * width, d))
+    want = _explicit_q_scores(cov, mean, dx, z)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(acdkit.hacd, "TILE_BYTES", tile_rows * 8 * width * d)
+        got = score_map(m, _stack(z[:, :dx].reshape(height, width, dx)),
+                        _stack(z[:, dx:].reshape(height, width, dy))).scores.ravel()
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-9 * scale
+    for i in (0, z.shape[0] - 1):
+        assert abs(hacd_score(m, z[i, :dx], z[i, dx:]) - want[i]) <= 1e-9 * scale
 
 
 def test_patch_detector_memory_does_not_grow_with_pixels_times_dim():
