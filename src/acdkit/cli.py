@@ -38,7 +38,14 @@ from .raster import (
     make_pair,
     save_raster,
 )
-from .synth import SceneConfig, config_from_json, config_to_json, generate_scene, scene_suite
+from .synth import (
+    SceneConfig,
+    _integer,
+    config_from_json,
+    config_to_json,
+    generate_scene,
+    scene_suite,
+)
 
 _DETECT_DEFAULTS = {
     "detector": None,
@@ -58,13 +65,6 @@ _DETECT_DEFAULTS = {
 def _parse_offsets(text: str) -> list[list[str]]:
     """Split '0,1;1,0;1,-1' into offset pairs; _options checks them."""
     return [part.split(",") for part in text.split(";") if part]
-
-
-def _integer(value) -> int:
-    """int(value), refusing a float with a fractional part that int() would drop."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
 
 
 def _offset_pairs(value) -> tuple[tuple[int, int], ...]:
@@ -117,7 +117,7 @@ def _load_json_config(path: str, allowed: set[str]) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise BadConfig(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise BadConfig(f"{path}: config must be a JSON object")

@@ -15,7 +15,7 @@ class NotFound(AcdError):
 
 
 class FormatError(AcdError):
-    """An on-disk raster violates the R32 format contract."""
+    """An on-disk file violates its format: an R32 raster, a pixel dump or a model."""
 
 
 class IoError(AcdError):

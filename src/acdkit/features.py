@@ -1,9 +1,13 @@
 """Per-pixel feature extraction: intensities, patches, unordered-pair GLCMs.
 
-Every extractor maps a Raster (or QuantizedRaster) to a FeatureStack of
-float64 vectors, one vector per pixel on the same grid.  Borders are
-handled by mirror padding (reflection without repeating the edge sample),
-so the output grid always equals the input grid.
+Every extractor maps a Raster (or QuantizedRaster) to float64 vectors, one
+per pixel on the same grid.  `identity_features`, `patch_features` and
+`glcm_features` return a FeatureStack, which holds every vector;
+`PatchWindows` holds only the padded raster and cuts the patch vectors one
+row tile at a time.  Both offer ``fill(r0, r1, out)``, which is all the
+HACD tile loop reads.  Borders are handled by mirror padding (reflection
+without repeating the edge sample), so the output grid always equals the
+input grid.
 """
 
 from __future__ import annotations

@@ -35,9 +35,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .errors import DimensionMismatch, GridMismatch, IoError, SingularCovariance
+from .errors import DimensionMismatch, FormatError, GridMismatch, IoError, SingularCovariance
 from .features import FeatureStack, PatchWindows
 from .raster import CoregisteredPair
 
@@ -78,7 +77,7 @@ class AnomalyMap:
 def _cholesky(c: np.ndarray, what: str) -> np.ndarray:
     """Lower Cholesky factor of ``c``, or SingularCovariance."""
     try:
-        return scipy.linalg.cholesky(c, lower=True)
+        return np.linalg.cholesky(c)
     except np.linalg.LinAlgError as exc:
         lo = float(np.linalg.eigvalsh(c).min())
         raise SingularCovariance(
@@ -126,16 +125,16 @@ class HacdModel:
         _cholesky(c, "joint covariance")  # only the positive-definiteness check
         lx = _cholesky(c[:dx, :dx], "x-marginal covariance")
         ly = _cholesky(c[dx:, dx:], "y-marginal covariance")
-        solve = scipy.linalg.solve_triangular
-        whitened_xy = solve(ly, solve(lx, c[:dx, dx:], lower=True).T, lower=True).T
+        solve = np.linalg.solve
+        whitened_xy = solve(ly, solve(lx, c[:dx, dx:]).T).T
         u, rho, vt = np.linalg.svd(whitened_xy, full_matrices=False)
         if rho[0] >= 1.0:
             raise SingularCovariance(
                 f"x and y are perfectly correlated (canonical correlation {rho[0]:.17g}); "
                 "increase the ridge"
             )
-        canon_x = solve(lx, u, lower=True, trans="T")
-        canon_y = solve(ly, vt.T, lower=True, trans="T")
+        canon_x = solve(lx.T, u)
+        canon_y = solve(ly.T, vt.T)
 
         for name, val in (("mean_x", mx), ("mean_y", my), ("cov", c),
                           ("canon_x", canon_x), ("canon_y", canon_y), ("rho", rho)):
@@ -330,14 +329,23 @@ def save_model(m: HacdModel, path: str) -> None:
 
 
 def load_model(path: str) -> HacdModel:
-    """Load a model saved by save_model; the stored covariance is used as is."""
+    """Load a model saved by save_model; the stored covariance is used as is.
+
+    Raises IoError when the file cannot be read and FormatError when it is
+    not a model: bad JSON, a missing key, or arrays that do not fit d_x, d_y.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        dx, dy = int(doc["d_x"]), int(doc["d_y"])
+        mean_x = np.array(doc["mean_x"], dtype=np.float64).reshape(dx)
+        mean_y = np.array(doc["mean_y"], dtype=np.float64).reshape(dy)
+        cov = np.array(doc["cov"], dtype=np.float64).reshape(dx + dy, dx + dy)
+        ridge = float(doc["ridge"])
     except OSError as exc:
         raise IoError(f"cannot read model {path}: {exc}") from exc
-    d = int(doc["d_x"]) + int(doc["d_y"])
-    cov = np.array(doc["cov"], dtype=np.float64).reshape(d, d)
-    return HacdModel(
-        np.array(doc["mean_x"]), np.array(doc["mean_y"]), cov, ridge=float(doc["ridge"])
-    )
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON and UTF-8
+        raise FormatError(f"model {path} is not a valid model file: {exc!r}") from exc
+    if not all(np.isfinite(a).all() for a in (mean_x, mean_y, cov)):
+        raise FormatError(f"model {path} has non-finite means or covariance")
+    return HacdModel(mean_x, mean_y, cov, ridge=ridge)

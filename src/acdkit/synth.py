@@ -18,6 +18,8 @@ function of its config: same config, same bytes, on any platform.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -45,6 +47,34 @@ STREAM_NOISE_T1 = 4
 STREAM_ANOMALY = 5
 
 
+def _integer(value) -> int:
+    """int(value), refusing a float with a fractional part that int() would drop."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _real(name: str, value, integer: bool = False):
+    """``value`` if it is a finite real number (not a bool or a string); an
+    integer field goes through _integer, so 5.0 means 5 and 5.5 is refused."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or math.isfinite(value):
+            try:
+                return _integer(value) if integer else value
+            except ValueError:
+                pass
+    expected = "an integer" if integer else "a finite number"
+    raise BadConfig(f"{name} must be {expected}, got {value!r}")
+
+
+def _items(name: str, value, n: int | None = None) -> tuple:
+    """A list or tuple ``value`` of ``n`` items (any number if None), or BadConfig."""
+    if not isinstance(value, (list, tuple)) or (n is not None and len(value) != n):
+        expected = "a list" if n is None else f"a list of {n} numbers"
+        raise BadConfig(f"{name} must be {expected}, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class SceneConfig:
     """Full description of one synthetic scene; JSON round-trippable."""
@@ -64,14 +94,26 @@ class SceneConfig:
     pervasive_patches: tuple[tuple[int, int, int, int, float], ...] = ()
 
     def __post_init__(self):
+        # Types and shapes are checked here, so every way of making a config
+        # (keywords, JSON, dataclasses.replace) is covered; validate() checks
+        # the ranges.
+        for name in ("width", "height", "seed", "background_corr_len"):
+            object.__setattr__(self, name, _real(name, getattr(self, name), integer=True))
+        for name in ("pervasive_gain", "pervasive_offset", "anomaly_texture_gain",
+                     "anomaly_offset", "noise_sigma"):
+            _real(name, getattr(self, name))
+        if not isinstance(self.speckle, bool):
+            raise BadConfig(f"speckle must be true or false, got {self.speckle!r}")
+        rect = _items("anomaly_rect", self.anomaly_rect, 4)
         object.__setattr__(
-            self, "anomaly_rect", tuple(int(v) for v in self.anomaly_rect)
+            self, "anomaly_rect", tuple(_real("anomaly_rect", v, integer=True) for v in rect)
         )
-        object.__setattr__(
-            self,
-            "pervasive_patches",
-            tuple(tuple(p) for p in self.pervasive_patches),
-        )
+        patches = []
+        for p in _items("pervasive_patches", self.pervasive_patches):
+            *box, gain = _items("pervasive patch", p, 5)
+            patches.append((*(_real("pervasive patch", v, integer=True) for v in box),
+                            _real("pervasive patch gain", gain)))
+        object.__setattr__(self, "pervasive_patches", tuple(patches))
 
     def validate(self) -> None:
         if self.width < 1 or self.height < 1:
@@ -228,17 +270,14 @@ def config_from_json(path: str) -> SceneConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise BadConfig(f"{path}: invalid JSON: {exc}") from exc
-    known = {f.name for f in SceneConfig.__dataclass_fields__.values()}
-    unknown = set(doc) - known
+    if not isinstance(doc, dict):
+        raise BadConfig(f"{path}: a scene config must be a JSON object")
+    unknown = set(doc) - set(SceneConfig.__dataclass_fields__)
     if unknown:
         raise BadConfig(f"{path}: unknown config fields {sorted(unknown)}")
-    if "anomaly_rect" in doc:
-        doc["anomaly_rect"] = tuple(doc["anomaly_rect"])
-    if "pervasive_patches" in doc:
-        doc["pervasive_patches"] = tuple(tuple(p) for p in doc["pervasive_patches"])
     try:
         return SceneConfig(**doc)
-    except TypeError as exc:
+    except BadConfig as exc:
         raise BadConfig(f"{path}: {exc}") from exc

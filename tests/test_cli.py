@@ -1,7 +1,10 @@
 import inspect
 import json
 import os
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +198,39 @@ def test_synth_bad_rect_config_is_exit_2(tmp_path, capsys):
     rc = main(["synth", "--config", cfg_path, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "BadConfig" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"width": "abc"},
+    {"noise_sigma": "0.1"},
+    {"anomaly_rect": [1, 2, "x", 4]},
+    {"pervasive_patches": [[1, 2, 3]]},
+    {"width": 100.5},
+    {"seed": 1.5},
+    {"anomaly_rect": [208, 176, 80.5, 64]},
+    {"pervasive_patches": [[1, 2, 3, 4, "x"]]},
+    {"pervasive_patches": 5},
+    {"noise_sigma": float("nan")},
+    {"height": True},
+    {"speckle": "no"},
+    [1, 2],
+], ids=["width-string", "sigma-string", "rect-string", "patch-short", "width-fractional",
+        "seed-fractional", "rect-fractional", "patch-gain-string", "patches-not-list",
+        "sigma-nan", "height-bool", "speckle-string", "not-an-object"])
+def test_malformed_scene_config_is_exit_2(tmp_path, capsys, doc):
+    cfg_path = str(tmp_path / "scene.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["synth", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    assert "error BadConfig" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "detect"])
+def test_config_that_is_not_utf8_is_exit_2(tmp_path, capsys, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(b"\xff\xfe{")
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "error BadConfig" in capsys.readouterr().err
 
 
 def test_run_pipeline_with_explicit_paths(tmp_path):
@@ -402,3 +438,17 @@ def test_cli_annotations_resolve():
     assert functions
     for f in functions:
         typing.get_type_hints(f)
+
+
+@pytest.mark.parametrize("module", ["acdkit", "acdkit.cli"])
+def test_runtime_imports_no_scipy(module):
+    # numpy is the only runtime dependency; scipy is a test-only oracle
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (f"import sys, {module}\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,6 +14,7 @@ from acdkit import (
     DETECTOR_NAMES,
     DimensionMismatch,
     FeatureStack,
+    FormatError,
     GridMismatch,
     HacdModel,
     Raster,
@@ -253,6 +256,28 @@ def test_model_json_round_trip(tmp_path):
     assert back.ridge == m.ridge
     x, y = rng.normal(size=2), rng.normal(size=1)
     assert hacd_score(back, x, y) == hacd_score(m, x, y)
+
+
+@pytest.mark.parametrize("edit", [
+    None,
+    lambda doc: doc.pop("ridge"),
+    lambda doc: doc["cov"].pop(),
+    lambda doc: (doc["mean_x"].pop(), doc["mean_y"].append(0.0)),
+    lambda doc: doc["cov"].__setitem__(0, float("nan")),
+], ids=["truncated", "missing-key", "cov-length", "mean-length", "nan-cov"])
+def test_bad_model_file_is_format_error(tmp_path, edit):
+    path = tmp_path / "model.json"
+    save_model(_random_model(np.random.default_rng(23), 2, 1), str(path))
+    text = path.read_text(encoding="utf-8")
+    if edit is None:
+        text = text[: len(text) // 2]
+    else:
+        doc = json.loads(text)
+        edit(doc)
+        text = json.dumps(doc)
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(str(path))):
+        load_model(str(path))
 
 
 def test_scoring_is_deterministic_across_calls():

@@ -171,6 +171,16 @@ def test_bad_configs(kw):
         generate_scene(_small(**kw))
 
 
+def test_integral_float_fields_equal_their_integers():
+    ints = _small(pervasive_patches=((1, 2, 30, 10, 2),))
+    floats = _small(width=96.0, seed=5.0, anomaly_rect=(30.0, 24, 24, 20.0),
+                    pervasive_patches=[[1.0, 2, 30, 10.0, 2]])
+    assert floats == ints
+    assert type(floats.width) is int and type(floats.anomaly_rect[0]) is int
+    a, b = generate_scene(ints), generate_scene(floats)
+    assert a[1].data.tobytes() == b[1].data.tobytes()
+
+
 def test_config_json_round_trip(tmp_path):
     cfg = _small(speckle=True, pervasive_patches=((1, 2, 3, 4, 1.5),),
                  anomaly_texture_gain=2.5)
