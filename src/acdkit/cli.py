@@ -40,7 +40,7 @@ from .raster import (
 )
 from .synth import (
     SceneConfig,
-    _integer,
+    _real,
     config_from_json,
     config_to_json,
     generate_scene,
@@ -62,37 +62,43 @@ _DETECT_DEFAULTS = {
 }
 
 
-def _parse_offsets(text: str) -> list[list[str]]:
-    """Split '0,1;1,0;1,-1' into offset pairs; _options checks them."""
-    return [part.split(",") for part in text.split(";") if part]
+def _parse_offsets(text: str) -> list[list[int]]:
+    """Split '0,1;1,0;1,-1' into integer offset pairs; _options checks them."""
+    try:
+        return [[int(v) for v in part.split(",")] for part in text.split(";") if part]
+    except ValueError:
+        raise BadConfig(f"--offsets must be integer pairs 'dy,dx;dy,dx;...', got {text!r}") from None
 
 
 def _offset_pairs(value) -> tuple[tuple[int, int], ...]:
     """``value`` as a non-empty tuple of integer (dy, dx) pairs, or BadConfig."""
     try:
-        pairs = tuple((_integer(dy), _integer(dx)) for dy, dx in value)
-    except (TypeError, ValueError):
+        pairs = tuple((_real("glcm_offsets", dy, integer=True),
+                       _real("glcm_offsets", dx, integer=True)) for dy, dx in value)
+    except (TypeError, ValueError, BadConfig):
         pairs = ()
-    if not pairs or any(isinstance(p, str) for p in value):
+    if not pairs:
         raise BadConfig(f"glcm_offsets must be a non-empty list of dy,dx pairs, got {value!r}")
     return pairs
 
 
-# numeric option -> (conversion, accepted values, their description)
+# numeric option -> (integer?, accepted values, their description)
 _NUMBERS = {
-    "patch": (_integer, lambda v: True, "an integer"),
-    "glcm_levels": (_integer, lambda v: v >= 1, "an integer >= 1"),
-    "ridge": (float, math.isfinite, "a finite number"),
-    "roc_fpr_max": (float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]"),
-    "seed": (_integer, lambda v: True, "an integer"),
+    "patch": (True, lambda v: True, "an integer"),
+    "glcm_levels": (True, lambda v: v >= 1, "an integer >= 1"),
+    "ridge": (False, math.isfinite, "a finite number"),
+    "roc_fpr_max": (False, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]"),
+    "seed": (True, lambda v: True, "an integer"),
 }
 
 
 def _number(key: str, value):
-    kind, valid, expected = _NUMBERS[key]
+    """``value`` by the rule scene configs use: a real number, not a bool or
+    a string, and an integer where the option counts something."""
+    integer, valid, expected = _NUMBERS[key]
     try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
+        number = _real(key, value, integer=True) if integer else float(_real(key, value))
+    except (BadConfig, OverflowError):
         number = None
     if number is None or not valid(number):
         raise BadConfig(f"{key} must be {expected}, got {value!r}")

@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadConfig
-from .features import (  # noqa: F401  patch_features: bench/spans.py traces it by name here
+from .features import (  # noqa: F401  glcm/patch_features: bench/spans.py traces them here
     DEFAULT_LEVELS,
     DEFAULT_OFFSETS,
     DEFAULT_PATCH,
+    GlcmCounts,
     PatchWindows,
     glcm_features,
     identity_features,
@@ -28,8 +29,9 @@ def _features(name: str, r: Raster, patch: int, levels: int, offsets) -> Feature
         # streamed: fit and score cut each tile's patches from the raster
         return PatchWindows(r, patch)
     # glcm-hacd: each epoch is quantized against its own quantiles, so a
-    # global monotone intensity change between epochs is already neutralized
-    return glcm_features(quantize(r, levels), patch, offsets)
+    # global monotone intensity change between epochs is already neutralized;
+    # streamed: fit and score divide each tile's integer pair counts
+    return GlcmCounts(quantize(r, levels), patch, offsets)
 
 
 def run_detector(

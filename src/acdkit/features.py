@@ -2,12 +2,13 @@
 
 Every extractor maps a Raster (or QuantizedRaster) to float64 vectors, one
 per pixel on the same grid.  `identity_features`, `patch_features` and
-`glcm_features` return a FeatureStack, which holds every vector;
-`PatchWindows` holds only the padded raster and cuts the patch vectors one
-row tile at a time.  Both offer ``fill(r0, r1, out)``, which is all the
-HACD tile loop reads.  Borders are handled by mirror padding (reflection
-without repeating the edge sample), so the output grid always equals the
-input grid.
+`glcm_features` return a FeatureStack, which holds every vector.  Two
+streamed sources hold less: `PatchWindows` keeps only the padded raster and
+cuts the patch vectors one row tile at a time, and `GlcmCounts` keeps the
+integer pair counts and divides one row tile at a time.  All three offer
+``fill(r0, r1, out)``, which is all the HACD tile loop reads.  Borders are
+handled by mirror padding (reflection without repeating the edge sample),
+so the output grid always equals the input grid.
 """
 
 from __future__ import annotations
@@ -149,20 +150,81 @@ def quantize(r: Raster, levels: int = DEFAULT_LEVELS) -> QuantizedRaster:
     return QuantizedRaster(levels, lev.reshape(r.data.shape))
 
 
-def _window_sums(a: np.ndarray, win_h: int, win_w: int, out_h: int, out_w: int) -> np.ndarray:
-    """Sum of ``a`` over every win_h x win_w window whose top-left corner is
-    (r, c), for r < out_h, c < out_w, via one summed-area table.  Integer and
-    boolean input is summed exactly in int64; float input in float64."""
-    sat = np.zeros((a.shape[0] + 1, a.shape[1] + 1), dtype=np.result_type(a.dtype, np.int64))
-    sat[1:, 1:] = a
-    np.cumsum(sat, axis=0, out=sat)
-    np.cumsum(sat, axis=1, out=sat)
-    return (
-        sat[win_h : win_h + out_h, win_w : win_w + out_w]
-        - sat[win_h : win_h + out_h, :out_w]
-        - sat[:out_h, win_w : win_w + out_w]
-        + sat[:out_h, :out_w]
-    )
+class GlcmCounts:
+    """Unordered-pair GLCM counts that are divided into features one row tile at a time.
+
+    ``counts`` holds every pixel's pair counts as unsigned integers,
+    pixel-major (one row per pixel, pixels in row-major order), shape
+    (height * width, L(L+1)/2), so a row tile is one contiguous block.  Each
+    row sums to ``total``, the number of pairs scanned per pixel.  ``fill``
+    divides a tile by ``total``, which gives the vectors ``glcm_features``
+    holds bit for bit, so fit and score stream them without a float64
+    stack.  See ``glcm_features`` for the cells and the arguments.
+    """
+
+    def __init__(
+        self,
+        q: QuantizedRaster,
+        patch: int = DEFAULT_PATCH,
+        offsets: tuple[tuple[int, int], ...] = DEFAULT_OFFSETS,
+    ):
+        pad = _check_patch(patch, q.height, q.width)
+        if not offsets:
+            raise BadOffset("at least one (dy, dx) offset is required")
+        for dy, dx in offsets:
+            if abs(dy) >= patch or abs(dx) >= patch:
+                raise BadOffset(f"offset ({dy}, {dx}) does not fit in a {patch}x{patch} patch")
+
+        lvl = q.levels
+        h, w = self.height, self.width = q.height, q.width
+        self.dim = lvl * (lvl + 1) // 2
+        # Every pixel sees the same pair geometry (mirror padding), so each
+        # pixel scans the constant sum_offsets (patch-|dy|)(patch-|dx|) pairs,
+        # and no count can exceed it: uint16 unless that does not hold it.
+        self.total = sum((patch - abs(dy)) * (patch - abs(dx)) for dy, dx in offsets)
+        dtype = np.promote_types(np.min_scalar_type(self.total), np.uint16)
+        padded = np.pad(q.data, pad, mode="reflect") if pad else q.data
+
+        # cell_of[a, b] = cell_of[b, a] = position of {min, max} in triu order
+        upper = np.triu_indices(lvl)
+        cell_of = np.zeros((lvl, lvl), dtype=np.intp)
+        cell_of[upper] = cell_of[upper[::-1]] = np.arange(self.dim)
+
+        # The pairs counted for the patch at (r, c) under offset (dy, dx) are
+        # the (patch-|dy|) x (patch-|dx|) block of that offset's cell image
+        # whose top-left corner is (r, c).  So each offset's one-hot cell
+        # image becomes one pixel-major summed-area table, and four corners
+        # of it give every pixel's block counts for all cells at once.  The
+        # table is kept in the count dtype: its entries wrap, but sums and
+        # differences are exact modulo 2**bits and every block count is at
+        # most total, so the corners come out exact.
+        ph, pw = padded.shape
+        table = np.empty((ph + 1, pw + 1, self.dim), dtype)
+        counts = np.zeros((h, w, self.dim), dtype)
+        for dy, dx in offsets:
+            r0, c0 = max(0, -dy), max(0, -dx)
+            r1, c1 = ph - max(0, dy), pw - max(0, dx)
+            cells = cell_of[padded[r0:r1, c0:c1], padded[r0 + dy : r1 + dy, c0 + dx : c1 + dx]]
+            win_h, win_w = patch - abs(dy), patch - abs(dx)
+            ch, cw = cells.shape  # h + win_h - 1, w + win_w - 1
+            table.fill(0)
+            np.put_along_axis(table[1 : ch + 1, 1 : cw + 1], cells[:, :, np.newaxis], 1, axis=2)
+            # row by row and column by column: np.cumsum along either leading
+            # axis of this 3-D table is several times slower
+            for i in range(2, ch + 1):
+                table[i] += table[i - 1]
+            for j in range(2, cw + 1):
+                table[: ch + 1, j] += table[: ch + 1, j - 1]
+            counts += table[win_h : win_h + h, win_w : win_w + w]
+            counts -= table[win_h : win_h + h, :w]
+            counts -= table[:h, win_w : win_w + w]
+            counts += table[:h, :w]
+        self.counts = counts.reshape(h * w, self.dim)
+        self.counts.setflags(write=False)
+
+    def fill(self, r0: int, r1: int, out: np.ndarray) -> None:
+        """Write the vectors of rows r0:r1 into ``out``, shape ((r1-r0)*width, dim)."""
+        np.divide(self.counts[r0 * self.width : r1 * self.width], float(self.total), out=out)
 
 
 def glcm_features(
@@ -191,39 +253,7 @@ def glcm_features(
         BadPatchSize: even/zero patch or patch too large for the grid.
         BadOffset: empty offset list or an offset that leaves no in-patch pairs.
     """
-    pad = _check_patch(patch, q.height, q.width)
-    if not offsets:
-        raise BadOffset("at least one (dy, dx) offset is required")
-    for dy, dx in offsets:
-        if abs(dy) >= patch or abs(dx) >= patch:
-            raise BadOffset(f"offset ({dy}, {dx}) does not fit in a {patch}x{patch} patch")
-
-    lvl = q.levels
-    h, w = q.height, q.width
-    padded = np.pad(q.data, pad, mode="reflect") if pad else q.data
-
-    # cell_of[a, b] = cell_of[b, a] = position of {min, max} in triu order
-    upper = np.triu_indices(lvl)
-    cell_of = np.zeros((lvl, lvl), dtype=np.intp)
-    cell_of[upper] = cell_of[upper[::-1]] = np.arange(upper[0].size)
-
-    # Pair counts per pixel, accumulated cell by cell.  The window of pair
-    # positions for the patch at (r, c) is the (patch-|dy|) x (patch-|dx|)
-    # block of the shifted-cell image whose top-left corner is (r, c), so
-    # each cell reduces to one summed-area-table pass.
-    out = np.zeros((h, w, upper[0].size))
-    total = 0
-    for dy, dx in offsets:
-        r0, c0 = max(0, -dy), max(0, -dx)
-        r1 = padded.shape[0] - max(0, dy)
-        c1 = padded.shape[1] - max(0, dx)
-        cells = cell_of[padded[r0:r1, c0:c1], padded[r0 + dy : r1 + dy, c0 + dx : c1 + dx]]
-        win_h, win_w = patch - abs(dy), patch - abs(dx)
-        total += win_h * win_w
-        for c in np.unique(cells):
-            out[:, :, c] += _window_sums(cells == c, win_h, win_w, h, w)
-
-    # Every pixel sees the same pair geometry (mirror padding), so the
-    # normalizer is the constant sum_offsets (patch-|dy|)(patch-|dx|).
-    out /= float(total)
-    return FeatureStack(out)
+    counts = GlcmCounts(q, patch, offsets)
+    data = np.empty((q.height, q.width, counts.dim))
+    counts.fill(0, q.height, data.reshape(-1, counts.dim))
+    return FeatureStack(data)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, FormatError, GridMismatch, IoError, SingularCovariance
-from .features import FeatureStack, PatchWindows
+from .features import FeatureStack, GlcmCounts, PatchWindows
 from .raster import CoregisteredPair
 
 # Fit and score share one loop over row tiles, taken in ascending order.
@@ -116,6 +116,9 @@ class HacdModel:
             raise DimensionMismatch("feature dimensions must each be >= 1")
         if c.shape != (d, d):
             raise DimensionMismatch(f"covariance shape {c.shape} does not match d={d}")
+        for name, val in (("mean_x", mx), ("mean_y", my), ("covariance", c)):
+            if not np.isfinite(val).all():
+                raise SingularCovariance(f"{name} has non-finite entries")
         scale = float(np.abs(c).max()) or 1.0
         if float(np.abs(c - c.T).max()) > 1e-10 * scale:
             raise SingularCovariance("covariance is not symmetric within 1e-10 relative")
@@ -173,7 +176,7 @@ class HacdModel:
         return cls(mean_x, mean_y, c, ridge=float(ridge))
 
 
-Features = FeatureStack | PatchWindows
+Features = FeatureStack | PatchWindows | GlcmCounts
 
 
 def _check_grids(x: Features, y: Features) -> None:
@@ -207,13 +210,13 @@ def fit_hacd(
 ) -> HacdModel:
     """Fit the joint Gaussian over all pixels of the scene (in-sample).
 
-    ``x`` and ``y`` are FeatureStacks or PatchWindows on one grid.  Mean
-    and covariance are the sample mean and population covariance
-    (denominator N) of the stacked per-pixel vectors [x; y].  ``ridge`` is
-    the epsilon added to the covariance diagonal before inversion; None
-    selects the default 1e-6 * trace(C) / (d_x + d_y).  ``fit_mask``
-    optionally restricts the fit to a boolean pixel subset (scoring still
-    covers every pixel).
+    ``x`` and ``y`` are feature sources (FeatureStack, PatchWindows or
+    GlcmCounts) on one grid.  Mean and covariance are the sample mean and
+    population covariance (denominator N) of the stacked per-pixel vectors
+    [x; y].  ``ridge`` is the epsilon added to the covariance diagonal
+    before inversion; None selects the default 1e-6 * trace(C) / (d_x +
+    d_y).  ``fit_mask`` optionally restricts the fit to a boolean pixel
+    subset (scoring still covers every pixel).
 
     Raises GridMismatch when the stacks disagree and SingularCovariance
     when the regularized covariance cannot be factorized (e.g. fewer
@@ -291,7 +294,7 @@ def hacd_score(m: HacdModel, x: np.ndarray, y: np.ndarray) -> float:
 def score_map(m: HacdModel, x: Features, y: Features) -> AnomalyMap:
     """Apply hacd_score at every pixel of a co-registered feature pair.
 
-    ``x`` and ``y`` are FeatureStacks or PatchWindows, as for fit_hacd.
+    ``x`` and ``y`` are feature sources, as for fit_hacd.
     """
     _check_grids(x, y)
     if x.dim != m.d_x or y.dim != m.d_y:
@@ -346,6 +349,6 @@ def load_model(path: str) -> HacdModel:
         raise IoError(f"cannot read model {path}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON and UTF-8
         raise FormatError(f"model {path} is not a valid model file: {exc!r}") from exc
-    if not all(np.isfinite(a).all() for a in (mean_x, mean_y, cov)):
-        raise FormatError(f"model {path} has non-finite means or covariance")
+    if not all(np.isfinite(a).all() for a in (mean_x, mean_y, cov, ridge)):
+        raise FormatError(f"model {path} has a non-finite mean, covariance or ridge")
     return HacdModel(mean_x, mean_y, cov, ridge=ridge)

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import rng
 from .errors import BadConfig, IoError
-from .features import _window_sums
 from .raster import GroundTruth, Raster
 
 BG_LEVEL = 4.0
@@ -151,7 +150,11 @@ def _box_mean(a: np.ndarray, radius: int) -> np.ndarray:
         return a.astype(np.float64, copy=True)
     side = 2 * radius + 1
     h, w = a.shape
-    total = _window_sums(np.pad(a, radius, mode="reflect"), side, side, h, w)
+    sat = np.zeros((h + side, w + side))
+    sat[1:, 1:] = np.pad(a, radius, mode="reflect")
+    np.cumsum(sat, axis=0, out=sat)
+    np.cumsum(sat, axis=1, out=sat)
+    total = sat[side:, side:] - sat[side:, :w] - sat[:h, side:] + sat[:h, :w]
     return total / float(side * side)
 
 

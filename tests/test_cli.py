@@ -379,9 +379,17 @@ def test_convert_missing_source(tmp_path, capsys):
     ("detect", {"glcm_levels": 2.5}, []),
     ("run", {"scene": "textured", "seed": 0.5}, []),
     ("detect", {"glcm_offsets": [[0, 1.5]]}, []),
+    ("detect", {"glcm_levels": True}, []),
+    ("detect", {"patch": "5"}, []),
+    ("detect", {"glcm_offsets": [[0, "1"], [1, 0]]}, []),
+    ("detect", {"ridge": True}, []),
+    ("run", {"scene": "textured", "seed": "7"}, []),
+    ("detect", {}, ["--offsets", "0,1;1,x"]),
 ], ids=["eval-fpr-max-0", "run-fpr-max-0", "offsets-not-pairs", "patch-not-int",
         "seed-not-int", "levels-0", "offsets-flag-not-pairs", "ridge-nan",
-        "patch-fractional", "levels-fractional", "seed-fractional", "offsets-fractional"])
+        "patch-fractional", "levels-fractional", "seed-fractional", "offsets-fractional",
+        "levels-bool", "patch-string", "offsets-string-component", "ridge-bool",
+        "seed-numeric-string", "offsets-flag-not-integer"])
 def test_malformed_option_is_exit_2(tmp_path, capsys, command, fields, flags):
     paths = _write_scene_files(tmp_path, side=16)
     out = str(tmp_path / "o")

@@ -15,7 +15,7 @@ from acdkit import (
     quantize,
     run_detector,
 )
-from acdkit.features import DEFAULT_OFFSETS
+from acdkit.features import DEFAULT_OFFSETS, GlcmCounts
 
 
 def _raster(a):
@@ -234,6 +234,50 @@ def test_glcm_equals_folded_reference_property(data):
                       label="levels map")
     q = QuantizedRaster(levels, np.array(cells, dtype=np.int32).reshape(h, w))
     _assert_folded_reference(q, patch, offsets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_glcm_counts_fill_equals_feature_rows_property(data):
+    # any row range of the streamed source equals those rows of the stack
+    h = data.draw(st.integers(1, 9), label="h")
+    w = data.draw(st.integers(1, 9), label="w")
+    levels = data.draw(st.integers(1, 8), label="levels")
+    patch = data.draw(st.sampled_from(range(1, 2 * min(h, w), 2)), label="patch")
+    comp = st.integers(-(patch - 1), patch - 1)
+    offsets = tuple(data.draw(st.lists(st.tuples(comp, comp), min_size=1, max_size=4),
+                              label="offsets"))
+    cells = data.draw(st.lists(st.integers(0, levels - 1), min_size=h * w, max_size=h * w),
+                      label="levels map")
+    r0 = data.draw(st.integers(0, h - 1), label="r0")
+    r1 = data.draw(st.integers(r0 + 1, h), label="r1")
+    q = QuantizedRaster(levels, np.array(cells, dtype=np.int32).reshape(h, w))
+    src = GlcmCounts(q, patch, offsets)
+    assert src.counts.dtype == np.uint16
+    assert src.counts.shape == (h * w, levels * (levels + 1) // 2)
+    assert np.all(src.counts.sum(axis=1) == src.total)
+    out = np.full(((r1 - r0) * w, src.dim), np.nan)
+    src.fill(r0, r1, out)
+    expect = glcm_features(q, patch, offsets).data[r0:r1].reshape(-1, src.dim)
+    assert out.tobytes() == expect.tobytes()
+
+
+def test_glcm_counts_wider_than_uint16():
+    # 129x129 patch, default offsets: 2 * 129 * 128 + 2 * 128 * 128 = 65 792
+    # pairs per pixel, more than uint16 holds
+    rng = np.random.default_rng(11)
+    q = QuantizedRaster(2, rng.integers(0, 2, size=(65, 65)).astype(np.int32))
+    src = GlcmCounts(q, 129)
+    assert src.total == 65792
+    assert src.counts.dtype == np.uint32
+    assert np.all(src.counts.sum(axis=1) == src.total)
+    out = np.empty((3 * 65, src.dim))
+    src.fill(31, 34, out)
+    expect = _fold(_glcm_reference(q, 129, DEFAULT_OFFSETS))[31:34].reshape(-1, src.dim)
+    assert out.tobytes() == expect.tobytes()
+    # a constant map puts every pair in cell {0, 0}
+    flat = GlcmCounts(QuantizedRaster(2, np.zeros((65, 65), np.int32)), 129)
+    assert np.all(flat.counts[:, 0] == 65792) and not flat.counts[:, 1:].any()
 
 
 def test_glcm_monotone_intensity_invariance():

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -264,7 +265,8 @@ def test_model_json_round_trip(tmp_path):
     lambda doc: doc["cov"].pop(),
     lambda doc: (doc["mean_x"].pop(), doc["mean_y"].append(0.0)),
     lambda doc: doc["cov"].__setitem__(0, float("nan")),
-], ids=["truncated", "missing-key", "cov-length", "mean-length", "nan-cov"])
+    lambda doc: doc.__setitem__("ridge", float("nan")),
+], ids=["truncated", "missing-key", "cov-length", "mean-length", "nan-cov", "nan-ridge"])
 def test_bad_model_file_is_format_error(tmp_path, edit):
     path = tmp_path / "model.json"
     save_model(_random_model(np.random.default_rng(23), 2, 1), str(path))
@@ -278,6 +280,19 @@ def test_bad_model_file_is_format_error(tmp_path, edit):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(FormatError, match=re.escape(str(path))):
         load_model(str(path))
+
+
+@pytest.mark.parametrize("mean_x,cov", [
+    ([0.0], [[np.nan, 0.0], [0.0, 1.0]]),
+    ([0.0], [[np.inf, 0.0], [0.0, 1.0]]),
+    ([0.0], [[1.0, -np.inf], [-np.inf, 1.0]]),
+    ([np.nan], [[1.0, 0.0], [0.0, 1.0]]),
+], ids=["nan-cov", "inf-cov", "minus-inf-cov", "nan-mean"])
+def test_non_finite_model_is_singular_covariance(mean_x, cov):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularCovariance, match="non-finite"):
+            HacdModel(np.array(mean_x), np.zeros(1), np.array(cov))
 
 
 def test_scoring_is_deterministic_across_calls():
@@ -445,3 +460,19 @@ def test_patch_detector_memory_does_not_grow_with_pixels_times_dim():
 
     small, large = peak(256), peak(1024)
     assert large < 1.5 * small
+
+
+def test_glcm_detector_holds_no_float64_stack():
+    # the two epochs' uint16 counts take half of one float64 (h, w, 36)
+    # stack and the build table a quarter, so a float64 stack of either
+    # epoch on top of them breaks the budget
+    height, width = 512, 256
+    pair = _textured_pair(height, width, seed=34)
+    tracemalloc.start()
+    try:
+        run_detector("glcm-hacd", pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < height * width * 36 * 8
+
