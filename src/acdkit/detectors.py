@@ -26,7 +26,8 @@ def _features(name: str, r: Raster, patch: int, levels: int, offsets) -> Feature
     if name == "hacd":
         return identity_features(r)
     if name == "patch-hacd":
-        # streamed: fit and score cut each tile's patches from the raster
+        # streamed: scoring cuts each tile's patches from the padded raster,
+        # and the (unmasked) fit reads only its rows' windows
         return PatchWindows(r, patch)
     # glcm-hacd: each epoch is quantized against its own quantiles, so a
     # global monotone intensity change between epochs is already neutralized;

@@ -6,7 +6,8 @@ per pixel on the same grid.  `identity_features`, `patch_features` and
 streamed sources hold less: `PatchWindows` keeps only the padded raster and
 cuts the patch vectors one row tile at a time, and `GlcmCounts` keeps the
 integer pair counts and divides one row tile at a time.  All three offer
-``fill(r0, r1, out)``, which is all the HACD tile loop reads.  Borders are
+``fill(r0, r1, out)``, which is all the HACD tile loop reads; an unmasked
+patch fit reads only ``PatchWindows.row_windows``.  Borders are
 handled by mirror padding (reflection without repeating the edge sample),
 so the output grid always equals the input grid.
 """
@@ -104,8 +105,9 @@ class PatchWindows:
     """Patch features that are cut from the raster one row tile at a time.
 
     Holds only the mirror-padded raster; ``fill`` writes the same vectors
-    ``patch_features`` would hold, so fit and score can stream them
-    without an O(pixels x dim) stack.
+    ``patch_features`` would hold, so scoring (and a masked fit) can stream
+    them without an O(pixels x dim) stack.  ``row_windows`` exposes the
+    padded rows the patches are cut from, which is all an unmasked fit reads.
     """
 
     def __init__(self, r: Raster, patch: int = DEFAULT_PATCH):
@@ -113,6 +115,7 @@ class PatchWindows:
         self.height, self.width = r.height, r.width
         self.patch = patch
         self.dim = patch * patch
+        self.mean = float(r.data.mean(dtype=np.float64))
         self._padded = np.pad(r.data.astype(np.float64), pad, mode="reflect")
 
     def fill(self, r0: int, r1: int, out: np.ndarray) -> None:
@@ -121,6 +124,13 @@ class PatchWindows:
         # output rows r0:r1 read padded rows r0 : r1 + 2*pad
         windows = np.lib.stride_tricks.sliding_window_view(self._padded[r0 : r1 + p - 1], (p, p))
         out.reshape(r1 - r0, self.width, p, p, copy=False)[...] = windows
+
+    def row_windows(self) -> np.ndarray:
+        """Read-only (height + patch - 1, width, patch) view: [b, c, j] = padded[b, c + j].
+
+        Patch row i of the vectors of output row r is ``row_windows()[r + i]``.
+        """
+        return np.lib.stride_tricks.sliding_window_view(self._padded, self.patch, axis=1)
 
 
 def patch_features(r: Raster, patch: int = DEFAULT_PATCH) -> FeatureStack:

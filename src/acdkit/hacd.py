@@ -27,6 +27,12 @@ marginal covariances and cross-covariance diag(rho).  Then
 
 which costs n * (d_x + d_y) * min(d_x, d_y) multiply-adds for n pixels
 instead of the n * (d_x + d_y)^2 of z' Q z.
+
+Fitting takes the mean and covariance of the [x | y] vectors in one pass.
+Patch vectors of neighbouring pixels overlap, so an unmasked fit of two
+patch sources sums products of padded-row windows once per row and reads
+every patch-row block of the scatter off those sums; any other fit merges
+the moments of row tiles.
 """
 
 from __future__ import annotations
@@ -40,11 +46,11 @@ from .errors import DimensionMismatch, FormatError, GridMismatch, IoError, Singu
 from .features import FeatureStack, GlcmCounts, PatchWindows
 from .raster import CoregisteredPair
 
-# Fit and score share one loop over row tiles, taken in ascending order.
-# Each tile's [x | y] vectors are written into one reused float64 buffer of
-# at most TILE_BYTES (at least one row), about one core's L2 cache, so the
-# fill, the GEMM and the reductions over a tile stay in cache and the
-# working memory does not grow with the image.
+# Scoring and the tile-merging fit share one loop over row tiles, taken in
+# ascending order.  Each tile's [x | y] vectors are written into one reused
+# float64 buffer of at most TILE_BYTES (at least one row), about one core's
+# L2 cache, so the fill, the GEMM and the reductions over a tile stay in
+# cache and the working memory does not grow with the image.
 TILE_BYTES = 2 << 20
 
 DEFAULT_RIDGE_SCALE = 1e-6
@@ -171,6 +177,8 @@ class HacdModel:
     ) -> "HacdModel":
         """Build a model from explicit Gaussian parameters, adding ridge*I."""
         c = np.asarray(cov, dtype=np.float64)
+        if not np.isfinite(ridge):
+            raise SingularCovariance(f"ridge {ridge!r} is not finite")
         if ridge:
             c = c + ridge * np.eye(c.shape[0])
         return cls(mean_x, mean_y, c, ridge=float(ridge))
@@ -218,6 +226,11 @@ def fit_hacd(
     d_y).  ``fit_mask`` optionally restricts the fit to a boolean pixel
     subset (scoring still covers every pixel).
 
+    Without a mask, two PatchWindows of one patch size are fitted from
+    running sums over the padded rows (``_patch_moments``); every other fit
+    merges the moments of row tiles (``_tile_moments``).  Both take one pass
+    and agree to rounding.
+
     Raises GridMismatch when the stacks disagree and SingularCovariance
     when the regularized covariance cannot be factorized (e.g. fewer
     pixels than d_x + d_y with ridge 0).
@@ -231,11 +244,26 @@ def fit_hacd(
                 f"fit mask shape {fit_mask.shape} does not match grid "
                 f"{x.height}x{x.width}"
             )
+    if (fit_mask is None and isinstance(x, PatchWindows) and isinstance(y, PatchWindows)
+            and x.patch == y.patch):
+        n, mean, scatter = _patch_moments(x, y)
+    else:
+        n, mean, scatter = _tile_moments(x, y, fit_mask)
+    cov = scatter / n
 
-    # One pass: each tile's (count, mean, centered scatter) is merged into
-    # the running totals in tile order with the pairwise update of Chan,
-    # Golub & LeVeque (1983).  Moments are taken about the first tile's mean,
-    # so a common offset that is large against the spread costs no digits.
+    eps = DEFAULT_RIDGE_SCALE * float(np.trace(cov)) / d if ridge is None else float(ridge)
+    return HacdModel.from_covariance(mean[: x.dim], mean[x.dim :], cov, ridge=eps)
+
+
+def _tile_moments(x: Features, y: Features, fit_mask: np.ndarray | None):
+    """(count, mean, centered scatter) of the [x | y] vectors, one pass over tiles.
+
+    Each tile's (count, mean, centered scatter) is merged into the running
+    totals in tile order with the pairwise update of Chan, Golub & LeVeque
+    (1983).  Moments are taken about the first tile's mean, so a common
+    offset that is large against the spread costs no digits.
+    """
+    d = x.dim + y.dim
     n = 0
     shift = None
     mean = np.zeros(d)
@@ -258,11 +286,69 @@ def fit_hacd(
         n += m
     if n == 0:
         raise SingularCovariance("fit mask selects no pixels")
-    mean += shift
-    cov = scatter / n
+    return n, mean + shift, scatter
 
-    eps = DEFAULT_RIDGE_SCALE * float(np.trace(cov)) / d if ridge is None else float(ridge)
-    return HacdModel.from_covariance(mean[: x.dim], mean[x.dim :], cov, ridge=eps)
+
+def _patch_moments(x: PatchWindows, y: PatchWindows):
+    """(count, mean, centered scatter) of the joint patch vectors of every pixel.
+
+    Write W_a for the (width, 2p) matrix of padded row a's x windows then
+    y windows (``row_windows``).  The vector of output row r stacks patch
+    rows r .. r+p-1, so block (i, i+k) of the scatter is the sum over
+    a = i .. i+h-1 of W_a' W_{a+k}: the same window products, shifted by
+    one row per block step.  One walk over the h+p-1 padded rows keeps
+    running sums of W_a' W_{a+k} (k < p) and of W_a's column sums; each
+    block i (and its mean) is the running sum after row h+i-1 less the one
+    after row i-1.  That is 2p*d multiply-adds per pixel instead of the
+    tile loop's d*d/2, with a ring of the last p rows' windows as the only
+    buffer.  Each epoch's windows are taken about its raster mean, so a
+    large common offset costs no digits.
+    """
+    h, w, p = x.height, x.width, x.patch
+    rows = h + p - 1
+    shift = (x.mean, y.mean)
+    windows = (x.row_windows(), y.row_windows())
+    # ring[:, b % p] holds W_b, so W_a' ring gives W_a' W_{a+k} in slot (a+k) % p
+    ring = np.empty((w, p, 2, p))
+    ones = np.ones(w)
+    gram = np.zeros((2 * p, p, 2 * p))  # [(e, j), k, (e', j')]: sum of W_a' W_{a+k}
+    total = np.zeros(2 * p)  # sum of W_a's column sums
+    blocks = np.zeros((p, 2 * p, p, 2 * p))  # [i] = gram summed over a = i .. i+h-1
+    sums = np.zeros((p, 2 * p))  # [i] = total summed over a = i .. i+h-1
+
+    def enter(b):
+        for e in (0, 1):
+            np.subtract(windows[e][b], shift[e], out=ring[:, b % p, e])
+
+    for b in range(p - 1):
+        enter(b)
+    for a in range(rows):
+        # row a+p-1 takes row a-1's slot; past the last row a slot keeps
+        # stale windows, which only sums that no block reads ever see
+        if a + p - 1 < rows:
+            enter(a + p - 1)
+        lead = ring[:, a % p].reshape(w, 2 * p)
+        slots = (lead.T @ ring.reshape(w, 2 * p * p)).reshape(2 * p, p, 2 * p)
+        gram += slots[:, (a + np.arange(p)) % p]
+        total += ones @ lead  # a GEMV: lead.sum(axis=0) is slower on this strided view
+        # gram and total now cover rows 0..a
+        if a + 1 < p:
+            blocks[a + 1] -= gram
+            sums[a + 1] -= total
+        if a + 1 >= h:
+            blocks[a + 1 - h] += gram
+            sums[a + 1 - h] += total
+
+    scatter = np.empty((2, p, p, 2, p, p))  # [e, i, j, e', i', j']
+    for i in range(p):
+        block = blocks[i].reshape(2, p, p, 2, p)  # [e, j, k, e', j']
+        for k in range(p - i):
+            scatter[:, i, :, :, i + k] = block[:, :, k]
+            scatter[:, i + k, :, :, i] = block[:, :, k].transpose(2, 3, 0, 1)
+    n, d = h * w, 2 * p * p
+    mean = sums.reshape(p, 2, p).transpose(1, 0, 2).reshape(d) / n  # [e, i, j] order
+    scatter = scatter.reshape(d, d) - n * np.outer(mean, mean)
+    return n, mean + np.repeat(shift, p * p), scatter
 
 
 def _score_rows(m: HacdModel, z: np.ndarray) -> np.ndarray:

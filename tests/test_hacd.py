@@ -33,6 +33,7 @@ from acdkit import (
     save_model,
     score_map,
 )
+from acdkit.features import PatchWindows
 
 
 def _stack(a):
@@ -295,6 +296,14 @@ def test_non_finite_model_is_singular_covariance(mean_x, cov):
             HacdModel(np.array(mean_x), np.zeros(1), np.array(cov))
 
 
+@pytest.mark.parametrize("ridge", [np.inf, -np.inf, np.nan])
+def test_non_finite_ridge_is_singular_covariance(ridge):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularCovariance, match="ridge"):
+            HacdModel.from_covariance(np.zeros(1), np.zeros(1), np.eye(2), ridge=ridge)
+
+
 def test_scoring_is_deterministic_across_calls():
     rng = np.random.default_rng(24)
     m = _random_model(rng, 3, 3)
@@ -446,6 +455,45 @@ def test_canonical_scores_match_explicit_q_form(seed, height, width, dx, dy, til
     assert np.max(np.abs(got - want)) <= 1e-9 * scale
     for i in (0, z.shape[0] - 1):
         assert abs(hacd_score(m, z[i, :dx], z[i, dx:]) - want[i]) <= 1e-9 * scale
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    patch=st.sampled_from([1, 3, 5, 7]),
+    extra=st.tuples(st.integers(0, 9), st.integers(0, 9)),
+    offset=st.sampled_from([0.0, 1e4]),
+)
+def test_row_gram_patch_moments_match_numpy_cov(seed, patch, extra, offset):
+    # grids start at the mirror-padding minimum (patch + 1) / 2, so height <
+    # patch occurs, where the rows that end some blocks' sums come before
+    # the rows that start others
+    height, width = ((patch + 1) // 2 + e for e in extra)
+    rng = np.random.default_rng(seed)
+    t0 = offset + rng.normal(size=(height, width))
+    t1 = offset + rng.normal(size=(height, width)) + 0.5 * t0
+    r0, r1 = Raster(t0.astype(np.float32)), Raster(t1.astype(np.float32))
+    m = fit_hacd(PatchWindows(r0, patch), PatchWindows(r1, patch), ridge=1.0)
+    z = np.concatenate([patch_features(r, patch).data.reshape(height * width, -1)
+                        for r in (r0, r1)], axis=1)
+    np.testing.assert_allclose(
+        np.concatenate([m.mean_x, m.mean_y]), z.mean(axis=0), rtol=1e-12, atol=1e-12
+    )
+    want = np.atleast_2d(np.cov(z, rowvar=False, bias=True))
+    np.testing.assert_allclose(m.cov - np.eye(z.shape[1]), want, rtol=0, atol=1e-12)
+
+
+def test_row_gram_fit_matches_tile_loop_fit():
+    # an all-True fit mask takes the tile loop, no mask the row-Gram sums
+    pair = _textured_pair(61, 47, seed=35)
+    tiled, tiled_model = run_detector("patch-hacd", pair, fit_mask=np.ones((61, 47), bool))
+    rows, rows_model = run_detector("patch-hacd", pair)
+    for got, want in ((rows_model.mean_x, tiled_model.mean_x),
+                      (rows_model.mean_y, tiled_model.mean_y),
+                      (rows_model.cov, tiled_model.cov)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert rows_model.ridge == pytest.approx(tiled_model.ridge, rel=1e-12)
+    _assert_close_scores(rows.scores, tiled.scores)
 
 
 def test_patch_detector_memory_does_not_grow_with_pixels_times_dim():
