@@ -25,7 +25,7 @@ import traceback
 import numpy as np
 
 from .detectors import DETECTOR_NAMES, run_detector
-from .errors import AcdError, BadConfig, FormatError, IoError, NotFound
+from .errors import AcdError, BadConfig, FormatError, NotFound
 from .evaluate import DEFAULT_FPR_MAX, auc, render_loglog_svg, roc, write_roc_csv
 from .features import DEFAULT_LEVELS, DEFAULT_OFFSETS, DEFAULT_PATCH
 from .hacd import AnomalyMap, save_model
@@ -35,8 +35,12 @@ from .raster import (
     _base_path,
     load_ground_truth,
     load_raster,
+    make_dir,
     make_pair,
+    read_json,
+    read_text,
     save_raster,
+    write_text,
 )
 from .synth import (
     SceneConfig,
@@ -115,24 +119,6 @@ def _options(config: dict, flags: dict) -> dict:
     return cfg
 
 
-def _load_json_config(path: str, allowed: set[str]) -> dict:
-    if not os.path.isfile(path):
-        raise NotFound(f"config file not found: {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-        raise BadConfig(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise BadConfig(f"{path}: config must be a JSON object")
-    unknown = set(doc) - allowed
-    if unknown:
-        raise BadConfig(f"{path}: unknown config fields {sorted(unknown)}")
-    return doc
-
-
 def _require(cfg: dict, key: str) -> object:
     if cfg.get(key) is None:
         raise BadConfig(f"required option {key!r} missing (flag or config)")
@@ -158,15 +144,6 @@ def _summary(band) -> dict:
     }
 
 
-def _write_json(doc: dict, path: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-
-
 def _detect_pair(cfg: dict, pair: CoregisteredPair, out_dir: str) -> str:
     """Run cfg's detector on ``pair``, write its map (and model) into out_dir.
 
@@ -180,7 +157,7 @@ def _detect_pair(cfg: dict, pair: CoregisteredPair, out_dir: str) -> str:
         offsets=cfg["glcm_offsets"],
         ridge=cfg["ridge"],
     )
-    os.makedirs(out_dir, exist_ok=True)
+    make_dir(out_dir)
     map_base = os.path.join(out_dir, "anomaly")
     _write_map(amap, map_base)
     if model is not None:
@@ -197,7 +174,7 @@ def _detect(cfg: dict, out_dir: str) -> None:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    config = _load_json_config(args.config, set(_DETECT_DEFAULTS)) if args.config else {}
+    config = read_json(args.config, BadConfig, _DETECT_DEFAULTS) if args.config else {}
     flags = {
         "detector": args.detector,
         "patch": args.patch,
@@ -215,7 +192,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 def _eval_one(amap: AnomalyMap, gt, fpr_max: float, name: str, out_dir: str) -> "dict":
     band = roc(amap, gt, fpr_max=fpr_max)
-    os.makedirs(out_dir, exist_ok=True)
+    make_dir(out_dir)
     write_roc_csv(band, os.path.join(out_dir, "roc.csv"))
     render_loglog_svg({name: band}, os.path.join(out_dir, "roc.svg"))
     summary = _summary(band)
@@ -226,7 +203,8 @@ def _eval_one(amap: AnomalyMap, gt, fpr_max: float, name: str, out_dir: str) -> 
             "n_neg": int(np.count_nonzero(~gt.outer)),
         }
     )
-    _write_json(summary, os.path.join(out_dir, "summary.json"))
+    write_text(os.path.join(out_dir, "summary.json"),
+               json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return {"band": band, "summary": summary}
 
 
@@ -241,7 +219,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def _write_scene(cfg: SceneConfig, out_dir: str) -> None:
     t0, t1, gt = generate_scene(cfg)
-    os.makedirs(out_dir, exist_ok=True)
+    make_dir(out_dir)
     save_raster(t0, os.path.join(out_dir, "t0"))
     save_raster(t1, os.path.join(out_dir, "t1"))
     save_raster(Raster(gt.inner.astype(np.float32)), os.path.join(out_dir, "inner"))
@@ -274,7 +252,7 @@ _RUN_KEYS = set(_DETECT_DEFAULTS) | {"detectors", "scene", "seed"}
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _load_json_config(args.config, _RUN_KEYS)
+    config = read_json(args.config, BadConfig, _RUN_KEYS)
     cfg = _options(config, {"out": args.out})
     out_dir = str(_require(cfg, "out"))
     detectors = config.get("detectors")
@@ -324,31 +302,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     rows.sort(key=lambda r: (-r[1], r[0]))
     lines = ["detector,pauc_inner,pauc_outer,auc_inner,auc_outer"]
     lines += [f"{r[0]},{r[1]!r},{r[2]!r},{r[3]!r},{r[4]!r}" for r in rows]
-    try:
-        with open(os.path.join(out_dir, "league.csv"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write league.csv: {exc}") from exc
+    write_text(os.path.join(out_dir, "league.csv"), "\n".join(lines) + "\n")
     return 0
 
 
-def _dump_text(r: Raster, path: str) -> None:
-    lines = [f"{r.width} {r.height}"]
+def _dump_lines(r: Raster):
+    yield f"{r.width} {r.height}\n"
     for row in r.data:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+        yield " ".join(map(repr, row.tolist())) + "\n"
 
 
 def _parse_text(path: str) -> Raster:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    lines = [ln for ln in read_text(path, FormatError).splitlines() if ln.strip()]
     if not lines:
         raise FormatError(f"{path}: empty pixel dump")
     try:
@@ -364,7 +329,7 @@ def _parse_text(path: str) -> Raster:
 def cmd_convert(args: argparse.Namespace) -> int:
     base = _base_path(args.src)
     if os.path.isfile(base + ".r32") and os.path.isfile(base + ".json"):
-        _dump_text(load_raster(args.src), args.dst)
+        write_text(args.dst, _dump_lines(load_raster(args.src)))
     elif os.path.isfile(args.src):
         save_raster(_parse_text(args.src), args.dst)
     else:

@@ -15,9 +15,9 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .errors import EmptyClass, GridMismatch, IoError
+from .errors import EmptyClass, GridMismatch
 from .hacd import AnomalyMap
-from .raster import GroundTruth
+from .raster import GroundTruth, write_text
 
 DEFAULT_FPR_MAX = 0.01
 DEFAULT_FPR_FLOOR = 1e-5
@@ -160,24 +160,24 @@ def write_roc_csv(band: RocBand, path: str) -> None:
     use shortest round-trip decimals, so parsing the file re-yields the
     band's points exactly.
     """
+    write_text(path, _roc_csv_chunks(band))
+
+
+def _roc_csv_chunks(band: RocBand):
     ic, oc = band.inner_curve, band.outer_curve
     rate_columns = (ic.fpr, ic.tpr, oc.fpr, oc.tpr)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("threshold,fpr_inner,tpr_inner,fpr_outer,tpr_outer\n")
-            for lo in range(0, ic.thresholds.size, _CSV_CHUNK_ROWS):
-                hi = lo + _CSV_CHUNK_ROWS
-                # Rates repeat heavily (fpr_inner == fpr_outer, few distinct
-                # tpr), so each distinct bit pattern is formatted once;
-                # comparing bits keeps -0.0 apart from 0.0.
-                rates = np.concatenate([c[lo:hi] for c in rate_columns])
-                bits, inv = np.unique(rates.view(np.int64), return_inverse=True)
-                text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-                cols = text[inv.reshape(4, -1)].tolist()
-                thresholds = map(repr, ic.thresholds[lo:hi].tolist())
-                fh.write("\n".join(map(",".join, zip(thresholds, *cols))) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    yield "threshold,fpr_inner,tpr_inner,fpr_outer,tpr_outer\n"
+    for lo in range(0, ic.thresholds.size, _CSV_CHUNK_ROWS):
+        hi = lo + _CSV_CHUNK_ROWS
+        # Rates repeat heavily (fpr_inner == fpr_outer, few distinct
+        # tpr), so each distinct bit pattern is formatted once;
+        # comparing bits keeps -0.0 apart from 0.0.
+        rates = np.concatenate([c[lo:hi] for c in rate_columns])
+        bits, inv = np.unique(rates.view(np.int64), return_inverse=True)
+        text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        cols = text[inv.reshape(4, -1)].tolist()
+        thresholds = map(repr, ic.thresholds[lo:hi].tolist())
+        yield "\n".join(map(",".join, zip(thresholds, *cols))) + "\n"
 
 
 def _decimate(n: int) -> np.ndarray:
@@ -197,12 +197,12 @@ def _polyline_points(
     return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs.tolist(), ys.tolist()))
 
 
-def render_loglog_svg(bands, path: str, fpr_floor: float = DEFAULT_FPR_FLOOR) -> None:
+def render_loglog_svg(bands, path: str) -> None:
     """Render named ROC bands as a standalone log-log SVG plot.
 
     ``bands`` is a mapping or sequence of (name, RocBand); each band draws
     two polylines (inner solid, outer dashed) in one color.  Rates below
-    ``fpr_floor`` are clipped to the floor so zero never reaches log10.
+    DEFAULT_FPR_FLOOR (1e-5) are clipped to it so zero never reaches log10.
     Output bytes are a pure function of the inputs.
     """
     items = list(bands.items()) if hasattr(bands, "items") else list(bands)
@@ -212,7 +212,7 @@ def render_loglog_svg(bands, path: str, fpr_floor: float = DEFAULT_FPR_FLOOR) ->
     width, height = 720, 540
     ml, mr, mt, mb = 80, 24, 24, 56
     pw, ph = width - ml - mr, height - mt - mb
-    lmin = np.log10(fpr_floor)
+    lmin = np.log10(DEFAULT_FPR_FLOOR)
 
     def to_px(lx: float, ly: float) -> tuple[float, float]:
         return (ml + (lx - lmin) / (0.0 - lmin) * pw,
@@ -267,8 +267,8 @@ def render_loglog_svg(bands, path: str, fpr_floor: float = DEFAULT_FPR_FLOOR) ->
 
     for i, (name, band) in enumerate(items):
         color = _PALETTE[i % len(_PALETTE)]
-        inner_pts = _polyline_points(band.inner_curve, fpr_floor, to_px)
-        outer_pts = _polyline_points(band.outer_curve, fpr_floor, to_px)
+        inner_pts = _polyline_points(band.inner_curve, DEFAULT_FPR_FLOOR, to_px)
+        outer_pts = _polyline_points(band.outer_curve, DEFAULT_FPR_FLOOR, to_px)
         parts.append(
             f'<polyline points="{inner_pts}" fill="none" stroke="{color}" '
             'stroke-width="1.8"/>'
@@ -287,8 +287,4 @@ def render_loglog_svg(bands, path: str, fpr_floor: float = DEFAULT_FPR_FLOOR) ->
             f'font-family="sans-serif">{escape(str(name))}</text>'
         )
     parts.append("</svg>")
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(parts) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_text(path, "\n".join(parts) + "\n")

@@ -42,9 +42,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, FormatError, GridMismatch, IoError, SingularCovariance
+from .errors import DimensionMismatch, FormatError, GridMismatch, SingularCovariance
 from .features import FeatureStack, GlcmCounts, PatchWindows
-from .raster import CoregisteredPair
+from .raster import CoregisteredPair, read_json, write_text
 
 # Scoring and the tile-merging fit share one loop over row tiles, taken in
 # ascending order.  Each tile's [x | y] vectors are written into one reused
@@ -125,6 +125,8 @@ class HacdModel:
         for name, val in (("mean_x", mx), ("mean_y", my), ("covariance", c)):
             if not np.isfinite(val).all():
                 raise SingularCovariance(f"{name} has non-finite entries")
+        if not np.isfinite(self.ridge):
+            raise SingularCovariance(f"ridge {self.ridge!r} is not finite")
         scale = float(np.abs(c).max()) or 1.0
         if float(np.abs(c - c.T).max()) > 1e-10 * scale:
             raise SingularCovariance("covariance is not symmetric within 1e-10 relative")
@@ -409,31 +411,24 @@ def save_model(m: HacdModel, path: str) -> None:
         "cov": m.cov.ravel().tolist(),
         "ridge": m.ridge,
     }
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, separators=(",", ":"))
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write model {path}: {exc}") from exc
+    write_text(path, json.dumps(doc, separators=(",", ":")) + "\n")
 
 
 def load_model(path: str) -> HacdModel:
     """Load a model saved by save_model; the stored covariance is used as is.
 
-    Raises IoError when the file cannot be read and FormatError when it is
-    not a model: bad JSON, a missing key, or arrays that do not fit d_x, d_y.
+    Raises NotFound when the file is missing, IoError when it cannot be read
+    and FormatError when it is not a model: bad UTF-8 or JSON, a missing key,
+    or arrays that do not fit d_x, d_y.
     """
+    doc = read_json(path, FormatError)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
         dx, dy = int(doc["d_x"]), int(doc["d_y"])
         mean_x = np.array(doc["mean_x"], dtype=np.float64).reshape(dx)
         mean_y = np.array(doc["mean_y"], dtype=np.float64).reshape(dy)
         cov = np.array(doc["cov"], dtype=np.float64).reshape(dx + dy, dx + dy)
         ridge = float(doc["ridge"])
-    except OSError as exc:
-        raise IoError(f"cannot read model {path}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON and UTF-8
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"model {path} is not a valid model file: {exc!r}") from exc
     if not all(np.isfinite(a).all() for a in (mean_x, mean_y, cov, ridge)):
         raise FormatError(f"model {path} has a non-finite mean, covariance or ridge")

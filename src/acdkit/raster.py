@@ -1,4 +1,12 @@
-"""Raster data model and bit-exact R32 file I/O.
+"""Raster data model, bit-exact R32 file I/O, and the package's file boundary.
+
+This module owns the package's file boundary: rasters pass through
+load_raster/save_raster, every text file (model and config JSON,
+``roc.csv``, SVG plots, summaries, pixel dumps) through read_text,
+read_json and write_text, and output directories through make_dir.  Each
+failed file operation maps to one error class: NotFound for a missing
+file, IoError for one the OS cannot read or write, and the caller's own
+class (FormatError, BadConfig) for contents that are not UTF-8 or JSON.
 
 A raster on disk is a sidecar pair: a JSON header ``<name>.json`` with
 fields ``{"magic": "R32", "width": W, "height": H, "dtype": "f32le",
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, FormatError, IoError, MaskInconsistent, NotFound
+from .errors import AcdError, DimensionMismatch, FormatError, IoError, MaskInconsistent, NotFound
 
 _HEADER_MAGIC = "R32"
 _HEADER_DTYPE = "f32le"
@@ -108,6 +116,63 @@ def make_pair(a: Raster, b: Raster) -> CoregisteredPair:
     return CoregisteredPair(a, b)
 
 
+def write_text(path: str, text) -> None:
+    """Write ``text``, a str or an iterable of str chunks, as UTF-8 with
+    ``\\n`` line ends; an OS failure becomes IoError naming ``path``."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def make_dir(path: str) -> None:
+    """Create directory ``path`` and its parents unless it exists; IoError if
+    the OS refuses (say, a file already has that name)."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create directory {path}: {exc}") from exc
+
+
+def _read_bytes(path: str) -> bytes:
+    """The bytes of ``path``: NotFound if there is no file there, IoError if
+    it cannot be read."""
+    if not os.path.isfile(path):
+        raise NotFound(f"file not found: {path}")
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+def read_text(path: str, bad: type[AcdError]) -> str:
+    """The UTF-8 text of ``path``, with _read_bytes' errors, and ``bad`` if
+    its bytes are not UTF-8."""
+    try:
+        return _read_bytes(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise bad(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def read_json(path: str, bad: type[AcdError], allowed=None):
+    """The JSON document in ``path``, with read_text's errors, and ``bad`` if
+    it is not JSON or, given ``allowed``, not an object whose keys all lie in
+    ``allowed``."""
+    try:
+        doc = json.loads(read_text(path, bad))
+    except json.JSONDecodeError as exc:
+        raise bad(f"{path}: invalid JSON: {exc}") from exc
+    if allowed is not None:
+        if not isinstance(doc, dict):
+            raise bad(f"{path}: must be a JSON object")
+        unknown = set(doc).difference(allowed)
+        if unknown:
+            raise bad(f"{path}: unknown fields {sorted(unknown)}")
+    return doc
+
+
 def _base_path(path: str) -> str:
     for ext in (".r32", ".json"):
         if path.endswith(ext):
@@ -118,8 +183,9 @@ def _base_path(path: str) -> str:
 def load_raster(path: str) -> Raster:
     """Load an R32 raster.  ``path`` may be the base name or either sidecar file.
 
-    Raises NotFound if a sidecar is missing and FormatError on a bad magic,
-    a header/payload length mismatch, or non-finite payload values.
+    Raises NotFound if a sidecar is missing, IoError if one cannot be read,
+    and FormatError on a header that is not UTF-8 JSON, a bad magic, a
+    header/payload length mismatch, or non-finite payload values.
     """
     base = _base_path(path)
     header_path = base + ".json"
@@ -127,12 +193,7 @@ def load_raster(path: str) -> Raster:
     for p in (header_path, payload_path):
         if not os.path.isfile(p):
             raise NotFound(f"missing raster file: {p}")
-    try:
-        with open(header_path, "r", encoding="utf-8") as fh:
-            header = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"unreadable R32 header {header_path}: {exc}") from exc
-
+    header = read_json(header_path, FormatError)
     if not isinstance(header, dict) or header.get("magic") != _HEADER_MAGIC:
         raise FormatError(f"{header_path}: bad magic, expected {_HEADER_MAGIC!r}")
     if header.get("dtype") != _HEADER_DTYPE or header.get("order") != _HEADER_ORDER:
@@ -141,11 +202,7 @@ def load_raster(path: str) -> Raster:
     if not (isinstance(width, int) and isinstance(height, int) and width >= 1 and height >= 1):
         raise FormatError(f"{header_path}: width/height must be positive integers")
 
-    try:
-        with open(payload_path, "rb") as fh:
-            payload = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {payload_path}: {exc}") from exc
+    payload = _read_bytes(payload_path)
     expected = 4 * width * height
     if len(payload) != expected:
         raise FormatError(
@@ -167,14 +224,12 @@ def save_raster(r: Raster, path: str) -> None:
         "dtype": _HEADER_DTYPE,
         "order": _HEADER_ORDER,
     }
+    write_text(base + ".json", json.dumps(header, separators=(",", ":")) + "\n")
     try:
-        with open(base + ".json", "w", encoding="utf-8") as fh:
-            json.dump(header, fh, separators=(",", ":"))
-            fh.write("\n")
         with open(base + ".r32", "wb") as fh:
             fh.write(np.ascontiguousarray(r.data, dtype="<f4").tobytes())
     except OSError as exc:
-        raise IoError(f"cannot write raster {base}: {exc}") from exc
+        raise IoError(f"cannot write {base}.r32: {exc}") from exc
 
 
 def _load_mask(path: str, grid: tuple[int, int]) -> np.ndarray:

@@ -25,8 +25,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import rng
-from .errors import BadConfig, IoError
-from .raster import GroundTruth, Raster
+from .errors import BadConfig
+from .raster import GroundTruth, Raster, read_json, write_text
 
 BG_LEVEL = 4.0
 BG_SIGMA = 1.0
@@ -254,32 +254,13 @@ def scene_suite() -> dict[str, SceneConfig]:
 
 
 def config_to_json(cfg: SceneConfig, path: str) -> None:
-    """Write a config as JSON."""
-    doc = asdict(cfg)
-    doc["anomaly_rect"] = list(doc["anomaly_rect"])
-    doc["pervasive_patches"] = [list(p) for p in doc["pervasive_patches"]]
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    """Write a config as JSON (tuples become arrays)."""
+    write_text(path, json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n")
 
 
 def config_from_json(path: str) -> SceneConfig:
     """Read a config written by config_to_json (unknown keys rejected)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-        raise BadConfig(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise BadConfig(f"{path}: a scene config must be a JSON object")
-    unknown = set(doc) - set(SceneConfig.__dataclass_fields__)
-    if unknown:
-        raise BadConfig(f"{path}: unknown config fields {sorted(unknown)}")
+    doc = read_json(path, BadConfig, SceneConfig.__dataclass_fields__)
     try:
         return SceneConfig(**doc)
     except BadConfig as exc:

@@ -366,6 +366,35 @@ def test_convert_missing_source(tmp_path, capsys):
     assert "NotFound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("src,name", [
+    ("r", "r.json"),  # an R32 raster whose header is not UTF-8
+    ("dump.txt", "dump.txt"),  # a pixel dump that is not UTF-8
+], ids=["raster-header", "text-dump"])
+def test_convert_non_utf8_is_format_error(tmp_path, capsys, src, name):
+    save_raster(Raster(np.zeros((1, 1), np.float32)), str(tmp_path / "r"))
+    (tmp_path / "dump.txt").write_bytes(b"1 1\n\xff\xfe\n")
+    (tmp_path / "r.json").write_bytes(b"\xff\xfe{}")
+    rc = main(["convert", str(tmp_path / src), str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "FormatError" in err and name in err
+
+
+@pytest.mark.parametrize("command", [
+    ["synth", "simple-additive"],
+    ["detect", "--detector", "diff", "--t0", "{t0}", "--t1", "{t1}"],
+    ["eval", "--map", "{t0}", "--inner", "{inner}"],
+])
+def test_out_onto_a_file_is_io_error(tmp_path, capsys, command):
+    paths = _write_scene_files(tmp_path, side=16)
+    out = tmp_path / "taken"
+    out.write_text("")
+    rc = main([arg.format(**paths) for arg in command] + ["--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "IoError" in err and str(out) in err
+
+
 @pytest.mark.parametrize("command,fields,flags", [
     ("eval", None, ["--fpr-max", "0"]),
     ("run", {"roc_fpr_max": 0}, []),

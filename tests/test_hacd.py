@@ -296,12 +296,21 @@ def test_non_finite_model_is_singular_covariance(mean_x, cov):
             HacdModel(np.array(mean_x), np.zeros(1), np.array(cov))
 
 
-@pytest.mark.parametrize("ridge", [np.inf, -np.inf, np.nan])
-def test_non_finite_ridge_is_singular_covariance(ridge):
+@pytest.mark.parametrize("build,ridge", [
+    (HacdModel.from_covariance, np.inf),
+    (HacdModel.from_covariance, -np.inf),
+    (HacdModel.from_covariance, np.nan),
+    (HacdModel, np.inf),
+    (HacdModel, -np.inf),
+    (HacdModel, np.nan),
+], ids=["inf", "-inf", "nan", "direct-inf", "direct--inf", "direct-nan"])
+def test_non_finite_ridge_is_singular_covariance(build, ridge):
+    # a model built directly must refuse it too: save_model would write a
+    # bare NaN, which is not JSON, and load_model would refuse the file
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularCovariance, match="ridge"):
-            HacdModel.from_covariance(np.zeros(1), np.zeros(1), np.eye(2), ridge=ridge)
+            build(np.zeros(1), np.zeros(1), np.eye(2), ridge=ridge)
 
 
 def test_scoring_is_deterministic_across_calls():

@@ -1,23 +1,35 @@
 import json
 import os
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from acdkit import (
+    AnomalyMap,
     DimensionMismatch,
     FormatError,
     GroundTruth,
+    HacdModel,
     IoError,
     MaskInconsistent,
     NotFound,
     Raster,
+    config_from_json,
+    config_to_json,
     load_ground_truth,
+    load_model,
     load_raster,
     make_pair,
+    render_loglog_svg,
+    roc,
+    save_model,
     save_raster,
+    scene_suite,
+    write_roc_csv,
 )
+from acdkit.cli import build_parser
 
 
 def _write_r32(base, width, height, payload: bytes, header=None):
@@ -99,10 +111,107 @@ def test_missing_file(tmp_path):
         load_raster(str(tmp_path / "nope"))
 
 
-def test_unwritable_directory(tmp_path):
-    r = Raster(np.zeros((1, 1), np.float32))
-    with pytest.raises(IoError):
-        save_raster(r, str(tmp_path / "no" / "such" / "dir" / "r"))
+def test_non_utf8_header_is_format_error(tmp_path):
+    base = str(tmp_path / "r")
+    _write_r32(base, 1, 1, struct.pack("<f", 0.0))
+    with open(base + ".json", "wb") as fh:
+        fh.write(b"\xff\xfe{}")
+    with pytest.raises(FormatError, match=re.escape(base + ".json")):
+        load_raster(base)
+
+
+# --- the file boundary: every reader and writer, library and CLI ------------
+
+def _cli(argv):
+    """Run one acdkit command and let its AcdError propagate."""
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+def _inputs(tmp_path):
+    """An 8x8 raster pair and inner mask on disk; returns their base paths."""
+    rng = np.random.default_rng(5)
+    paths = {}
+    for name, arr in (("t0", rng.normal(size=(8, 8))), ("t1", rng.normal(size=(8, 8))),
+                      ("inner", np.eye(8))):
+        paths[name] = str(tmp_path / name)
+        save_raster(Raster(arr.astype(np.float32)), paths[name])
+    return paths
+
+
+def _band():
+    mask = np.eye(3, dtype=bool)
+    return roc(AnomalyMap(np.arange(9.0).reshape(3, 3)), GroundTruth(mask, mask))
+
+
+def _in_missing_dir(write):
+    """A case calling ``write(tmp_path, path)`` with a path whose directory
+    does not exist."""
+    def case(tmp_path):
+        path = str(tmp_path / "no" / "such" / "dir" / "f")
+        return path, lambda: write(tmp_path, path)
+    return case
+
+
+def _blocked(tmp_path, name):
+    """The CLI creates its output directory ``out`` itself, so its write of
+    ``out/name`` is made to fail by a directory already named so."""
+    (tmp_path / "out" / name).mkdir(parents=True)
+    return str(tmp_path / "out"), str(tmp_path / "out" / name)
+
+
+def _summary_case(tmp_path):
+    paths = _inputs(tmp_path)
+    out, target = _blocked(tmp_path, "summary.json")
+    return target, lambda: _cli(["eval", "--map", paths["t0"], "--inner", paths["inner"],
+                                 "--out", out])
+
+
+def _league_case(tmp_path):
+    paths = _inputs(tmp_path)
+    out, target = _blocked(tmp_path, "league.csv")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"detectors": ["diff"], "out": out, **paths}))
+    return target, lambda: _cli(["run", str(config)])
+
+
+_WRITERS = {
+    "save_raster": _in_missing_dir(
+        lambda tmp_path, path: save_raster(Raster(np.zeros((1, 1), np.float32)), path)),
+    "save_model": _in_missing_dir(
+        lambda tmp_path, path: save_model(HacdModel(np.zeros(1), np.zeros(1), np.eye(2)), path)),
+    "config_to_json": _in_missing_dir(
+        lambda tmp_path, path: config_to_json(scene_suite()["textured"], path)),
+    "write_roc_csv": _in_missing_dir(lambda tmp_path, path: write_roc_csv(_band(), path)),
+    "render_loglog_svg": _in_missing_dir(
+        lambda tmp_path, path: render_loglog_svg({"x": _band()}, path)),
+    "convert-dump": _in_missing_dir(
+        lambda tmp_path, path: _cli(["convert", _inputs(tmp_path)["t0"], path])),
+    "summary.json": _summary_case,
+    "league.csv": _league_case,
+}
+
+
+@pytest.mark.parametrize("case", _WRITERS.values(), ids=_WRITERS.keys())
+def test_unwritable_directory(tmp_path, case):
+    path, write = case(tmp_path)
+    with pytest.raises(IoError, match=re.escape(path)):
+        write()
+
+
+@pytest.mark.parametrize("read", [
+    load_raster,
+    load_model,
+    config_from_json,
+    lambda path: _cli(["synth", "--config", path, "--out", path + ".out"]),
+    lambda path: _cli(["detect", "--config", path]),
+    lambda path: _cli(["run", path]),
+], ids=["load_raster", "load_model", "config_from_json", "synth-config", "detect-config",
+        "run-config"])
+def test_missing_file_is_not_found(tmp_path, read):
+    path = str(tmp_path / "nope.json")
+    with pytest.raises(NotFound, match=re.escape(path)):
+        read(path)
 
 
 def test_raster_rejects_nonfinite_in_memory():
