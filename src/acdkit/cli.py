@@ -258,9 +258,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     detectors = config.get("detectors")
     if not detectors or not isinstance(detectors, list):
         raise BadConfig("run config must list one or more detectors")
-    for d in detectors:
+    for i, d in enumerate(detectors):
         if d not in DETECTOR_NAMES:
             raise BadConfig(f"unknown detector {d!r}, expected one of {DETECTOR_NAMES}")
+        if d in detectors[:i]:
+            raise BadConfig(f"detector {d!r} is listed more than once")
 
     scene = config.get("scene")
     if isinstance(scene, str):

@@ -26,8 +26,8 @@ def _features(name: str, r: Raster, patch: int, levels: int, offsets) -> Feature
     if name == "hacd":
         return identity_features(r)
     if name == "patch-hacd":
-        # streamed: scoring cuts each tile's patches from the padded raster,
-        # and the (unmasked) fit reads only its rows' windows
+        # streamed: scoring and the (unmasked) fit read only the padded
+        # rows' windows and cut no patch vectors
         return PatchWindows(r, patch)
     # glcm-hacd: each epoch is quantized against its own quantiles, so a
     # global monotone intensity change between epochs is already neutralized;

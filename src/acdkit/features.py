@@ -6,8 +6,10 @@ per pixel on the same grid.  `identity_features`, `patch_features` and
 streamed sources hold less: `PatchWindows` keeps only the padded raster and
 cuts the patch vectors one row tile at a time, and `GlcmCounts` keeps the
 integer pair counts and divides one row tile at a time.  All three offer
-``fill(r0, r1, out)``, which is all the HACD tile loop reads; an unmasked
-patch fit reads only ``PatchWindows.row_windows``.  Borders are
+``fill(r0, r1, out)``, which is all the HACD tile loop reads.  Two
+``PatchWindows`` of one patch size are scored, and fitted without a mask,
+from ``PatchWindows.row_windows`` alone, so their ``fill`` serves only
+masked fits, mixed patch sizes and ``patch_features``.  Borders are
 handled by mirror padding (reflection without repeating the edge sample),
 so the output grid always equals the input grid.
 """
@@ -102,12 +104,14 @@ def _check_patch(patch: int, height: int, width: int) -> int:
 
 
 class PatchWindows:
-    """Patch features that are cut from the raster one row tile at a time.
+    """Patch features that are read from the mirror-padded raster on demand.
 
-    Holds only the mirror-padded raster; ``fill`` writes the same vectors
-    ``patch_features`` would hold, so scoring (and a masked fit) can stream
-    them without an O(pixels x dim) stack.  ``row_windows`` exposes the
-    padded rows the patches are cut from, which is all an unmasked fit reads.
+    Holds only the padded raster, never an O(pixels x dim) stack.
+    ``row_windows`` exposes the padded rows the patches are cut from, which
+    is all that scoring and an unmasked fit of two same-size sources read.
+    ``fill`` writes the same vectors ``patch_features`` holds, one row tile
+    at a time; it serves ``patch_features``, masked fits and pairs of
+    different patch sizes.
     """
 
     def __init__(self, r: Raster, patch: int = DEFAULT_PATCH):

@@ -32,7 +32,10 @@ Fitting takes the mean and covariance of the [x | y] vectors in one pass.
 Patch vectors of neighbouring pixels overlap, so an unmasked fit of two
 patch sources sums products of padded-row windows once per row and reads
 every patch-row block of the scatter off those sums; any other fit merges
-the moments of row tiles.
+the moments of row tiles.  Scoring two patch sources copies each block of
+p output rows' padded-row windows once and hands every pixel's patch to
+the canonical-variate GEMMs as a strided view of that copy, so it cuts no
+patch vectors; any other pair is scored one row tile at a time.
 """
 
 from __future__ import annotations
@@ -46,11 +49,12 @@ from .errors import DimensionMismatch, FormatError, GridMismatch, SingularCovari
 from .features import FeatureStack, GlcmCounts, PatchWindows
 from .raster import CoregisteredPair, read_json, write_text
 
-# Scoring and the tile-merging fit share one loop over row tiles, taken in
-# ascending order.  Each tile's [x | y] vectors are written into one reused
-# float64 buffer of at most TILE_BYTES (at least one row), about one core's
-# L2 cache, so the fill, the GEMM and the reductions over a tile stay in
-# cache and the working memory does not grow with the image.
+# Scoring and the tile-merging fit of every pair but two same-size patch
+# sources share one loop over row tiles, taken in ascending order.  Each
+# tile's [x | y] vectors are written into one reused float64 buffer of at
+# most TILE_BYTES (at least one row), about one core's L2 cache, so the
+# fill, the GEMM and the reductions over a tile stay in cache and the
+# working memory does not grow with the image.
 TILE_BYTES = 2 << 20
 
 DEFAULT_RIDGE_SCALE = 1e-6
@@ -196,6 +200,16 @@ def _check_grids(x: Features, y: Features) -> None:
         )
 
 
+def _same_patch(x: Features, y: Features) -> bool:
+    """True when both sources are PatchWindows of one patch size.
+
+    Such a pair is fitted (unmasked) and scored straight from the padded
+    rows' windows; every other pair goes through ``_tiles``.
+    """
+    return (isinstance(x, PatchWindows) and isinstance(y, PatchWindows)
+            and x.patch == y.patch)
+
+
 def _tiles(x: Features, y: Features):
     """Yield (r0, r1, z) with z the [x | y] vectors of rows r0:r1, one per pixel.
 
@@ -246,8 +260,7 @@ def fit_hacd(
                 f"fit mask shape {fit_mask.shape} does not match grid "
                 f"{x.height}x{x.width}"
             )
-    if (fit_mask is None and isinstance(x, PatchWindows) and isinstance(y, PatchWindows)
-            and x.patch == y.patch):
+    if fit_mask is None and _same_patch(x, y):
         n, mean, scatter = _patch_moments(x, y)
     else:
         n, mean, scatter = _tile_moments(x, y, fit_mask)
@@ -353,19 +366,28 @@ def _patch_moments(x: PatchWindows, y: PatchWindows):
     return n, mean + np.repeat(shift, p * p), scatter
 
 
-def _score_rows(m: HacdModel, z: np.ndarray) -> np.ndarray:
-    """Scores of the rows of ``z``, the raw [x | y] vectors (n, d_x + d_y)."""
-    u = z[:, : m.d_x] @ m.canon_x
-    u -= m.mean_x @ m.canon_x
-    v = z[:, m.d_x :] @ m.canon_y
-    v -= m.mean_y @ m.canon_y
+def _scorer(m: HacdModel):
+    """The score kernel of ``m``: f(x, y) scores n raw pixel vectors.
+
+    ``x`` (n, d_x) and ``y`` (n, d_y) are the epochs' halves; each may be a
+    strided view with unit inner stride, which BLAS reads in place.
+    """
+    shift_x, shift_y = m.mean_x @ m.canon_x, m.mean_y @ m.canon_y
     one_minus = 1.0 - m.rho * m.rho
     alpha, beta = m.rho * m.rho / one_minus, m.rho / one_minus
-    uv = u * v
-    u *= u
-    v *= v
-    u += v
-    return 0.5 * (u @ alpha) - uv @ beta + m.log_det_const
+
+    def score(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        u = x @ m.canon_x
+        u -= shift_x
+        v = y @ m.canon_y
+        v -= shift_y
+        uv = u * v
+        u *= u
+        v *= v
+        u += v
+        return 0.5 * (u @ alpha) - uv @ beta + m.log_det_const
+
+    return score
 
 
 def hacd_score(m: HacdModel, x: np.ndarray, y: np.ndarray) -> float:
@@ -376,22 +398,53 @@ def hacd_score(m: HacdModel, x: np.ndarray, y: np.ndarray) -> float:
         raise DimensionMismatch(
             f"input dims ({x.size}, {y.size}) do not match model ({m.d_x}, {m.d_y})"
         )
-    return float(_score_rows(m, np.concatenate([x, y])[None, :])[0])
+    return float(_scorer(m)(x[None, :], y[None, :])[0])
+
+
+def _patch_rows(x: PatchWindows, y: PatchWindows):
+    """Yield (r, xs, ys): the patch vectors of output row r, as (width, p*p) views.
+
+    Output rows go in blocks of p.  The windows of a block's (at most 2p-1)
+    padded rows are copied once, column-major, into a (width, 2p-1, p)
+    buffer per epoch, so pixel c's patch at block row t is the p*p
+    contiguous floats ``buf[c, t:t+p]``: the row's vectors are a strided
+    view with unit inner stride, which BLAS reads in place.  Each padded row
+    is copied about twice instead of once per patch row (p times).  The
+    views share the buffers, so the caller must be done with them before
+    asking for the next row.
+    """
+    h, w, p = x.height, x.width, x.patch
+    windows = (x.row_windows(), y.row_windows())
+    buf = np.empty((2, w, 2 * p - 1, p))
+    for r0 in range(0, h, p):
+        r1 = min(r0 + p, h)
+        for e in (0, 1):
+            buf[e, :, : r1 - r0 + p - 1] = windows[e][r0 : r1 + p - 1].transpose(1, 0, 2)
+        for t in range(r1 - r0):
+            block = buf[:, :, t : t + p].reshape(2, w, p * p, copy=False)
+            yield r0 + t, block[0], block[1]
 
 
 def score_map(m: HacdModel, x: Features, y: Features) -> AnomalyMap:
     """Apply hacd_score at every pixel of a co-registered feature pair.
 
-    ``x`` and ``y`` are feature sources, as for fit_hacd.
+    ``x`` and ``y`` are feature sources, as for fit_hacd.  Two PatchWindows
+    of one patch size are scored from views of their padded rows' windows
+    (``_patch_rows``); every other pair from row tiles (``_tiles``).
     """
     _check_grids(x, y)
     if x.dim != m.d_x or y.dim != m.d_y:
         raise DimensionMismatch(
             f"stack dims ({x.dim}, {y.dim}) do not match model ({m.d_x}, {m.d_y})"
         )
+    score = _scorer(m)
     out = np.empty((x.height, x.width))
-    for r0, r1, z in _tiles(x, y):
-        out[r0:r1] = _score_rows(m, z).reshape(r1 - r0, x.width)
+    if _same_patch(x, y):
+        for r, xs, ys in _patch_rows(x, y):
+            out[r] = score(xs, ys)
+    else:
+        for r0, r1, z in _tiles(x, y):
+            out[r0:r1] = score(z[:, : x.dim], z[:, x.dim :]).reshape(r1 - r0, x.width)
     return AnomalyMap(out)
 
 

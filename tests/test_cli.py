@@ -317,6 +317,18 @@ def test_run_requires_detectors(tmp_path, capsys):
     assert "BadConfig" in capsys.readouterr().err
 
 
+def test_run_refuses_a_detector_listed_twice(tmp_path, capsys):
+    cfg_path = str(tmp_path / "r.json")
+    out = tmp_path / "o"
+    with open(cfg_path, "w") as fh:
+        json.dump({"scene": "simple-additive", "detectors": ["diff", "hacd", "diff"],
+                   "out": str(out)}, fh)
+    assert main(["run", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert "BadConfig" in err and "'diff'" in err
+    assert not out.exists()
+
+
 def test_convert_round_trip(tmp_path):
     r = Raster((np.arange(12, dtype=np.float32).reshape(3, 4) / 7.0))
     base = str(tmp_path / "r")

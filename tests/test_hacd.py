@@ -505,6 +505,47 @@ def test_row_gram_fit_matches_tile_loop_fit():
     _assert_close_scores(rows.scores, tiled.scores)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    patch=st.sampled_from([1, 3, 5, 7]),
+    extra_rows=st.integers(0, 30),
+    extra_cols=st.integers(0, 6),
+)
+def test_patch_window_scores_match_stack_scores(seed, patch, extra_rows, extra_cols):
+    # heights start at the mirror-padding minimum (patch + 1) / 2, below the
+    # patch and so below one block of patch rows, and reach several blocks
+    # with a ragged last one
+    height = (patch + 1) // 2 + extra_rows
+    width = (patch + 1) // 2 + extra_cols
+    pair = _textured_pair(height, width, seed=seed)
+    x, y = PatchWindows(pair.t0, patch), PatchWindows(pair.t1, patch)
+    m = fit_hacd(x, y, ridge=1.0)
+    want = score_map(m, patch_features(pair.t0, patch), patch_features(pair.t1, patch))
+    _assert_close_scores(score_map(m, x, y).scores, want.scores)
+
+
+def test_unmasked_patch_detector_cuts_no_patches(monkeypatch):
+    def refuse(self, r0, r1, out):
+        raise AssertionError("PatchWindows.fill called")
+
+    pair = _textured_pair(40, 23, seed=36)
+    want = _reference_run("patch-hacd", pair, 5, 4)
+    monkeypatch.setattr(PatchWindows, "fill", refuse)
+    amap, _ = run_detector("patch-hacd", pair, patch=5)
+    _assert_close_scores(amap.scores, want)
+
+
+def test_mixed_patch_sizes_fit_and_score_through_tiles():
+    pair = _textured_pair(29, 19, seed=37)
+    x, y = PatchWindows(pair.t0, 5), PatchWindows(pair.t1, 3)
+    sx, sy = patch_features(pair.t0, 5), patch_features(pair.t1, 3)
+    m, want = fit_hacd(x, y), fit_hacd(sx, sy)
+    assert (m.d_x, m.d_y) == (25, 9)
+    assert np.max(np.abs(m.cov - want.cov)) <= 1e-12 * np.max(np.abs(want.cov))
+    _assert_close_scores(score_map(m, x, y).scores, score_map(want, sx, sy).scores)
+
+
 def test_patch_detector_memory_does_not_grow_with_pixels_times_dim():
     def peak(height):
         pair = _textured_pair(height, 128, seed=33)
@@ -515,8 +556,11 @@ def test_patch_detector_memory_does_not_grow_with_pixels_times_dim():
         finally:
             tracemalloc.stop()
 
+    # the padded rasters, the score map and the input pair grow by a few
+    # float64 per pixel; a 121-dim float64 stack of either epoch would add
+    # at least 968 bytes per pixel
     small, large = peak(256), peak(1024)
-    assert large < 1.5 * small
+    assert (large - small) / (768 * 128) <= 4 * 8
 
 
 def test_glcm_detector_holds_no_float64_stack():
