@@ -281,8 +281,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         paths = {k: cfg.get(k) for k in ("t0", "t1", "inner", "outer")}
     else:
         raise BadConfig("scene must be a suite name or a path object")
-    for key in ("t0", "t1", "inner"):
-        if not paths.get(key):
+    for key, path in paths.items():
+        if not (path is None or isinstance(path, str)):
+            raise BadConfig(f"run config path {key!r} must be a string, got {path!r}")
+        if not path and key != "outer":
             raise BadConfig(f"run config missing path {key!r}")
 
     pair = make_pair(load_raster(paths["t0"]), load_raster(paths["t1"]))

@@ -31,7 +31,7 @@ def _features(name: str, r: Raster, patch: int, levels: int, offsets) -> Feature
         return PatchWindows(r, patch)
     # glcm-hacd: each epoch is quantized against its own quantiles, so a
     # global monotone intensity change between epochs is already neutralized;
-    # streamed: fit and score divide each tile's integer pair counts
+    # streamed: fit and score divide each row's integer pair counts
     return GlcmCounts(quantize(r, levels), patch, offsets)
 
 

@@ -1,15 +1,13 @@
 """Per-pixel feature extraction: intensities, patches, unordered-pair GLCMs.
 
 Every extractor maps a Raster (or QuantizedRaster) to float64 vectors, one
-per pixel on the same grid.  `identity_features`, `patch_features` and
-`glcm_features` return a FeatureStack, which holds every vector.  Two
-streamed sources hold less: `PatchWindows` keeps only the padded raster and
-cuts the patch vectors one row tile at a time, and `GlcmCounts` keeps the
-integer pair counts and divides one row tile at a time.  All three offer
-``fill(r0, r1, out)``, which is all the HACD tile loop reads.  Two
-``PatchWindows`` of one patch size are scored, and fitted without a mask,
-from ``PatchWindows.row_windows`` alone, so their ``fill`` serves only
-masked fits, mixed patch sizes and ``patch_features``.  Borders are
+per pixel on the same grid.  A feature source offers ``rows()``, which
+yields each output row's (width, dim) vectors in order; that is all the
+HACD fit and score read.  `FeatureStack` holds every vector.  Two streamed
+sources hold less: `PatchWindows` keeps only the padded raster and yields
+strided views of its windows, and `GlcmCounts` keeps the integer pair
+counts and divides one row at a time.  `patch_features` and
+`glcm_features` collect those rows into a FeatureStack.  Borders are
 handled by mirror padding (reflection without repeating the edge sample),
 so the output grid always equals the input grid.
 """
@@ -56,9 +54,8 @@ class FeatureStack:
     def dim(self) -> int:
         return self.data.shape[2]
 
-    def fill(self, r0: int, r1: int, out: np.ndarray) -> None:
-        """Write the vectors of rows r0:r1 into ``out``, shape ((r1-r0)*width, dim)."""
-        out[...] = self.data[r0:r1].reshape(-1, self.dim)
+    def rows(self):
+        return iter(self.data)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,10 +105,7 @@ class PatchWindows:
 
     Holds only the padded raster, never an O(pixels x dim) stack.
     ``row_windows`` exposes the padded rows the patches are cut from, which
-    is all that scoring and an unmasked fit of two same-size sources read.
-    ``fill`` writes the same vectors ``patch_features`` holds, one row tile
-    at a time; it serves ``patch_features``, masked fits and pairs of
-    different patch sizes.
+    is all that an unmasked fit of two same-size sources reads.
     """
 
     def __init__(self, r: Raster, patch: int = DEFAULT_PATCH):
@@ -122,12 +116,24 @@ class PatchWindows:
         self.mean = float(r.data.mean(dtype=np.float64))
         self._padded = np.pad(r.data.astype(np.float64), pad, mode="reflect")
 
-    def fill(self, r0: int, r1: int, out: np.ndarray) -> None:
-        """Write the vectors of rows r0:r1 into ``out``, shape ((r1-r0)*width, dim)."""
-        p = self.patch
-        # output rows r0:r1 read padded rows r0 : r1 + 2*pad
-        windows = np.lib.stride_tricks.sliding_window_view(self._padded[r0 : r1 + p - 1], (p, p))
-        out.reshape(r1 - r0, self.width, p, p, copy=False)[...] = windows
+    def rows(self):
+        """Yield each output row's patch vectors as a (width, p*p) strided view.
+
+        Output rows go in blocks of p.  The windows of a block's (at most
+        2p-1) padded rows are copied once, column-major, into a (width,
+        2p-1, p) buffer, so pixel c's patch at block row t is the p*p
+        contiguous floats ``buf[c, t:t+p]``: a view with unit inner stride,
+        which BLAS reads in place.  Each padded row is copied about twice
+        instead of once per patch row (p times).
+        """
+        h, w, p = self.height, self.width, self.patch
+        windows = self.row_windows()
+        buf = np.empty((w, 2 * p - 1, p))
+        for r0 in range(0, h, p):
+            r1 = min(r0 + p, h)
+            buf[:, : r1 - r0 + p - 1] = windows[r0 : r1 + p - 1].transpose(1, 0, 2)
+            for t in range(r1 - r0):
+                yield buf[:, t : t + p].reshape(w, p * p, copy=False)
 
     def row_windows(self) -> np.ndarray:
         """Read-only (height + patch - 1, width, patch) view: [b, c, j] = padded[b, c + j].
@@ -137,12 +143,17 @@ class PatchWindows:
         return np.lib.stride_tricks.sliding_window_view(self._padded, self.patch, axis=1)
 
 
+def _stack(src) -> FeatureStack:
+    """Every row of the feature source ``src``, collected into a FeatureStack."""
+    data = np.empty((src.height, src.width, src.dim))
+    for r, row in enumerate(src.rows()):
+        data[r] = row
+    return FeatureStack(data)
+
+
 def patch_features(r: Raster, patch: int = DEFAULT_PATCH) -> FeatureStack:
     """Row-major flattening of the mirror-padded patch centered at each pixel."""
-    windows = PatchWindows(r, patch)
-    data = np.empty((r.height, r.width, windows.dim))
-    windows.fill(0, r.height, data.reshape(-1, windows.dim))
-    return FeatureStack(data)
+    return _stack(PatchWindows(r, patch))
 
 
 def quantize(r: Raster, levels: int = DEFAULT_LEVELS) -> QuantizedRaster:
@@ -165,14 +176,13 @@ def quantize(r: Raster, levels: int = DEFAULT_LEVELS) -> QuantizedRaster:
 
 
 class GlcmCounts:
-    """Unordered-pair GLCM counts that are divided into features one row tile at a time.
+    """Unordered-pair GLCM counts that are divided into features one row at a time.
 
     ``counts`` holds every pixel's pair counts as unsigned integers,
-    pixel-major (one row per pixel, pixels in row-major order), shape
-    (height * width, L(L+1)/2), so a row tile is one contiguous block.  Each
-    row sums to ``total``, the number of pairs scanned per pixel.  ``fill``
-    divides a tile by ``total``, which gives the vectors ``glcm_features``
-    holds bit for bit, so fit and score stream them without a float64
+    pixel-major, shape (height * width, L(L+1)/2); each pixel's counts sum
+    to ``total``, the number of pairs scanned per pixel.  ``rows()`` divides
+    one image row of counts by ``total`` into a reused buffer, which gives
+    the vectors ``glcm_features`` holds bit for bit without a float64
     stack.  See ``glcm_features`` for the cells and the arguments.
     """
 
@@ -236,9 +246,11 @@ class GlcmCounts:
         self.counts = counts.reshape(h * w, self.dim)
         self.counts.setflags(write=False)
 
-    def fill(self, r0: int, r1: int, out: np.ndarray) -> None:
-        """Write the vectors of rows r0:r1 into ``out``, shape ((r1-r0)*width, dim)."""
-        np.divide(self.counts[r0 * self.width : r1 * self.width], float(self.total), out=out)
+    def rows(self):
+        buf = np.empty((self.width, self.dim))
+        for row in self.counts.reshape(self.height, self.width, self.dim):
+            np.divide(row, float(self.total), out=buf)
+            yield buf
 
 
 def glcm_features(
@@ -267,7 +279,4 @@ def glcm_features(
         BadPatchSize: even/zero patch or patch too large for the grid.
         BadOffset: empty offset list or an offset that leaves no in-patch pairs.
     """
-    counts = GlcmCounts(q, patch, offsets)
-    data = np.empty((q.height, q.width, counts.dim))
-    counts.fill(0, q.height, data.reshape(-1, counts.dim))
-    return FeatureStack(data)
+    return _stack(GlcmCounts(q, patch, offsets))

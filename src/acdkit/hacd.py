@@ -28,14 +28,12 @@ marginal covariances and cross-covariance diag(rho).  Then
 which costs n * (d_x + d_y) * min(d_x, d_y) multiply-adds for n pixels
 instead of the n * (d_x + d_y)^2 of z' Q z.
 
-Fitting takes the mean and covariance of the [x | y] vectors in one pass.
-Patch vectors of neighbouring pixels overlap, so an unmasked fit of two
-patch sources sums products of padded-row windows once per row and reads
-every patch-row block of the scatter off those sums; any other fit merges
-the moments of row tiles.  Scoring two patch sources copies each block of
-p output rows' padded-row windows once and hands every pixel's patch to
-the canonical-variate GEMMs as a strided view of that copy, so it cuts no
-patch vectors; any other pair is scored one row tile at a time.
+Fit and score read the feature sources one image row at a time through
+``rows()`` (see `acdkit.features`).  The fit merges each row's moments into
+running totals.  Patch vectors of neighbouring pixels overlap, so an
+unmasked fit of two patch sources of one size instead sums products of
+padded-row windows once per row and reads every patch-row block of the
+scatter off those sums.
 """
 
 from __future__ import annotations
@@ -48,14 +46,6 @@ import numpy as np
 from .errors import DimensionMismatch, FormatError, GridMismatch, SingularCovariance
 from .features import FeatureStack, GlcmCounts, PatchWindows
 from .raster import CoregisteredPair, read_json, write_text
-
-# Scoring and the tile-merging fit of every pair but two same-size patch
-# sources share one loop over row tiles, taken in ascending order.  Each
-# tile's [x | y] vectors are written into one reused float64 buffer of at
-# most TILE_BYTES (at least one row), about one core's L2 cache, so the
-# fill, the GEMM and the reductions over a tile stay in cache and the
-# working memory does not grow with the image.
-TILE_BYTES = 2 << 20
 
 DEFAULT_RIDGE_SCALE = 1e-6
 
@@ -200,32 +190,6 @@ def _check_grids(x: Features, y: Features) -> None:
         )
 
 
-def _same_patch(x: Features, y: Features) -> bool:
-    """True when both sources are PatchWindows of one patch size.
-
-    Such a pair is fitted (unmasked) and scored straight from the padded
-    rows' windows; every other pair goes through ``_tiles``.
-    """
-    return (isinstance(x, PatchWindows) and isinstance(y, PatchWindows)
-            and x.patch == y.patch)
-
-
-def _tiles(x: Features, y: Features):
-    """Yield (r0, r1, z) with z the [x | y] vectors of rows r0:r1, one per pixel.
-
-    Every z is a view of one reused buffer: callers may change it in place
-    but must be done with it before asking for the next tile.
-    """
-    rows = max(1, TILE_BYTES // (8 * x.width * (x.dim + y.dim)))
-    buf = np.empty((min(rows, x.height) * x.width, x.dim + y.dim))
-    for r0 in range(0, x.height, rows):
-        r1 = min(r0 + rows, x.height)
-        z = buf[: (r1 - r0) * x.width]
-        x.fill(r0, r1, z[:, : x.dim])
-        y.fill(r0, r1, z[:, x.dim :])
-        yield r0, r1, z
-
-
 def fit_hacd(
     x: Features,
     y: Features,
@@ -244,7 +208,7 @@ def fit_hacd(
 
     Without a mask, two PatchWindows of one patch size are fitted from
     running sums over the padded rows (``_patch_moments``); every other fit
-    merges the moments of row tiles (``_tile_moments``).  Both take one pass
+    merges the moments of each row (``_row_moments``).  Both take one pass
     and agree to rounding.
 
     Raises GridMismatch when the stacks disagree and SingularCovariance
@@ -260,22 +224,23 @@ def fit_hacd(
                 f"fit mask shape {fit_mask.shape} does not match grid "
                 f"{x.height}x{x.width}"
             )
-    if fit_mask is None and _same_patch(x, y):
+    patches = isinstance(x, PatchWindows) and isinstance(y, PatchWindows)
+    if fit_mask is None and patches and x.patch == y.patch:
         n, mean, scatter = _patch_moments(x, y)
     else:
-        n, mean, scatter = _tile_moments(x, y, fit_mask)
+        n, mean, scatter = _row_moments(x, y, fit_mask)
     cov = scatter / n
 
     eps = DEFAULT_RIDGE_SCALE * float(np.trace(cov)) / d if ridge is None else float(ridge)
     return HacdModel.from_covariance(mean[: x.dim], mean[x.dim :], cov, ridge=eps)
 
 
-def _tile_moments(x: Features, y: Features, fit_mask: np.ndarray | None):
-    """(count, mean, centered scatter) of the [x | y] vectors, one pass over tiles.
+def _row_moments(x: Features, y: Features, fit_mask: np.ndarray | None):
+    """(count, mean, centered scatter) of the [x | y] vectors, one pass over rows.
 
-    Each tile's (count, mean, centered scatter) is merged into the running
-    totals in tile order with the pairwise update of Chan, Golub & LeVeque
-    (1983).  Moments are taken about the first tile's mean, so a common
+    Each row's (count, mean, centered scatter) is merged into the running
+    totals in row order with the pairwise update of Chan, Golub & LeVeque
+    (1983).  Moments are taken about the first row's mean, so a common
     offset that is large against the spread costs no digits.
     """
     d = x.dim + y.dim
@@ -283,18 +248,20 @@ def _tile_moments(x: Features, y: Features, fit_mask: np.ndarray | None):
     shift = None
     mean = np.zeros(d)
     scatter = np.zeros((d, d))
-    for r0, r1, z in _tiles(x, y):
-        if fit_mask is not None:
-            z = z[fit_mask[r0:r1].ravel()]
+    buf = np.empty((x.width, d))
+    for r, (xs, ys) in enumerate(zip(x.rows(), y.rows(), strict=True)):
+        buf[:, : x.dim] = xs
+        buf[:, x.dim :] = ys
+        z = buf if fit_mask is None else buf[fit_mask[r]]
         m = z.shape[0]
         if m == 0:
             continue
         if shift is None:
             shift = z.mean(axis=0)
         z -= shift
-        tile_mean = z.mean(axis=0)
-        z -= tile_mean
-        delta = tile_mean - mean
+        row_mean = z.mean(axis=0)
+        z -= row_mean
+        delta = row_mean - mean
         scatter += z.T @ z
         scatter += np.outer(delta, delta) * (n * m / (n + m))
         mean += delta * (m / (n + m))
@@ -315,7 +282,7 @@ def _patch_moments(x: PatchWindows, y: PatchWindows):
     running sums of W_a' W_{a+k} (k < p) and of W_a's column sums; each
     block i (and its mean) is the running sum after row h+i-1 less the one
     after row i-1.  That is 2p*d multiply-adds per pixel instead of the
-    tile loop's d*d/2, with a ring of the last p rows' windows as the only
+    row merge's d*d/2, with a ring of the last p rows' windows as the only
     buffer.  Each epoch's windows are taken about its raster mean, so a
     large common offset costs no digits.
     """
@@ -343,7 +310,9 @@ def _patch_moments(x: PatchWindows, y: PatchWindows):
         if a + p - 1 < rows:
             enter(a + p - 1)
         lead = ring[:, a % p].reshape(w, 2 * p)
-        slots = (lead.T @ ring.reshape(w, 2 * p * p)).reshape(2 * p, p, 2 * p)
+        # ring' lead, not lead' ring: on OpenBLAS 0.3.31 only this form
+        # gives the same bits at one and two threads
+        slots = (ring.reshape(w, 2 * p * p).T @ lead).T.reshape(2 * p, p, 2 * p)
         gram += slots[:, (a + np.arange(p)) % p]
         total += ones @ lead  # a GEMV: lead.sum(axis=0) is slower on this strided view
         # gram and total now cover rows 0..a
@@ -401,36 +370,12 @@ def hacd_score(m: HacdModel, x: np.ndarray, y: np.ndarray) -> float:
     return float(_scorer(m)(x[None, :], y[None, :])[0])
 
 
-def _patch_rows(x: PatchWindows, y: PatchWindows):
-    """Yield (r, xs, ys): the patch vectors of output row r, as (width, p*p) views.
-
-    Output rows go in blocks of p.  The windows of a block's (at most 2p-1)
-    padded rows are copied once, column-major, into a (width, 2p-1, p)
-    buffer per epoch, so pixel c's patch at block row t is the p*p
-    contiguous floats ``buf[c, t:t+p]``: the row's vectors are a strided
-    view with unit inner stride, which BLAS reads in place.  Each padded row
-    is copied about twice instead of once per patch row (p times).  The
-    views share the buffers, so the caller must be done with them before
-    asking for the next row.
-    """
-    h, w, p = x.height, x.width, x.patch
-    windows = (x.row_windows(), y.row_windows())
-    buf = np.empty((2, w, 2 * p - 1, p))
-    for r0 in range(0, h, p):
-        r1 = min(r0 + p, h)
-        for e in (0, 1):
-            buf[e, :, : r1 - r0 + p - 1] = windows[e][r0 : r1 + p - 1].transpose(1, 0, 2)
-        for t in range(r1 - r0):
-            block = buf[:, :, t : t + p].reshape(2, w, p * p, copy=False)
-            yield r0 + t, block[0], block[1]
-
-
 def score_map(m: HacdModel, x: Features, y: Features) -> AnomalyMap:
     """Apply hacd_score at every pixel of a co-registered feature pair.
 
-    ``x`` and ``y`` are feature sources, as for fit_hacd.  Two PatchWindows
-    of one patch size are scored from views of their padded rows' windows
-    (``_patch_rows``); every other pair from row tiles (``_tiles``).
+    ``x`` and ``y`` are feature sources, as for fit_hacd; each row's
+    vectors go to the score GEMMs as the sources yield them, so patch
+    vectors are read in place from strided views.
     """
     _check_grids(x, y)
     if x.dim != m.d_x or y.dim != m.d_y:
@@ -439,12 +384,8 @@ def score_map(m: HacdModel, x: Features, y: Features) -> AnomalyMap:
         )
     score = _scorer(m)
     out = np.empty((x.height, x.width))
-    if _same_patch(x, y):
-        for r, xs, ys in _patch_rows(x, y):
-            out[r] = score(xs, ys)
-    else:
-        for r0, r1, z in _tiles(x, y):
-            out[r0:r1] = score(z[:, : x.dim], z[:, x.dim :]).reshape(r1 - r0, x.width)
+    for r, (xs, ys) in enumerate(zip(x.rows(), y.rows(), strict=True)):
+        out[r] = score(xs, ys)
     return AnomalyMap(out)
 
 

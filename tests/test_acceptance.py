@@ -5,9 +5,13 @@ report lines.
 """
 
 import hashlib
+import json
 import math
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,8 +177,6 @@ def _artifact_digest(tmp_path, tag):
     """Synth a small scene, detect, eval; return digests of every artifact."""
     scene_cfg = str(tmp_path / "cfg.json")
     if not os.path.exists(scene_cfg):
-        import json
-
         with open(scene_cfg, "w") as fh:
             json.dump({"width": 64, "height": 64, "seed": 7,
                        "anomaly_rect": [20, 20, 18, 16],
@@ -192,6 +194,10 @@ def _artifact_digest(tmp_path, tag):
                      "--inner", os.path.join(scene_dir, "inner"),
                      "--outer", os.path.join(scene_dir, "outer"),
                      "--out", ev_dir]) == 0
+    return _tree_digest(out)
+
+
+def _tree_digest(out):
     digests = {}
     for root, _, files in os.walk(out):
         for f in sorted(files):
@@ -208,6 +214,38 @@ def test_criterion_7_determinism_across_runs_and_threads(tmp_path):
     _report(7, "bitwise determinism across runs",
             same and len(results[0]) >= 10,
             f"{len(results[0])} artifacts x 4 runs, types={kinds}")
+
+
+def test_criterion_7_determinism_across_blas_thread_counts(tmp_path):
+    # `acdkit run` with every detector in child processes whose BLAS runs on
+    # one and on two threads; at 192x192 the patch GEMMs are wide enough
+    # for OpenBLAS to split them across threads
+    with open(tmp_path / "scene.json", "w") as fh:
+        json.dump({"width": 192, "height": 192, "seed": 7,
+                   "anomaly_rect": [70, 60, 40, 32],
+                   "anomaly_texture_gain": 2.5, "noise_sigma": 0.15}, fh)
+    scene_dir = str(tmp_path / "scene")
+    assert cli_main(["synth", "--config", str(tmp_path / "scene.json"),
+                     "--out", scene_dir]) == 0
+    with open(tmp_path / "run.json", "w") as fh:
+        json.dump({"scene": {k: os.path.join(scene_dir, k)
+                             for k in ("t0", "t1", "inner", "outer")},
+                   "detectors": list(acdkit.DETECTOR_NAMES)}, fh)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    results = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = str(tmp_path / f"threads-{threads}")
+        proc = subprocess.run([sys.executable, "-m", "acdkit.cli", "run",
+                               str(tmp_path / "run.json"), "--out", out],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        results[threads] = _tree_digest(out)
+    differ = sorted(k for k in results["1"] if results["1"][k] != results["2"].get(k))
+    _report(7, "bitwise determinism across BLAS thread counts",
+            results["1"] == results["2"] and len(results["1"]) >= 20,
+            f"{len(results['1'])} artifacts at 1 and 2 threads, differing={differ}")
 
 
 def test_criterion_8_invertible_transform_invariance():

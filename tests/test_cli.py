@@ -329,6 +329,20 @@ def test_run_refuses_a_detector_listed_twice(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("in_scene", [True, False], ids=["scene-object", "top-level"])
+@pytest.mark.parametrize("key", ["t0", "outer"])
+def test_run_refuses_a_path_that_is_not_a_string(tmp_path, capsys, in_scene, key):
+    paths = _write_scene_files(tmp_path, side=16)
+    paths[key] = 5
+    cfg = {"scene": paths} if in_scene else dict(paths)
+    cfg_path = str(tmp_path / "r.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({**cfg, "detectors": ["diff"], "out": str(tmp_path / "o")}, fh)
+    assert main(["run", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert "error BadConfig" in err and repr(key) in err and "Traceback" not in err
+
+
 def test_convert_round_trip(tmp_path):
     r = Raster((np.arange(12, dtype=np.float32).reshape(3, 4) / 7.0))
     base = str(tmp_path / "r")

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import acdkit.hacd
 from acdkit import (
     BadConfig,
     Raster,
@@ -36,23 +35,20 @@ def test_hacd_is_identity_feature_composition():
     assert np.array_equal(model.cov, m.cov)
 
 
-def test_glcm_detector_quantizes_each_epoch_separately(monkeypatch):
+def test_glcm_detector_quantizes_each_epoch_separately():
     # GLCM vectors sum to 1, so their covariance is singular by construction
     # and the default trace-scaled ridge must carry the fit.  The detector
     # streams integer counts; the model and scores must equal, bit for bit,
-    # those fitted on the float64 stacks glcm_features returns, in one tile
-    # and in 3-row tiles.
+    # those fitted on the float64 stacks glcm_features returns.
     pair = _pair()
     fx = glcm_features(quantize(pair.t0, 4), 7)
     fy = glcm_features(quantize(pair.t1, 4), 7)
-    for tile_bytes in (acdkit.hacd.TILE_BYTES, 3 * 8 * 40 * (fx.dim + fy.dim)):
-        monkeypatch.setattr(acdkit.hacd, "TILE_BYTES", tile_bytes)
-        amap, model = run_detector("glcm-hacd", pair, patch=7, levels=4)
-        m = fit_hacd(fx, fy)
-        assert model.cov.tobytes() == m.cov.tobytes()
-        assert model.mean_x.tobytes() == m.mean_x.tobytes()
-        assert model.mean_y.tobytes() == m.mean_y.tobytes()
-        assert amap.scores.tobytes() == score_map(m, fx, fy).scores.tobytes()
+    amap, model = run_detector("glcm-hacd", pair, patch=7, levels=4)
+    m = fit_hacd(fx, fy)
+    assert model.cov.tobytes() == m.cov.tobytes()
+    assert model.mean_x.tobytes() == m.mean_x.tobytes()
+    assert model.mean_y.tobytes() == m.mean_y.tobytes()
+    assert amap.scores.tobytes() == score_map(m, fx, fy).scores.tobytes()
 
 
 def test_diff_has_no_model():

@@ -15,7 +15,7 @@ from acdkit import (
     quantize,
     run_detector,
 )
-from acdkit.features import DEFAULT_OFFSETS, GlcmCounts
+from acdkit.features import DEFAULT_OFFSETS, GlcmCounts, PatchWindows
 
 
 def _raster(a):
@@ -236,30 +236,51 @@ def test_glcm_equals_folded_reference_property(data):
     _assert_folded_reference(q, patch, offsets)
 
 
+def _oracle_stack(kind, r, q, patch, offsets):
+    """The whole (h, w, dim) stack of one source kind, built without rows()."""
+    if kind == "identity":
+        return r.data.astype(np.float64)[:, :, np.newaxis]
+    if kind == "patch":
+        padded = np.pad(r.data.astype(np.float64), (patch - 1) // 2, mode="reflect")
+        windows = np.lib.stride_tricks.sliding_window_view(padded, (patch, patch))
+        return windows.reshape(r.height, r.width, patch * patch)
+    return _fold(_glcm_reference(q, patch, offsets))
+
+
+@pytest.mark.parametrize("kind", ["identity", "patch", "glcm"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_glcm_counts_fill_equals_feature_rows_property(data):
-    # any row range of the streamed source equals those rows of the stack
-    h = data.draw(st.integers(1, 9), label="h")
-    w = data.draw(st.integers(1, 9), label="w")
+def test_rows_equal_feature_stack_rows_property(kind, data):
+    # heights start at the mirror-padding minimum (patch + 1) / 2, below one
+    # block of patch rows, and reach three blocks with a ragged last one
+    patch = data.draw(st.sampled_from([1, 3, 5, 7]), label="patch")
+    h = data.draw(st.integers((patch + 1) // 2, 3 * patch + 2), label="h")
+    w = data.draw(st.integers((patch + 1) // 2, 8), label="w")
     levels = data.draw(st.integers(1, 8), label="levels")
-    patch = data.draw(st.sampled_from(range(1, 2 * min(h, w), 2)), label="patch")
     comp = st.integers(-(patch - 1), patch - 1)
     offsets = tuple(data.draw(st.lists(st.tuples(comp, comp), min_size=1, max_size=4),
                               label="offsets"))
     cells = data.draw(st.lists(st.integers(0, levels - 1), min_size=h * w, max_size=h * w),
                       label="levels map")
-    r0 = data.draw(st.integers(0, h - 1), label="r0")
-    r1 = data.draw(st.integers(r0 + 1, h), label="r1")
     q = QuantizedRaster(levels, np.array(cells, dtype=np.int32).reshape(h, w))
-    src = GlcmCounts(q, patch, offsets)
-    assert src.counts.dtype == np.uint16
-    assert src.counts.shape == (h * w, levels * (levels + 1) // 2)
-    assert np.all(src.counts.sum(axis=1) == src.total)
-    out = np.full(((r1 - r0) * w, src.dim), np.nan)
-    src.fill(r0, r1, out)
-    expect = glcm_features(q, patch, offsets).data[r0:r1].reshape(-1, src.dim)
-    assert out.tobytes() == expect.tobytes()
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    r = _raster(np.random.default_rng(seed).normal(size=(h, w)))
+    if kind == "identity":
+        src = stack = identity_features(r)
+    elif kind == "patch":
+        src, stack = PatchWindows(r, patch), patch_features(r, patch)
+    else:
+        src, stack = GlcmCounts(q, patch, offsets), glcm_features(q, patch, offsets)
+        assert src.counts.dtype == np.uint16
+        assert src.counts.shape == (h * w, levels * (levels + 1) // 2)
+        assert np.all(src.counts.sum(axis=1) == src.total)
+    # each row is only valid until the next one is asked for, so copy it
+    rows = [np.array(row) for row in src.rows()]
+    expect = _oracle_stack(kind, r, q, patch, offsets)
+    assert len(rows) == h
+    assert all(row.shape == (w, src.dim) for row in rows)
+    assert np.stack(rows).tobytes() == expect.tobytes()
+    assert stack.data.tobytes() == expect.tobytes()
 
 
 def test_glcm_counts_wider_than_uint16():
@@ -271,10 +292,9 @@ def test_glcm_counts_wider_than_uint16():
     assert src.total == 65792
     assert src.counts.dtype == np.uint32
     assert np.all(src.counts.sum(axis=1) == src.total)
-    out = np.empty((3 * 65, src.dim))
-    src.fill(31, 34, out)
-    expect = _fold(_glcm_reference(q, 129, DEFAULT_OFFSETS))[31:34].reshape(-1, src.dim)
-    assert out.tobytes() == expect.tobytes()
+    rows = np.stack([np.array(row) for row in src.rows()][31:34])
+    expect = _fold(_glcm_reference(q, 129, DEFAULT_OFFSETS))[31:34]
+    assert rows.tobytes() == expect.tobytes()
     # a constant map puts every pair in cell {0, 0}
     flat = GlcmCounts(QuantizedRaster(2, np.zeros((65, 65), np.int32)), 129)
     assert np.all(flat.counts[:, 0] == 65792) and not flat.counts[:, 1:].any()

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
+import acdkit.features
 import acdkit.hacd
 from acdkit import (
     DETECTOR_NAMES,
@@ -370,42 +371,27 @@ def _assert_close_scores(got, want):
     assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
-# joint feature dim d_x + d_y of each detector at patch 5, levels 4
-_JOINT_DIM = {"diff": 2, "hacd": 2, "patch-hacd": 2 * 5 * 5, "glcm-hacd": 2 * 4 * 5 // 2}
-
-
-def _set_tile_pixels(monkeypatch, name, tile_pixels):
-    """Patch TILE_BYTES to the buffer of ``tile_pixels`` of this detector's vectors."""
-    monkeypatch.setattr(acdkit.hacd, "TILE_BYTES", tile_pixels * 8 * _JOINT_DIM[name])
-
-
 @pytest.mark.parametrize("name", DETECTOR_NAMES)
 @pytest.mark.parametrize(
-    "shape, tile_pixels",
+    "shape",
     [
-        ((23, 17), 5 * 17 + 3),  # 5-row tiles; the last tile has 3 rows
-        # width None: one row is 5 pixels wider than the default TILE_BYTES
-        # holds, so every tile is a single row
-        ((3, None), None),
+        # explicit ids: the ids these cases had when they also set a tile size
+        pytest.param((23, 17), id="shape0-88"),  # four blocks of 5 patch rows and a ragged one
+        pytest.param((3, 1000), id="shape1-None"),  # wide, and fewer rows than one patch
     ],
 )
-def test_streamed_detector_matches_materialised_reference(name, shape, tile_pixels, monkeypatch):
-    if tile_pixels is not None:
-        _set_tile_pixels(monkeypatch, name, tile_pixels)
+def test_streamed_detector_matches_materialised_reference(name, shape):
     height, width = shape
-    if width is None:
-        width = acdkit.hacd.TILE_BYTES // (8 * _JOINT_DIM[name]) + 5
     pair = _textured_pair(height, width)
     amap, _ = run_detector(name, pair, patch=5, levels=4)
     _assert_close_scores(amap.scores, _reference_run(name, pair, 5, 4))
 
 
 @pytest.mark.parametrize("name", DETECTOR_NAMES[1:])
-def test_streamed_fit_mask_matches_materialised_reference(name, monkeypatch):
-    _set_tile_pixels(monkeypatch, name, 4 * 17)  # 4-row tiles
+def test_streamed_fit_mask_matches_materialised_reference(name):
     pair = _textured_pair(23, 17, seed=31)
     mask = np.random.default_rng(32).random((23, 17)) < 0.6
-    mask[4:8] = False  # one whole tile contributes no pixels
+    mask[4:8] = False  # four whole rows contribute no pixels
     amap, _ = run_detector(name, pair, patch=5, levels=4, fit_mask=mask)
     _assert_close_scores(amap.scores, _reference_run(name, pair, 5, 4, fit_mask=mask))
     with pytest.raises(SingularCovariance):
@@ -419,16 +405,13 @@ def test_streamed_fit_mask_matches_materialised_reference(name, monkeypatch):
     width=st.integers(1, 9),
     dx=st.integers(1, 3),
     dy=st.integers(1, 3),
-    tile_pixels=st.integers(1, 40),
 )
-def test_merged_tile_moments_match_numpy_cov(seed, height, width, dx, dy, tile_pixels):
+def test_merged_tile_moments_match_numpy_cov(seed, height, width, dx, dy):
     # a large common offset is where a naive sum-of-squares update loses digits
     rng = np.random.default_rng(seed)
     x = 1e4 + rng.normal(size=(height, width, dx))
     y = 1e4 + rng.normal(size=(height, width, dy)) + 0.5 * x[:, :, :1]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(acdkit.hacd, "TILE_BYTES", tile_pixels * 8 * (dx + dy))
-        m = fit_hacd(_stack(x), _stack(y), ridge=1.0)
+    m = fit_hacd(_stack(x), _stack(y), ridge=1.0)
     z = np.concatenate([x.reshape(-1, dx), y.reshape(-1, dy)], axis=1)
     np.testing.assert_allclose(
         np.concatenate([m.mean_x, m.mean_y]), z.mean(axis=0), rtol=1e-12, atol=0
@@ -444,10 +427,8 @@ def test_merged_tile_moments_match_numpy_cov(seed, height, width, dx, dy, tile_p
     width=st.integers(1, 7),
     dx=st.integers(1, 4),
     dy=st.integers(1, 4),
-    tile_rows=st.integers(1, 9),
 )
-def test_canonical_scores_match_explicit_q_form(seed, height, width, dx, dy, tile_rows):
-    # tile_rows 1 gives one-row tiles; any other value below height a ragged last tile
+def test_canonical_scores_match_explicit_q_form(seed, height, width, dx, dy):
     rng = np.random.default_rng(seed)
     d = dx + dy
     a = rng.normal(size=(d, d))
@@ -456,10 +437,8 @@ def test_canonical_scores_match_explicit_q_form(seed, height, width, dx, dy, til
     m = HacdModel(mean[:dx], mean[dx:], cov)
     z = mean + 3.0 * rng.normal(size=(height * width, d))
     want = _explicit_q_scores(cov, mean, dx, z)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(acdkit.hacd, "TILE_BYTES", tile_rows * 8 * width * d)
-        got = score_map(m, _stack(z[:, :dx].reshape(height, width, dx)),
-                        _stack(z[:, dx:].reshape(height, width, dy))).scores.ravel()
+    got = score_map(m, _stack(z[:, :dx].reshape(height, width, dx)),
+                    _stack(z[:, dx:].reshape(height, width, dy))).scores.ravel()
     scale = np.max(np.abs(want))
     assert np.max(np.abs(got - want)) <= 1e-9 * scale
     for i in (0, z.shape[0] - 1):
@@ -526,12 +505,12 @@ def test_patch_window_scores_match_stack_scores(seed, patch, extra_rows, extra_c
 
 
 def test_unmasked_patch_detector_cuts_no_patches(monkeypatch):
-    def refuse(self, r0, r1, out):
-        raise AssertionError("PatchWindows.fill called")
+    def refuse(src):
+        raise AssertionError("a feature stack was built")
 
     pair = _textured_pair(40, 23, seed=36)
     want = _reference_run("patch-hacd", pair, 5, 4)
-    monkeypatch.setattr(PatchWindows, "fill", refuse)
+    monkeypatch.setattr(acdkit.features, "_stack", refuse)
     amap, _ = run_detector("patch-hacd", pair, patch=5)
     _assert_close_scores(amap.scores, want)
 
