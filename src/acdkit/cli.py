@@ -51,19 +51,17 @@ from .synth import (
     scene_suite,
 )
 
-_DETECT_DEFAULTS = {
-    "detector": None,
+_DEFAULTS = {
     "patch": DEFAULT_PATCH,
     "glcm_levels": DEFAULT_LEVELS,
     "glcm_offsets": [list(o) for o in DEFAULT_OFFSETS],
-    "ridge": None,
     "roc_fpr_max": DEFAULT_FPR_MAX,
-    "t0": None,
-    "t1": None,
-    "inner": None,
-    "outer": None,
-    "out": None,
 }
+# the config keys each command reads
+_DETECT_KEYS = {"detector", "patch", "glcm_levels", "glcm_offsets", "ridge", "t0", "t1", "out"}
+_RUN_KEYS = (_DETECT_KEYS - {"detector"}) | {
+    "roc_fpr_max", "inner", "outer", "detectors", "scene", "seed"}
+_SCENE_PATHS = ("t0", "t1", "inner", "outer")
 
 
 def _parse_offsets(text: str) -> list[list[int]]:
@@ -112,15 +110,28 @@ def _number(key: str, value):
 def _options(config: dict, flags: dict) -> dict:
     """Defaults < config < flags (None means unset), converted and checked
     once, so a bad flag and a bad config field fail alike."""
-    cfg = dict(_DETECT_DEFAULTS)
+    cfg = dict(_DEFAULTS)
     cfg.update((k, v) for src in (config, flags) for k, v in src.items() if v is not None)
-    cfg.update((k, _number(k, cfg[k])) for k in _NUMBERS if cfg.get(k) is not None)
+    cfg.update((k, _number(k, cfg[k])) for k in _NUMBERS if k in cfg)
     cfg["glcm_offsets"] = _offset_pairs(cfg["glcm_offsets"])
+    for key in (*_SCENE_PATHS, "out"):
+        if not isinstance(cfg.get(key, ""), str):
+            raise BadConfig(f"path {key!r} must be a string, got {cfg[key]!r}")
+    if not isinstance(cfg.get("scene", ""), (str, dict)):
+        raise BadConfig("scene must be a suite name or a path object")
+    if "detectors" in cfg and not (isinstance(cfg["detectors"], list) and cfg["detectors"]):
+        raise BadConfig(f"detectors must be a non-empty list, got {cfg['detectors']!r}")
+    names = cfg.get("detectors", []) + ([cfg["detector"]] if "detector" in cfg else [])
+    for i, name in enumerate(names):
+        if name not in DETECTOR_NAMES:
+            raise BadConfig(f"unknown detector {name!r}, expected one of {DETECTOR_NAMES}")
+        if name in names[:i]:
+            raise BadConfig(f"detector {name!r} is listed more than once")
     return cfg
 
 
 def _require(cfg: dict, key: str) -> object:
-    if cfg.get(key) is None:
+    if not cfg.get(key):
         raise BadConfig(f"required option {key!r} missing (flag or config)")
     return cfg[key]
 
@@ -155,7 +166,7 @@ def _detect_pair(cfg: dict, pair: CoregisteredPair, out_dir: str) -> str:
         patch=cfg["patch"],
         levels=cfg["glcm_levels"],
         offsets=cfg["glcm_offsets"],
-        ridge=cfg["ridge"],
+        ridge=cfg.get("ridge"),
     )
     make_dir(out_dir)
     map_base = os.path.join(out_dir, "anomaly")
@@ -165,16 +176,8 @@ def _detect_pair(cfg: dict, pair: CoregisteredPair, out_dir: str) -> str:
     return map_base
 
 
-def _detect(cfg: dict, out_dir: str) -> None:
-    detector = _require(cfg, "detector")
-    if detector not in DETECTOR_NAMES:
-        raise BadConfig(f"unknown detector {detector!r}, expected one of {DETECTOR_NAMES}")
-    pair = make_pair(load_raster(str(_require(cfg, "t0"))), load_raster(str(_require(cfg, "t1"))))
-    _detect_pair(cfg, pair, out_dir)
-
-
 def cmd_detect(args: argparse.Namespace) -> int:
-    config = read_json(args.config, BadConfig, _DETECT_DEFAULTS) if args.config else {}
+    config = read_json(args.config, BadConfig, _DETECT_KEYS) if args.config else {}
     flags = {
         "detector": args.detector,
         "patch": args.patch,
@@ -186,7 +189,10 @@ def cmd_detect(args: argparse.Namespace) -> int:
         "out": args.out,
     }
     cfg = _options(config, flags)
-    _detect(cfg, str(_require(cfg, "out")))
+    out_dir = _require(cfg, "out")
+    _require(cfg, "detector")
+    pair = make_pair(load_raster(_require(cfg, "t0")), load_raster(_require(cfg, "t1")))
+    _detect_pair(cfg, pair, out_dir)
     return 0
 
 
@@ -209,7 +215,7 @@ def _eval_one(amap: AnomalyMap, gt, fpr_max: float, name: str, out_dir: str) -> 
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    fpr_max = _number("roc_fpr_max", args.fpr_max)
+    fpr_max = _options({}, {"roc_fpr_max": args.fpr_max})["roc_fpr_max"]
     amap = _load_map(args.map)
     gt = load_ground_truth(args.inner, args.outer, (amap.width, amap.height))
     name = _base_path(os.path.basename(os.path.normpath(args.map)))
@@ -248,47 +254,33 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-_RUN_KEYS = set(_DETECT_DEFAULTS) | {"detectors", "scene", "seed"}
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     config = read_json(args.config, BadConfig, _RUN_KEYS)
-    cfg = _options(config, {"out": args.out})
-    out_dir = str(_require(cfg, "out"))
-    detectors = config.get("detectors")
-    if not detectors or not isinstance(detectors, list):
-        raise BadConfig("run config must list one or more detectors")
-    for i, d in enumerate(detectors):
-        if d not in DETECTOR_NAMES:
-            raise BadConfig(f"unknown detector {d!r}, expected one of {DETECTOR_NAMES}")
-        if d in detectors[:i]:
-            raise BadConfig(f"detector {d!r} is listed more than once")
+    # a scene path object gives the same keys as the top level
+    paths = config.get("scene") if isinstance(config.get("scene"), dict) else {}
+    if unknown := set(paths) - set(_SCENE_PATHS):
+        raise BadConfig(f"unknown scene path keys {sorted(unknown)}")
+    cfg = _options({**config, **paths}, {"out": args.out})
+    if clash := set(paths) & set(config):
+        raise BadConfig(f"paths {sorted(clash)} are both in the scene object and at the top level")
+    suite = isinstance(cfg.get("scene"), str)
+    if suite and (clash := set(_SCENE_PATHS) & set(cfg)):
+        raise BadConfig(f"paths {sorted(clash)} are given beside a suite scene name")
+    if not suite and "seed" in cfg:
+        raise BadConfig("'seed' applies only to a suite scene name, not to scene paths")
+    out_dir = _require(cfg, "out")
+    detectors = _require(cfg, "detectors")
 
-    scene = config.get("scene")
-    if isinstance(scene, str):
-        scene_cfg = _resolve_scene_config(scene, None)
-        if cfg.get("seed") is not None:
+    if suite:
+        scene_cfg = _resolve_scene_config(cfg["scene"], None)
+        if "seed" in cfg:
             scene_cfg = dataclasses.replace(scene_cfg, seed=cfg["seed"])
         scene_dir = os.path.join(out_dir, "scene")
         _write_scene(scene_cfg, scene_dir)
-        paths = {k: os.path.join(scene_dir, k) for k in ("t0", "t1", "inner", "outer")}
-    elif isinstance(scene, dict):
-        unknown = set(scene) - {"t0", "t1", "inner", "outer"}
-        if unknown:
-            raise BadConfig(f"unknown scene path keys {sorted(unknown)}")
-        paths = {k: scene.get(k) for k in ("t0", "t1", "inner", "outer")}
-    elif scene is None:
-        paths = {k: cfg.get(k) for k in ("t0", "t1", "inner", "outer")}
-    else:
-        raise BadConfig("scene must be a suite name or a path object")
-    for key, path in paths.items():
-        if not (path is None or isinstance(path, str)):
-            raise BadConfig(f"run config path {key!r} must be a string, got {path!r}")
-        if not path and key != "outer":
-            raise BadConfig(f"run config missing path {key!r}")
-
-    pair = make_pair(load_raster(paths["t0"]), load_raster(paths["t1"]))
-    gt = load_ground_truth(paths["inner"], paths.get("outer"), (pair.t0.width, pair.t0.height))
+        cfg.update((k, os.path.join(scene_dir, k)) for k in _SCENE_PATHS)
+    pair = make_pair(load_raster(_require(cfg, "t0")), load_raster(_require(cfg, "t1")))
+    gt = load_ground_truth(_require(cfg, "inner"), cfg.get("outer"),
+                           (pair.t0.width, pair.t0.height))
 
     bands = {}
     rows = []

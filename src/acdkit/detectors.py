@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import BadConfig
 from .features import (  # noqa: F401  glcm/patch_features: bench/spans.py traces them here
     DEFAULT_LEVELS,
@@ -26,8 +24,8 @@ def _features(name: str, r: Raster, patch: int, levels: int, offsets) -> Feature
     if name == "hacd":
         return identity_features(r)
     if name == "patch-hacd":
-        # streamed: scoring and the (unmasked) fit read only the padded
-        # rows' windows and cut no patch vectors
+        # streamed: fit and score read only the padded rows' windows and
+        # cut no patch vectors
         return PatchWindows(r, patch)
     # glcm-hacd: each epoch is quantized against its own quantiles, so a
     # global monotone intensity change between epochs is already neutralized;
@@ -42,7 +40,6 @@ def run_detector(
     levels: int = DEFAULT_LEVELS,
     offsets: tuple[tuple[int, int], ...] = DEFAULT_OFFSETS,
     ridge: float | None = None,
-    fit_mask: np.ndarray | None = None,
 ) -> tuple[AnomalyMap, HacdModel | None]:
     """Run one named detector; HACD variants also return the fitted model.
 
@@ -54,5 +51,5 @@ def run_detector(
         raise BadConfig(f"unknown detector {name!r}, expected one of {DETECTOR_NAMES}")
     fx = _features(name, pair.t0, patch, levels, offsets)
     fy = _features(name, pair.t1, patch, levels, offsets)
-    model = fit_hacd(fx, fy, ridge=ridge, fit_mask=fit_mask)
+    model = fit_hacd(fx, fy, ridge=ridge)
     return score_map(model, fx, fy), model

@@ -10,6 +10,7 @@ the unknown exact truth.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
@@ -197,16 +198,15 @@ def _polyline_points(
     return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs.tolist(), ys.tolist()))
 
 
-def render_loglog_svg(bands, path: str) -> None:
+def render_loglog_svg(bands: Mapping[str, RocBand], path: str) -> None:
     """Render named ROC bands as a standalone log-log SVG plot.
 
-    ``bands`` is a mapping or sequence of (name, RocBand); each band draws
+    ``bands`` maps each name to its RocBand, in plotting order; each band draws
     two polylines (inner solid, outer dashed) in one color.  Rates below
     DEFAULT_FPR_FLOOR (1e-5) are clipped to it so zero never reaches log10.
     Output bytes are a pure function of the inputs.
     """
-    items = list(bands.items()) if hasattr(bands, "items") else list(bands)
-    if not items:
+    if not bands:
         raise ValueError("at least one band is required")
 
     width, height = 720, 540
@@ -265,7 +265,7 @@ def render_loglog_svg(bands, path: str) -> None:
         "true positive rate</text>"
     )
 
-    for i, (name, band) in enumerate(items):
+    for i, (name, band) in enumerate(bands.items()):
         color = _PALETTE[i % len(_PALETTE)]
         inner_pts = _polyline_points(band.inner_curve, DEFAULT_FPR_FLOOR, to_px)
         outer_pts = _polyline_points(band.outer_curve, DEFAULT_FPR_FLOOR, to_px)

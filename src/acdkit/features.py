@@ -105,7 +105,7 @@ class PatchWindows:
 
     Holds only the padded raster, never an O(pixels x dim) stack.
     ``row_windows`` exposes the padded rows the patches are cut from, which
-    is all that an unmasked fit of two same-size sources reads.
+    is all that a fit of two same-size sources reads.
     """
 
     def __init__(self, r: Raster, patch: int = DEFAULT_PATCH):
@@ -165,8 +165,6 @@ def quantize(r: Raster, levels: int = DEFAULT_LEVELS) -> QuantizedRaster:
     values share a level, the result depends only on the rank order of the
     intensities, and requantizing a level map reproduces it.
     """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
     flat = r.data.ravel()
     n = flat.size
     sorted_vals = np.sort(flat)

@@ -30,10 +30,10 @@ instead of the n * (d_x + d_y)^2 of z' Q z.
 
 Fit and score read the feature sources one image row at a time through
 ``rows()`` (see `acdkit.features`).  The fit merges each row's moments into
-running totals.  Patch vectors of neighbouring pixels overlap, so an
-unmasked fit of two patch sources of one size instead sums products of
-padded-row windows once per row and reads every patch-row block of the
-scatter off those sums.
+running totals.  Patch vectors of neighbouring pixels overlap, so a fit of
+two patch sources of one size instead sums products of padded-row windows
+once per row and reads every patch-row block of the scatter off those
+sums.
 """
 
 from __future__ import annotations
@@ -190,12 +190,7 @@ def _check_grids(x: Features, y: Features) -> None:
         )
 
 
-def fit_hacd(
-    x: Features,
-    y: Features,
-    ridge: float | None = None,
-    fit_mask: np.ndarray | None = None,
-) -> HacdModel:
+def fit_hacd(x: Features, y: Features, ridge: float | None = None) -> HacdModel:
     """Fit the joint Gaussian over all pixels of the scene (in-sample).
 
     ``x`` and ``y`` are feature sources (FeatureStack, PatchWindows or
@@ -203,13 +198,12 @@ def fit_hacd(
     population covariance (denominator N) of the stacked per-pixel vectors
     [x; y].  ``ridge`` is the epsilon added to the covariance diagonal
     before inversion; None selects the default 1e-6 * trace(C) / (d_x +
-    d_y).  ``fit_mask`` optionally restricts the fit to a boolean pixel
-    subset (scoring still covers every pixel).
+    d_y).
 
-    Without a mask, two PatchWindows of one patch size are fitted from
-    running sums over the padded rows (``_patch_moments``); every other fit
-    merges the moments of each row (``_row_moments``).  Both take one pass
-    and agree to rounding.
+    Two PatchWindows of one patch size are fitted from running sums over
+    the padded rows (``_patch_moments``); every other fit merges the
+    moments of each row (``_row_moments``).  Both take one pass and agree
+    to rounding.
 
     Raises GridMismatch when the stacks disagree and SingularCovariance
     when the regularized covariance cannot be factorized (e.g. fewer
@@ -217,25 +211,18 @@ def fit_hacd(
     """
     _check_grids(x, y)
     d = x.dim + y.dim
-    if fit_mask is not None:
-        fit_mask = np.asarray(fit_mask, dtype=bool)
-        if fit_mask.shape != (x.height, x.width):
-            raise GridMismatch(
-                f"fit mask shape {fit_mask.shape} does not match grid "
-                f"{x.height}x{x.width}"
-            )
     patches = isinstance(x, PatchWindows) and isinstance(y, PatchWindows)
-    if fit_mask is None and patches and x.patch == y.patch:
+    if patches and x.patch == y.patch:
         n, mean, scatter = _patch_moments(x, y)
     else:
-        n, mean, scatter = _row_moments(x, y, fit_mask)
+        n, mean, scatter = _row_moments(x, y)
     cov = scatter / n
 
     eps = DEFAULT_RIDGE_SCALE * float(np.trace(cov)) / d if ridge is None else float(ridge)
     return HacdModel.from_covariance(mean[: x.dim], mean[x.dim :], cov, ridge=eps)
 
 
-def _row_moments(x: Features, y: Features, fit_mask: np.ndarray | None):
+def _row_moments(x: Features, y: Features):
     """(count, mean, centered scatter) of the [x | y] vectors, one pass over rows.
 
     Each row's (count, mean, centered scatter) is merged into the running
@@ -244,18 +231,14 @@ def _row_moments(x: Features, y: Features, fit_mask: np.ndarray | None):
     offset that is large against the spread costs no digits.
     """
     d = x.dim + y.dim
-    n = 0
+    n, m = 0, x.width
     shift = None
     mean = np.zeros(d)
     scatter = np.zeros((d, d))
-    buf = np.empty((x.width, d))
-    for r, (xs, ys) in enumerate(zip(x.rows(), y.rows(), strict=True)):
-        buf[:, : x.dim] = xs
-        buf[:, x.dim :] = ys
-        z = buf if fit_mask is None else buf[fit_mask[r]]
-        m = z.shape[0]
-        if m == 0:
-            continue
+    z = np.empty((m, d))
+    for xs, ys in zip(x.rows(), y.rows(), strict=True):
+        z[:, : x.dim] = xs
+        z[:, x.dim :] = ys
         if shift is None:
             shift = z.mean(axis=0)
         z -= shift
@@ -266,8 +249,6 @@ def _row_moments(x: Features, y: Features, fit_mask: np.ndarray | None):
         scatter += np.outer(delta, delta) * (n * m / (n + m))
         mean += delta * (m / (n + m))
         n += m
-    if n == 0:
-        raise SingularCovariance("fit mask selects no pixels")
     return n, mean + shift, scatter
 
 

@@ -208,10 +208,10 @@ def load_raster(path: str) -> Raster:
         raise FormatError(
             f"{payload_path}: payload is {len(payload)} bytes, header implies {expected}"
         )
-    data = np.frombuffer(payload, dtype="<f4").reshape(height, width)
-    if not np.all(np.isfinite(data)):
-        raise FormatError(f"{payload_path}: payload contains non-finite values")
-    return Raster(data)
+    try:
+        return Raster(np.frombuffer(payload, dtype="<f4").reshape(height, width))
+    except FormatError as exc:
+        raise FormatError(f"{payload_path}: {exc}") from exc
 
 
 def save_raster(r: Raster, path: str) -> None:

@@ -117,8 +117,8 @@ class SceneConfig:
     def validate(self) -> None:
         if self.width < 1 or self.height < 1:
             raise BadConfig(f"grid {self.width}x{self.height} is empty")
-        if self.seed < 0:
-            raise BadConfig("seed must be non-negative")
+        if not 0 <= self.seed < 2**64:  # rng keys take the seed as 64 bits
+            raise BadConfig(f"seed must be in [0, 2**64), got {self.seed}")
         if self.background_corr_len < 0:
             raise BadConfig("background_corr_len must be >= 0")
         if self.background_corr_len > min(self.width, self.height) - 1:

@@ -329,18 +329,100 @@ def test_run_refuses_a_detector_listed_twice(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("in_scene", [True, False], ids=["scene-object", "top-level"])
-@pytest.mark.parametrize("key", ["t0", "outer"])
-def test_run_refuses_a_path_that_is_not_a_string(tmp_path, capsys, in_scene, key):
+@pytest.mark.parametrize("key,in_scene", [
+    ("t0", True), ("t0", False), ("outer", True), ("outer", False), ("out", False),
+], ids=["t0-scene-object", "t0-top-level", "outer-scene-object", "outer-top-level",
+        "out-top-level"])
+def test_run_refuses_a_path_that_is_not_a_string(tmp_path, capsys, monkeypatch, key, in_scene):
+    monkeypatch.chdir(tmp_path)  # a number taken as a directory name lands here
     paths = _write_scene_files(tmp_path, side=16)
-    paths[key] = 5
-    cfg = {"scene": paths} if in_scene else dict(paths)
+    cfg = {"detectors": ["diff"], "out": str(tmp_path / "o")}
+    cfg.update({"scene": paths} if in_scene else paths)
+    (cfg["scene"] if in_scene else cfg)[key] = 5
     cfg_path = str(tmp_path / "r.json")
     with open(cfg_path, "w") as fh:
-        json.dump({**cfg, "detectors": ["diff"], "out": str(tmp_path / "o")}, fh)
+        json.dump(cfg, fh)
     assert main(["run", cfg_path]) == 2
     err = capsys.readouterr().err
     assert "error BadConfig" in err and repr(key) in err and "Traceback" not in err
+    assert not (tmp_path / "5").exists()
+
+
+def test_detect_refuses_a_path_that_is_not_a_string(tmp_path, capsys):
+    paths = _write_scene_files(tmp_path, side=16)
+    cfg_path = str(tmp_path / "d.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({"detector": "diff", "t0": True, "t1": paths["t1"]}, fh)
+    assert main(["detect", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "error BadConfig" in err and "'t0'" in err
+
+
+@pytest.mark.parametrize("key", ["roc_fpr_max", "inner", "outer"])
+def test_detect_refuses_a_key_it_does_not_read(tmp_path, capsys, key):
+    paths = _write_scene_files(tmp_path, side=16)
+    value = {"roc_fpr_max": 0.01, "inner": paths["inner"], "outer": 7}[key]
+    cfg_path = str(tmp_path / "d.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({"detector": "diff", "t0": paths["t0"], "t1": paths["t1"], key: value}, fh)
+    out = tmp_path / "o"
+    assert main(["detect", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error BadConfig" in err and repr(key) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra,named", [
+    ({"detector": "glcm-hacd"}, "detector"),
+    ({"seed": 9}, "seed"),
+    ({"scene": "textured", "t0": "{t0}"}, "t0"),
+    ({"t1": "{t1}"}, "t1"),
+], ids=["detector", "seed-beside-path-object", "path-beside-suite-name", "path-given-twice"])
+def test_run_refuses_an_option_it_would_ignore(tmp_path, capsys, extra, named):
+    paths = _write_scene_files(tmp_path, side=16)
+    out = tmp_path / "o"
+    cfg = {"scene": paths, "detectors": ["diff"], "out": str(out)}
+    cfg.update((k, v.format(**paths) if isinstance(v, str) else v) for k, v in extra.items())
+    cfg_path = str(tmp_path / "r.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main(["run", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert "error BadConfig" in err and repr(named) in err
+    assert not out.exists()
+
+
+def test_run_takes_paths_split_between_scene_object_and_top_level(tmp_path):
+    paths = _write_scene_files(tmp_path, side=16)
+    configs = {
+        "object": {"scene": paths},
+        "split": {"scene": {"t0": paths["t0"], "t1": paths["t1"]},
+                  "inner": paths["inner"], "outer": paths["outer"]},
+    }
+    for name, cfg in configs.items():
+        cfg_path = str(tmp_path / f"{name}.json")
+        with open(cfg_path, "w") as fh:
+            json.dump({**cfg, "detectors": ["diff"], "out": str(tmp_path / name)}, fh)
+        assert main(["run", cfg_path]) == 0
+    for rel in ("league.csv", os.path.join("diff", "summary.json")):
+        assert (tmp_path / "split" / rel).read_bytes() == (tmp_path / "object" / rel).read_bytes()
+
+
+@pytest.mark.parametrize("command", [
+    ["synth", "textured", "--seed", str(2**64)],
+    ["run", "{cfg}"],
+], ids=["synth-flag", "run-config"])
+def test_seed_of_2_64_or_more_is_refused(tmp_path, capsys, command):
+    # the generator keys on the seed's low 64 bits, so a larger seed would
+    # alias a smaller one
+    cfg_path = tmp_path / "r.json"
+    cfg_path.write_text(json.dumps({"scene": "textured", "seed": 1e300, "detectors": ["diff"]}))
+    out = tmp_path / "o"
+    argv = [arg.format(cfg=cfg_path) for arg in command] + ["--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error BadConfig" in err and "seed" in err
+    assert not out.exists()
 
 
 def test_convert_round_trip(tmp_path):
@@ -462,7 +544,12 @@ def test_malformed_option_is_exit_2(tmp_path, capsys, command, fields, flags):
         argv = ["run", cfg_path] if command == "run" else ["detect", "--config", cfg_path]
         argv += ["--out", out]
     assert main(argv + flags) == 2
-    assert "error BadConfig" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error BadConfig" in err
+    if "seed" in (fields or {}):
+        # run's seed cases also put paths beside the suite name; the bad
+        # value must be what is refused
+        assert "seed" in err
 
 
 def test_integral_float_options_equal_their_integers(tmp_path):

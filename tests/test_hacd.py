@@ -34,7 +34,7 @@ from acdkit import (
     save_model,
     score_map,
 )
-from acdkit.features import PatchWindows
+from acdkit.features import DEFAULT_PATCH, PatchWindows
 
 
 def _stack(a):
@@ -154,18 +154,6 @@ def test_default_ridge_is_trace_scaled():
     fy = _stack(rng.normal(size=(40, 40, 2)))
     m = fit_hacd(fx, fy)
     assert m.ridge == pytest.approx(1e-6 * np.trace(m.cov - m.ridge * np.eye(4)) / 4, rel=1e-6)
-
-
-def test_fit_mask_restricts_the_fit():
-    rng = np.random.default_rng(17)
-    x = rng.normal(size=(20, 20, 1))
-    y = rng.normal(size=(20, 20, 1))
-    y[:10] += 50.0  # contaminated half
-    mask = np.zeros((20, 20), bool)
-    mask[10:] = True
-    m_all = fit_hacd(_stack(x), _stack(y), ridge=0.0)
-    m_masked = fit_hacd(_stack(x), _stack(y), ridge=0.0, fit_mask=mask)
-    assert abs(m_masked.mean_y[0]) < 1.0 < abs(m_all.mean_y[0])
 
 
 def test_mean_shift_invariance():
@@ -345,7 +333,7 @@ def _explicit_q_scores(cov, mean, d_x, z):
     return 0.5 * np.einsum("nd,nd->n", zc @ q, zc) + 0.5 * (logdet[0] - logdet[1] - logdet[2])
 
 
-def _reference_run(name, pair, patch, levels, fit_mask=None):
+def _reference_run(name, pair, patch, levels):
     """Build both full stacks, fit with two passes over the concatenated
     vectors and score every pixel in one block with the explicit Q form."""
     if name == "diff":
@@ -357,10 +345,9 @@ def _reference_run(name, pair, patch, levels, fit_mask=None):
     }[name]
     fx, fy = extract(pair.t0), extract(pair.t1)
     z = np.concatenate([fx.data.reshape(-1, fx.dim), fy.data.reshape(-1, fy.dim)], axis=1)
-    sample = z if fit_mask is None else z[fit_mask.ravel()]
-    mean = sample.mean(axis=0)
-    centered = sample - mean
-    cov = centered.T @ centered / sample.shape[0]
+    mean = z.mean(axis=0)
+    centered = z - mean
+    cov = centered.T @ centered / z.shape[0]
     cov += acdkit.hacd.DEFAULT_RIDGE_SCALE * np.trace(cov) / z.shape[1] * np.eye(z.shape[1])
     s = _explicit_q_scores(cov, mean, fx.dim, z)
     return s.reshape(pair.t0.height, pair.t0.width)
@@ -385,17 +372,6 @@ def test_streamed_detector_matches_materialised_reference(name, shape):
     pair = _textured_pair(height, width)
     amap, _ = run_detector(name, pair, patch=5, levels=4)
     _assert_close_scores(amap.scores, _reference_run(name, pair, 5, 4))
-
-
-@pytest.mark.parametrize("name", DETECTOR_NAMES[1:])
-def test_streamed_fit_mask_matches_materialised_reference(name):
-    pair = _textured_pair(23, 17, seed=31)
-    mask = np.random.default_rng(32).random((23, 17)) < 0.6
-    mask[4:8] = False  # four whole rows contribute no pixels
-    amap, _ = run_detector(name, pair, patch=5, levels=4, fit_mask=mask)
-    _assert_close_scores(amap.scores, _reference_run(name, pair, 5, 4, fit_mask=mask))
-    with pytest.raises(SingularCovariance):
-        run_detector(name, pair, patch=5, levels=4, fit_mask=np.zeros((23, 17), bool))
 
 
 @settings(max_examples=60, deadline=None)
@@ -472,10 +448,13 @@ def test_row_gram_patch_moments_match_numpy_cov(seed, patch, extra, offset):
 
 
 def test_row_gram_fit_matches_tile_loop_fit():
-    # an all-True fit mask takes the tile loop, no mask the row-Gram sums
+    # the detector's PatchWindows take the row-Gram sums, patch_features
+    # stacks the per-row moment merge
     pair = _textured_pair(61, 47, seed=35)
-    tiled, tiled_model = run_detector("patch-hacd", pair, fit_mask=np.ones((61, 47), bool))
     rows, rows_model = run_detector("patch-hacd", pair)
+    x, y = (patch_features(r, DEFAULT_PATCH) for r in (pair.t0, pair.t1))
+    tiled_model = fit_hacd(x, y)
+    tiled = score_map(tiled_model, x, y)
     for got, want in ((rows_model.mean_x, tiled_model.mean_x),
                       (rows_model.mean_y, tiled_model.mean_y),
                       (rows_model.cov, tiled_model.cov)):

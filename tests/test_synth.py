@@ -38,6 +38,15 @@ def test_different_seeds_differ():
     assert a1.data.tobytes() != a2.data.tobytes()
 
 
+def test_seed_range_is_what_the_generator_keys_on():
+    # stream keys take the seed's 64 bits: the largest 64-bit seed is valid,
+    # one more would alias seed 0
+    _small(seed=2**64 - 1).validate()
+    for seed in (-1, 2**64):
+        with pytest.raises(BadConfig, match="seed"):
+            _small(seed=seed).validate()
+
+
 def test_identity_configuration():
     cfg = _small(anomaly_texture_gain=0.0, noise_sigma=0.0)
     t0, t1, _ = generate_scene(cfg)
