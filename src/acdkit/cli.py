@@ -152,6 +152,9 @@ def _summary(band) -> dict:
         "auc_inner": auc(band.inner_curve),
         "auc_outer": auc(band.outer_curve),
         "fpr_max": band.fpr_max,
+        "n_pos_inner": band.n_pos_inner,
+        "n_pos_outer": band.n_pos_outer,
+        "n_neg": band.n_neg,
     }
 
 
@@ -202,13 +205,6 @@ def _eval_one(amap: AnomalyMap, gt, fpr_max: float, name: str, out_dir: str) -> 
     write_roc_csv(band, os.path.join(out_dir, "roc.csv"))
     render_loglog_svg({name: band}, os.path.join(out_dir, "roc.svg"))
     summary = _summary(band)
-    summary.update(
-        {
-            "n_pos_inner": int(np.count_nonzero(gt.inner)),
-            "n_pos_outer": int(np.count_nonzero(gt.outer)),
-            "n_neg": int(np.count_nonzero(~gt.outer)),
-        }
-    )
     write_text(os.path.join(out_dir, "summary.json"),
                json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return {"band": band, "summary": summary}

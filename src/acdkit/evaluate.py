@@ -10,6 +10,7 @@ the unknown exact truth.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
@@ -25,8 +26,10 @@ DEFAULT_FPR_FLOOR = 1e-5
 
 # cap on polyline vertices per curve when rendering
 _SVG_MAX_POINTS = 4096
-# roc.csv rows formatted per block, bounding the text held in memory
-_CSV_CHUNK_ROWS = 65536
+# roc.csv rows formatted per block, bounding the cells held in memory
+_CSV_CHUNK_ROWS = 16384
+# longest float64 repr, e.g. -2.2250738585072014e-308
+_CELL_WIDTH = 24
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -66,13 +69,24 @@ class RocCurve:
 
 @dataclass(frozen=True, eq=False)
 class RocBand:
-    """Inner- and outer-truth curves of one anomaly map, with partial AUCs."""
+    """Inner- and outer-truth curves of one anomaly map, with partial AUCs.
+
+    The counts are the curves' class sizes: tpr_inner, tpr_outer and both
+    fpr columns are multiples of 1/n_pos_inner, 1/n_pos_outer and 1/n_neg.
+    """
 
     inner_curve: RocCurve
     outer_curve: RocCurve
     pauc_inner: float
     pauc_outer: float
     fpr_max: float
+    n_pos_inner: int
+    n_pos_outer: int
+    n_neg: int
+
+    def __post_init__(self):
+        if min(self.n_pos_inner, self.n_pos_outer, self.n_neg) < 1:
+            raise ValueError("class counts must be >= 1")
 
 
 def _curve(
@@ -80,10 +94,10 @@ def _curve(
     group_ends: np.ndarray,
     positive: np.ndarray,
     negative: np.ndarray,
+    n_pos: int,
+    n_neg: int,
     label: str,
 ) -> RocCurve:
-    n_pos = int(np.count_nonzero(positive))
-    n_neg = int(np.count_nonzero(negative))
     if n_pos == 0:
         raise EmptyClass(f"{label} curve has no positive pixels")
     if n_neg == 0:
@@ -120,14 +134,20 @@ def roc(amap: AnomalyMap, gt: GroundTruth, fpr_max: float = DEFAULT_FPR_MAX) -> 
     # ambiguous outer-minus-inner ring is therefore in neither class of the
     # inner curve (not inner-positive, not a negative).
     negatives = ~outer[order]
-    inner_curve = _curve(s, group_ends, inner[order], negatives, "inner")
-    outer_curve = _curve(s, group_ends, outer[order], negatives, "outer")
+    n_inner = int(np.count_nonzero(inner))
+    n_outer = int(np.count_nonzero(outer))
+    n_neg = outer.size - n_outer
+    inner_curve = _curve(s, group_ends, inner[order], negatives, n_inner, n_neg, "inner")
+    outer_curve = _curve(s, group_ends, outer[order], negatives, n_outer, n_neg, "outer")
     return RocBand(
         inner_curve,
         outer_curve,
         pauc(inner_curve, fpr_max),
         pauc(outer_curve, fpr_max),
         float(fpr_max),
+        n_inner,
+        n_outer,
+        n_neg,
     )
 
 
@@ -160,25 +180,60 @@ def write_roc_csv(band: RocBand, path: str) -> None:
     Columns: threshold,fpr_inner,tpr_inner,fpr_outer,tpr_outer.  Floats
     use shortest round-trip decimals, so parsing the file re-yields the
     band's points exactly.
+
+    Every rate of a band from ``roc`` is k / n for one of its three class
+    counts, so the reprs of k / n for k = 0..n are kept per count
+    (``_rate_table``, about 24 B per negative pixel) and shared by every
+    band of the process with that count; a rate that is not such a
+    quotient is formatted directly.  Rows are built ``_CSV_CHUNK_ROWS`` at
+    a time as fixed-width, NUL-padded byte cells.
     """
     write_text(path, _roc_csv_chunks(band))
 
 
+def _reprs(values: np.ndarray) -> np.ndarray:
+    """Shortest round-trip reprs of ``values``, one NUL-padded row of
+    ``_CELL_WIDTH + 1`` bytes each with the last byte left 0; raises
+    instead of truncating a longer repr."""
+    text = np.array(list(map(repr, values.tolist())), dtype=f"S{_CELL_WIDTH + 1}")
+    cells = text.view(np.uint8).reshape(-1, _CELL_WIDTH + 1)
+    if cells[:, _CELL_WIDTH].any():
+        raise ValueError(f"a float repr is longer than {_CELL_WIDTH} characters")
+    return cells
+
+
+@functools.lru_cache(maxsize=3)  # one table per class count of a run
+def _rate_table(n: int) -> np.ndarray:
+    """Read-only (n + 1, _CELL_WIDTH) NUL-padded reprs of k / n, k = 0..n."""
+    table = np.empty((n + 1, _CELL_WIDTH), np.uint8)
+    for lo in range(0, n + 1, _CSV_CHUNK_ROWS):
+        hi = min(lo + _CSV_CHUNK_ROWS, n + 1)
+        table[lo:hi] = _reprs(np.arange(lo, hi) / n)[:, :_CELL_WIDTH]
+    table.setflags(write=False)
+    return table
+
+
 def _roc_csv_chunks(band: RocBand):
     ic, oc = band.inner_curve, band.outer_curve
-    rate_columns = (ic.fpr, ic.tpr, oc.fpr, oc.tpr)
+    rate_columns = ((ic.fpr, band.n_neg), (ic.tpr, band.n_pos_inner),
+                    (oc.fpr, band.n_neg), (oc.tpr, band.n_pos_outer))
     yield "threshold,fpr_inner,tpr_inner,fpr_outer,tpr_outer\n"
     for lo in range(0, ic.thresholds.size, _CSV_CHUNK_ROWS):
         hi = lo + _CSV_CHUNK_ROWS
-        # Rates repeat heavily (fpr_inner == fpr_outer, few distinct
-        # tpr), so each distinct bit pattern is formatted once;
-        # comparing bits keeps -0.0 apart from 0.0.
-        rates = np.concatenate([c[lo:hi] for c in rate_columns])
-        bits, inv = np.unique(rates.view(np.int64), return_inverse=True)
-        text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-        cols = text[inv.reshape(4, -1)].tolist()
-        thresholds = map(repr, ic.thresholds[lo:hi].tolist())
-        yield "\n".join(map(",".join, zip(thresholds, *cols))) + "\n"
+        thresholds = ic.thresholds[lo:hi]
+        cells = np.zeros((thresholds.size, 5, _CELL_WIDTH + 1), np.uint8)
+        cells[:, 0] = _reprs(thresholds)
+        for j, (column, n) in enumerate(rate_columns, 1):
+            rate = column[lo:hi]
+            # fmin/fmax keep k in 0..n (NaN too); the int64 views compare
+            # bits, so -0.0 is not taken for 0.0
+            k = np.rint(np.fmax(np.fmin(rate, 1.0), 0.0) * n).astype(np.int64)
+            cells[:, j, :_CELL_WIDTH] = _rate_table(n)[k]
+            other = (k / n).view(np.int64) != rate.view(np.int64)
+            cells[other, j] = _reprs(rate[other])
+        cells[:, :4, _CELL_WIDTH] = ord(",")
+        cells[:, 4, _CELL_WIDTH] = ord("\n")
+        yield cells[cells != 0].tobytes().decode("ascii")
 
 
 def _decimate(n: int) -> np.ndarray:

@@ -99,6 +99,12 @@ def test_empty_class():
         roc(FOUR_PIXEL_MAP, _gt(np.zeros((2, 2), bool), [[True, False], [False, False]]))
 
 
+def test_band_refuses_an_empty_class_count():
+    curve = roc(FOUR_PIXEL_MAP, FOUR_PIXEL_GT).inner_curve
+    with pytest.raises(ValueError, match="class counts"):
+        RocBand(curve, curve, 0.0, 0.0, 0.01, n_pos_inner=2, n_pos_outer=2, n_neg=0)
+
+
 def test_pauc_perfect_detector():
     c = RocCurve([math.inf, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 1.0])
     assert pauc(c, 0.01) == pytest.approx(0.01, abs=1e-15)
@@ -307,7 +313,62 @@ def test_csv_bytes_match_reference_on_awkward_values(tmp_path):
     _assert_csv_matches_reference(band, tmp_path)
     # an externally built band whose rates hold -0.0 next to 0.0
     curve = RocCurve([math.inf, 0.5, -0.0], [-0.0, 0.0, 1.0], [0.0, -0.0, 1.0])
-    _assert_csv_matches_reference(RocBand(curve, curve, 0.0, 0.0, 0.01), tmp_path)
+    band = RocBand(curve, curve, 0.0, 0.0, 0.01, n_pos_inner=1, n_pos_outer=1, n_neg=1)
+    _assert_csv_matches_reference(band, tmp_path)
+
+
+def test_csv_bytes_match_reference_with_warm_and_cold_rate_tables(tmp_path):
+    # bands of one mask pair share their class counts, so the second one
+    # reads rate tables the first one built
+    evaluate._rate_table.cache_clear()
+    _assert_csv_matches_reference(_random_large_band(44, 100), tmp_path)
+    built = evaluate._rate_table.cache_info().misses
+    _assert_csv_matches_reference(_random_large_band(45, 100), tmp_path)
+    assert evaluate._rate_table.cache_info().misses == built
+    # other counts in between evict those tables
+    _assert_csv_matches_reference(_random_large_band(46, 90), tmp_path)
+    _assert_csv_matches_reference(_random_large_band(47, 100), tmp_path)
+    evaluate._rate_table.cache_clear()
+    _assert_csv_matches_reference(_random_large_band(48, 100), tmp_path)
+
+
+# float64 reprs of 23 and 24 characters; no float64 repr is longer than 24
+WIDEST_REPRS = [-2.2250738585072014e-308, -1.7976931348623157e+308,
+                -1.2345678901234567e-100, -3.0000000000000004e-05]
+
+
+def _widest_band():
+    thresholds = [math.inf, *WIDEST_REPRS]
+    fpr = [-2.2250738585072014e-308, 0.0, 1 / 3, 2 / 3, 1.0]
+    tpr = [0.0, 1 / 7, 3 / 7, 6 / 7, 1.0]
+    curve = RocCurve(thresholds, fpr, tpr)
+    return RocBand(curve, curve, 0.0, 0.0, 0.01, n_pos_inner=7, n_pos_outer=7, n_neg=3)
+
+
+def test_csv_bytes_match_reference_on_the_widest_reprs(tmp_path):
+    assert max(map(len, map(repr, WIDEST_REPRS))) == evaluate._CELL_WIDTH
+    _assert_csv_matches_reference(_widest_band(), tmp_path)
+
+
+def test_csv_refuses_a_repr_wider_than_a_cell(tmp_path, monkeypatch):
+    path = tmp_path / "roc.csv"
+    header = "threshold,fpr_inner,tpr_inner,fpr_outer,tpr_outer\n"
+    monkeypatch.setattr(evaluate, "_CELL_WIDTH", 23)
+    evaluate._rate_table.cache_clear()  # tables are built at the cell width
+    try:
+        # a 24-character threshold would be cut to "-2.2250738585072014e-30"
+        with pytest.raises(ValueError, match="longer than 23 characters"):
+            write_roc_csv(_widest_band(), str(path))
+        assert not path.exists() or path.read_text() == header
+        # a rate of the shared table: repr(1 / 3) has 18 characters
+        monkeypatch.setattr(evaluate, "_CELL_WIDTH", 8)
+        curve = RocCurve([math.inf, 2.0, 1.0], [0.0, 1 / 3, 1.0], [0.0, 0.5, 1.0])
+        band = RocBand(curve, curve, 0.0, 0.0, 0.01, n_pos_inner=2, n_pos_outer=2, n_neg=3)
+        with pytest.raises(ValueError, match="longer than 8 characters"):
+            write_roc_csv(band, str(path))
+        assert not path.exists() or path.read_text() == header
+    finally:
+        evaluate._rate_table.cache_clear()
 
 
 @settings(max_examples=60, deadline=None)
