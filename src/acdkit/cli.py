@@ -4,7 +4,8 @@ Subcommands:
     detect   run one detector on a raster pair, write the anomaly map
     eval     score an anomaly map against ground-truth masks
     synth    generate a named or configured synthetic scene
-    run      detect + eval for several detectors, with a combined plot
+    run      detect + eval for several detectors, with a combined plot;
+             evaluation runs in forked worker processes
     convert  R32 raster <-> plain-text pixel dump
 
 Exit codes: 0 success, 2 user/data error (the diagnostic names the
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -210,6 +212,13 @@ def _eval_one(amap: AnomalyMap, gt, fpr_max: float, name: str, out_dir: str) -> 
     return {"band": band, "summary": summary}
 
 
+def _eval_map(map_base: str, gt, fpr_max: float) -> dict:
+    """Evaluate a persisted map into its own directory, labeled by its stem,
+    as ``eval --map map_base --out dirname(map_base)`` does."""
+    out_dir, name = os.path.split(map_base)
+    return _eval_one(_load_map(map_base), gt, fpr_max, name, out_dir)
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     fpr_max = _options({}, {"roc_fpr_max": args.fpr_max})["roc_fpr_max"]
     amap = _load_map(args.map)
@@ -251,6 +260,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    """Detect with every listed detector in order, in this process, then
+    evaluate the persisted maps in forked workers, min(detectors, usable
+    CPUs) of them, and write the combined roc.svg and league.csv."""
     config = read_json(args.config, BadConfig, _RUN_KEYS)
     # a scene path object gives the same keys as the top level
     paths = config.get("scene") if isinstance(config.get("scene"), dict) else {}
@@ -278,14 +290,25 @@ def cmd_run(args: argparse.Namespace) -> int:
     gt = load_ground_truth(_require(cfg, "inner"), cfg.get("outer"),
                            (pair.t0.width, pair.t0.height))
 
+    # detection stays in this process, where BLAS has every core
+    map_bases = [_detect_pair({**cfg, "detector": name}, pair, os.path.join(out_dir, name))
+                 for name in detectors]
+    # Each evaluation is a pure function of its persisted f32 map, and each
+    # worker formats rates from its own table cache, so the per-detector
+    # outputs are byte-identical to detect + eval composed for any worker
+    # count; pool.map raises a worker's AcdError here again.  The pool's
+    # modules are imported here so that other commands do not load them.
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    workers = min(len(detectors), len(os.sched_getaffinity(0)))
+    evaluate = functools.partial(_eval_map, gt=gt, fpr_max=cfg["roc_fpr_max"])
+    with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+        results = list(pool.map(evaluate, map_bases))
+
     bands = {}
     rows = []
-    for name in detectors:
-        det_dir = os.path.join(out_dir, name)
-        map_base = _detect_pair({**cfg, "detector": name}, pair, det_dir)
-        # evaluate the persisted f32 map, labeled by its stem, so the
-        # per-detector outputs are byte-identical to detect + eval composed
-        result = _eval_one(_load_map(map_base), gt, cfg["roc_fpr_max"], "anomaly", det_dir)
+    for name, result in zip(detectors, results):
         bands[name] = result["band"]
         s = result["summary"]
         rows.append((name, s["pauc_inner"], s["pauc_outer"], s["auc_inner"], s["auc_outer"]))

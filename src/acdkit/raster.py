@@ -18,8 +18,10 @@ on (width, height, payload bytes).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,12 +120,26 @@ def make_pair(a: Raster, b: Raster) -> CoregisteredPair:
 
 def write_text(path: str, text) -> None:
     """Write ``text``, a str or an iterable of str chunks, as UTF-8 with
-    ``\\n`` line ends; an OS failure becomes IoError naming ``path``."""
+    ``\\n`` line ends; an OS failure becomes IoError naming ``path``.
+
+    A write that fails after ``path`` was opened, by an OS error or by an
+    exception from the chunks, removes the file, so no partial file is left
+    for a reader to take as finished; a device, pipe or link at ``path``
+    (say ``/dev/stdout``) is left in place."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
+        fh = open(path, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+    try:
+        with fh:
+            fh.writelines([text] if isinstance(text, str) else text)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.remove(path)
+        if isinstance(exc, OSError):
+            raise IoError(f"cannot write {path}: {exc}") from exc
+        raise
 
 
 def make_dir(path: str) -> None:

@@ -257,8 +257,9 @@ def test_run_pipeline_with_explicit_paths(tmp_path):
 
 
 def test_run_matches_detect_plus_eval(tmp_path):
-    # run formats its later detectors' rates from the tables its first one
-    # built; each eval starts from an empty table cache
+    # run evaluates in forked workers, which format rates from the tables
+    # each one builds (or inherits from this process at fork); each eval
+    # here starts from an empty table cache
     detectors = ["diff", "hacd", "patch-hacd", "glcm-hacd"]
     paths = _write_scene_files(tmp_path)
     run_out = str(tmp_path / "run")
@@ -282,6 +283,40 @@ def test_run_matches_detect_plus_eval(tmp_path):
             a = open(os.path.join(out, name), "rb").read()
             b = open(os.path.join(run_out, det, name), "rb").read()
             assert a == b, (det, name)
+
+
+def _run_files(out: Path) -> dict:
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file()}
+
+
+def test_run_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    paths = _write_scene_files(tmp_path)
+    cfg_path = str(tmp_path / "run.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({"scene": {k: paths[k] for k in ("t0", "t1", "inner", "outer")},
+                   "detectors": ["diff", "hacd", "patch-hacd", "glcm-hacd"]}, fh)
+    assert main(["run", cfg_path, "--out", str(tmp_path / "default")]) == 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one usable CPU
+    assert main(["run", cfg_path, "--out", str(tmp_path / "one")]) == 0
+    default, one = _run_files(tmp_path / "default"), _run_files(tmp_path / "one")
+    assert len(default) == 25  # 5 (diff) or 6 files per detector, roc.svg, league.csv
+    assert default == one
+
+
+def test_run_empty_inner_mask_in_a_worker_is_exit_2(tmp_path, capsys):
+    # the roc of every detector's map raises EmptyClass in its worker
+    paths = _write_scene_files(tmp_path)
+    save_raster(Raster(np.zeros((48, 48), np.float32)), paths["inner"])
+    out = tmp_path / "o"
+    cfg_path = str(tmp_path / "run.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({"scene": {k: paths[k] for k in ("t0", "t1", "inner", "outer")},
+                   "detectors": ["diff", "hacd", "patch-hacd"], "out": str(out)}, fh)
+    assert main(["run", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert "error EmptyClass" in err and "inner curve has no positive pixels" in err
+    assert not (out / "league.csv").exists()
 
 
 def test_run_league_ranks_texture_detectors_first(tmp_path):

@@ -352,21 +352,20 @@ def test_csv_bytes_match_reference_on_the_widest_reprs(tmp_path):
 
 def test_csv_refuses_a_repr_wider_than_a_cell(tmp_path, monkeypatch):
     path = tmp_path / "roc.csv"
-    header = "threshold,fpr_inner,tpr_inner,fpr_outer,tpr_outer\n"
     monkeypatch.setattr(evaluate, "_CELL_WIDTH", 23)
     evaluate._rate_table.cache_clear()  # tables are built at the cell width
     try:
         # a 24-character threshold would be cut to "-2.2250738585072014e-30"
         with pytest.raises(ValueError, match="longer than 23 characters"):
             write_roc_csv(_widest_band(), str(path))
-        assert not path.exists() or path.read_text() == header
+        assert not path.exists()
         # a rate of the shared table: repr(1 / 3) has 18 characters
         monkeypatch.setattr(evaluate, "_CELL_WIDTH", 8)
         curve = RocCurve([math.inf, 2.0, 1.0], [0.0, 1 / 3, 1.0], [0.0, 0.5, 1.0])
         band = RocBand(curve, curve, 0.0, 0.0, 0.01, n_pos_inner=2, n_pos_outer=2, n_neg=3)
         with pytest.raises(ValueError, match="longer than 8 characters"):
             write_roc_csv(band, str(path))
-        assert not path.exists() or path.read_text() == header
+        assert not path.exists()
     finally:
         evaluate._rate_table.cache_clear()
 

@@ -2,6 +2,8 @@ import json
 import os
 import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from acdkit import (
     write_roc_csv,
 )
 from acdkit.cli import build_parser
+from acdkit.raster import write_text
 
 
 def _write_r32(base, width, height, payload: bytes, header=None):
@@ -197,6 +200,48 @@ def test_unwritable_directory(tmp_path, case):
     path, write = case(tmp_path)
     with pytest.raises(IoError, match=re.escape(path)):
         write()
+
+
+def _failing_chunks():
+    yield "threshold,fpr\n"  # a header-only file would look finished
+    raise ValueError("bad chunk")
+
+
+def test_chunk_error_leaves_no_file(tmp_path):
+    path = tmp_path / "roc.csv"
+    with pytest.raises(ValueError, match="bad chunk"):
+        write_text(str(path), _failing_chunks())
+    assert not path.exists()
+    # a link at the path is not removed
+    target = tmp_path / "target.csv"
+    target.write_text("old\n")
+    path.symlink_to(target)
+    with pytest.raises(ValueError, match="bad chunk"):
+        write_text(str(path), _failing_chunks())
+    assert path.is_symlink()
+
+
+def test_write_past_the_file_size_limit_leaves_no_file(tmp_path):
+    # the OS refuses the write itself (EFBIG under RLIMIT_FSIZE, which the
+    # child sets on itself; Python ignores SIGXFSZ)
+    path = str(tmp_path / "big.txt")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"), env.get("PYTHONPATH")]))
+    code = ("import resource, sys\n"
+            "from acdkit.errors import IoError\n"
+            "from acdkit.raster import write_text\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, resource.getrlimit("
+            "resource.RLIMIT_FSIZE)[1]))\n"
+            "try:\n"
+            "    write_text(sys.argv[1], ['x' * 1000 + '\\n'] * 100)\n"
+            "except IoError as exc:\n"
+            "    print(type(exc).__name__, exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code, path], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"IoError cannot write {path}:")
+    assert not os.path.exists(path)
 
 
 @pytest.mark.parametrize("read", [
