@@ -416,4 +416,7 @@ def entry() -> None:
 
 
 if __name__ == "__main__":
+    # run's pool pickles _eval_map by name, so take entry from acdkit.cli,
+    # which holds that name even when another module is __main__ (cProfile)
+    from acdkit.cli import entry
     entry()

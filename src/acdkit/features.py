@@ -2,8 +2,9 @@
 
 Every extractor maps a Raster (or QuantizedRaster) to float64 vectors, one
 per pixel on the same grid.  A feature source offers ``rows()``, which
-yields each output row's (width, dim) vectors in order; that is all the
-HACD fit and score read.  `FeatureStack` holds every vector.  Two streamed
+yields each output row's (width, dim) vectors in order; that is what the
+HACD score reads, and the fit unless both sources are `PatchWindows` of
+one size.  `FeatureStack` holds every vector.  Two streamed
 sources hold less: `PatchWindows` keeps only the padded raster and yields
 strided views of its windows, and `GlcmCounts` keeps the integer pair
 counts and divides one row at a time.  `patch_features` and
@@ -105,7 +106,7 @@ class PatchWindows:
 
     Holds only the padded raster, never an O(pixels x dim) stack.
     ``row_windows`` exposes the padded rows the patches are cut from, which
-    is all that a fit of two same-size sources reads.
+    a fit of two same-size sources reads instead of ``rows()``.
     """
 
     def __init__(self, r: Raster, patch: int = DEFAULT_PATCH):
@@ -113,7 +114,6 @@ class PatchWindows:
         self.height, self.width = r.height, r.width
         self.patch = patch
         self.dim = patch * patch
-        self.mean = float(r.data.mean(dtype=np.float64))
         self._padded = np.pad(r.data.astype(np.float64), pad, mode="reflect")
 
     def rows(self):

@@ -28,16 +28,16 @@ marginal covariances and cross-covariance diag(rho).  Then
 which costs n * (d_x + d_y) * min(d_x, d_y) multiply-adds for n pixels
 instead of the n * (d_x + d_y)^2 of z' Q z.
 
-Fit and score read the feature sources one image row at a time through
-``rows()`` (see `acdkit.features`).  The fit merges each row's moments into
-running totals.  Patch vectors of neighbouring pixels overlap, so a fit of
-two patch sources of one size instead sums products of padded-row windows
-once per row and reads every patch-row block of the scatter off those
-sums.
+Fit and score read the feature sources one image row at a time (see
+`acdkit.features`).  The one moment routine, ``_moments``, sums products
+of mean-centred row blocks in one pass; its feed is each output row's
+vectors from ``rows()``, or, for two patch sources of one size, the
+padded-row windows that neighbouring pixels' patches share.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -163,10 +163,6 @@ class HacdModel:
     def cov_yy(self) -> np.ndarray:
         return self.cov[self.d_x :, self.d_x :]
 
-    @property
-    def cov_xy(self) -> np.ndarray:
-        return self.cov[: self.d_x, self.d_x :]
-
     @classmethod
     def from_covariance(
         cls, mean_x: np.ndarray, mean_y: np.ndarray, cov: np.ndarray, ridge: float = 0.0
@@ -200,120 +196,89 @@ def fit_hacd(x: Features, y: Features, ridge: float | None = None) -> HacdModel:
     before inversion; None selects the default 1e-6 * trace(C) / (d_x +
     d_y).
 
-    Two PatchWindows of one patch size are fitted from running sums over
-    the padded rows (``_patch_moments``); every other fit merges the
-    moments of each row (``_row_moments``).  Both take one pass and agree
-    to rounding.
+    One pass of ``_moments`` gives the moments.  Two PatchWindows of one
+    patch size feed it their padded-row windows (``row_windows()``); every
+    other pair feeds it ``rows()``.
 
     Raises GridMismatch when the stacks disagree and SingularCovariance
     when the regularized covariance cannot be factorized (e.g. fewer
     pixels than d_x + d_y with ridge 0).
     """
     _check_grids(x, y)
-    d = x.dim + y.dim
-    patches = isinstance(x, PatchWindows) and isinstance(y, PatchWindows)
-    if patches and x.patch == y.patch:
-        n, mean, scatter = _patch_moments(x, y)
+    if isinstance(x, PatchWindows) and isinstance(y, PatchWindows) and x.patch == y.patch:
+        mean, cov = _moments(x.row_windows(), y.row_windows(), x.patch, x.height, x.width)
     else:
-        n, mean, scatter = _row_moments(x, y)
-    cov = scatter / n
-
-    eps = DEFAULT_RIDGE_SCALE * float(np.trace(cov)) / d if ridge is None else float(ridge)
+        mean, cov = _moments(x.rows(), y.rows(), 1, x.height, x.width)
+    eps = DEFAULT_RIDGE_SCALE * float(np.trace(cov)) / len(cov) if ridge is None else float(ridge)
     return HacdModel.from_covariance(mean[: x.dim], mean[x.dim :], cov, ridge=eps)
 
 
-def _row_moments(x: Features, y: Features):
-    """(count, mean, centered scatter) of the [x | y] vectors, one pass over rows.
+def _moments(xs, ys, s: int, h: int, w: int):
+    """(mean, population covariance) of the [x | y] vectors of an h x w grid.
 
-    Each row's (count, mean, centered scatter) is merged into the running
-    totals in row order with the pairwise update of Chan, Golub & LeVeque
-    (1983).  Moments are taken about the first row's mean, so a common
-    offset that is large against the spread costs no digits.
+    ``xs`` and ``ys`` each yield h+s-1 blocks, of shape (w, k_x) and (w,
+    k_y); W_b is block b's (w, k) matrix [x | y] less the first block's
+    mean.  Pixel (r, c)'s vector is W_r .. W_{r+s-1} at column c (x parts,
+    then y parts), so product block (i, i+t) sums W_a' W_{a+t} over a = i
+    .. i+h-1.  Each block is copied into a ring of the last s blocks (so a
+    source may reuse its buffer) less its column means u_b, as C_b; then
+    W_a' W_{a+t} = C_a' C_{a+t} + w u_a u_{a+t}'.  One walk sums C_a'
+    C_{a+t} (t < s), block i being the running sum after block h+i-1 less
+    the one after block i-1; the u part is added at the end about block
+    i's mean.  With every block about its own mean, neither an offset nor
+    a drift across blocks costs digits.
     """
-    d = x.dim + y.dim
-    n, m = 0, x.width
-    shift = None
-    mean = np.zeros(d)
-    scatter = np.zeros((d, d))
-    z = np.empty((m, d))
-    for xs, ys in zip(x.rows(), y.rows(), strict=True):
-        z[:, : x.dim] = xs
-        z[:, x.dim :] = ys
-        if shift is None:
-            shift = z.mean(axis=0)
-        z -= shift
-        row_mean = z.mean(axis=0)
-        z -= row_mean
-        delta = row_mean - mean
-        scatter += z.T @ z
-        scatter += np.outer(delta, delta) * (n * m / (n + m))
-        mean += delta * (m / (n + m))
-        n += m
-    return n, mean + shift, scatter
-
-
-def _patch_moments(x: PatchWindows, y: PatchWindows):
-    """(count, mean, centered scatter) of the joint patch vectors of every pixel.
-
-    Write W_a for the (width, 2p) matrix of padded row a's x windows then
-    y windows (``row_windows``).  The vector of output row r stacks patch
-    rows r .. r+p-1, so block (i, i+k) of the scatter is the sum over
-    a = i .. i+h-1 of W_a' W_{a+k}: the same window products, shifted by
-    one row per block step.  One walk over the h+p-1 padded rows keeps
-    running sums of W_a' W_{a+k} (k < p) and of W_a's column sums; each
-    block i (and its mean) is the running sum after row h+i-1 less the one
-    after row i-1.  That is 2p*d multiply-adds per pixel instead of the
-    row merge's d*d/2, with a ring of the last p rows' windows as the only
-    buffer.  Each epoch's windows are taken about its raster mean, so a
-    large common offset costs no digits.
-    """
-    h, w, p = x.height, x.width, x.patch
-    rows = h + p - 1
-    shift = (x.mean, y.mean)
-    windows = (x.row_windows(), y.row_windows())
-    # ring[:, b % p] holds W_b, so W_a' ring gives W_a' W_{a+k} in slot (a+k) % p
-    ring = np.empty((w, p, 2, p))
+    feed = zip(xs, ys)
+    x0, y0 = next(feed)
+    kx, k = x0.shape[1], x0.shape[1] + y0.shape[1]
+    shift = np.concatenate([x0.mean(axis=0), y0.mean(axis=0)])
+    feed = itertools.chain([(x0, y0)], feed)
+    # ring[:, b % s] holds C_b, so C_a' ring gives C_a' C_{a+t} in slot (a+t) % s
+    ring = np.empty((w, s, k))
     ones = np.ones(w)
-    gram = np.zeros((2 * p, p, 2 * p))  # [(e, j), k, (e', j')]: sum of W_a' W_{a+k}
-    total = np.zeros(2 * p)  # sum of W_a's column sums
-    blocks = np.zeros((p, 2 * p, p, 2 * p))  # [i] = gram summed over a = i .. i+h-1
-    sums = np.zeros((p, 2 * p))  # [i] = total summed over a = i .. i+h-1
+    u = np.empty((h + s - 1, k))  # [b] = W_b's column means
+    gram = np.zeros((k, s, k))  # [q, t, q']: sum of C_a' C_{a+t}
+    blocks = np.zeros((s, k, s, k))  # [i] = gram summed over a = i .. i+h-1
 
     def enter(b):
-        for e in (0, 1):
-            np.subtract(windows[e][b], shift[e], out=ring[:, b % p, e])
+        xb, yb = next(feed)
+        c = ring[:, b % s]
+        mx, my = ones @ xb / w, ones @ yb / w  # GEMVs: faster than .mean(axis=0)
+        np.subtract(xb, mx, out=c[:, :kx])
+        np.subtract(yb, my, out=c[:, kx:])
+        # c's column means are the rounding of mx and my; u takes them back
+        u[b] = np.concatenate([mx, my]) - shift + ones @ c / w
 
-    for b in range(p - 1):
+    for b in range(s - 1):
         enter(b)
-    for a in range(rows):
-        # row a+p-1 takes row a-1's slot; past the last row a slot keeps
-        # stale windows, which only sums that no block reads ever see
-        if a + p - 1 < rows:
-            enter(a + p - 1)
-        lead = ring[:, a % p].reshape(w, 2 * p)
-        # ring' lead, not lead' ring: on OpenBLAS 0.3.31 only this form
+    for a in range(h + s - 1):
+        # block a+s-1 takes block a-1's slot; past the last block a slot
+        # keeps stale data, which only sums that no block reads ever see
+        if a < h:
+            enter(a + s - 1)
+        # ring' C_a, not C_a' ring: on OpenBLAS 0.3.31 only this form
         # gives the same bits at one and two threads
-        slots = (ring.reshape(w, 2 * p * p).T @ lead).T.reshape(2 * p, p, 2 * p)
-        gram += slots[:, (a + np.arange(p)) % p]
-        total += ones @ lead  # a GEMV: lead.sum(axis=0) is slower on this strided view
-        # gram and total now cover rows 0..a
-        if a + 1 < p:
+        slots = (ring.reshape(w, s * k).T @ ring[:, a % s]).T.reshape(k, s, k)
+        gram += slots[:, (a + np.arange(s)) % s]
+        # gram now covers blocks 0..a
+        if a + 1 < s:
             blocks[a + 1] -= gram
-            sums[a + 1] -= total
         if a + 1 >= h:
             blocks[a + 1 - h] += gram
-            sums[a + 1 - h] += total
 
-    scatter = np.empty((2, p, p, 2, p, p))  # [e, i, j, e', i', j']
-    for i in range(p):
-        block = blocks[i].reshape(2, p, p, 2, p)  # [e, j, k, e', j']
-        for k in range(p - i):
-            scatter[:, i, :, :, i + k] = block[:, :, k]
-            scatter[:, i + k, :, :, i] = block[:, :, k].transpose(2, 3, 0, 1)
-    n, d = h * w, 2 * p * p
-    mean = sums.reshape(p, 2, p).transpose(1, 0, 2).reshape(d) / n  # [e, i, j] order
-    scatter = scatter.reshape(d, d) - n * np.outer(mean, mean)
-    return n, mean + np.repeat(shift, p * p), scatter
+    mean = np.stack([u[i : i + h].mean(axis=0) for i in range(s)])  # [i, q], less shift
+    scatter = np.empty((s, k, s, k))  # [i, q, i', q']
+    for i in range(s):
+        for t in range(s - i):
+            dev = (u[i : i + h] - mean[i]).T @ (u[i + t : i + t + h] - mean[i + t])
+            block = blocks[i, :, t] + w * dev
+            scatter[i, :, i + t] = block
+            scatter[i + t, :, i] = block.T
+    # [i, q] -> the x halves of every block, then the y halves
+    order = np.arange(s * k).reshape(s, k)
+    order = np.concatenate([order[:, :kx].ravel(), order[:, kx:].ravel()])
+    mean += shift
+    return mean.ravel()[order], scatter.reshape(s * k, s * k)[np.ix_(order, order)] / (h * w)
 
 
 def _scorer(m: HacdModel):

@@ -120,19 +120,23 @@ def make_pair(a: Raster, b: Raster) -> CoregisteredPair:
 
 def write_text(path: str, text) -> None:
     """Write ``text``, a str or an iterable of str chunks, as UTF-8 with
-    ``\\n`` line ends; an OS failure becomes IoError naming ``path``.
+    ``\\n`` line ends, or bytes as they are; an OS failure becomes IoError
+    naming ``path``.
 
     A write that fails after ``path`` was opened, by an OS error or by an
     exception from the chunks, removes the file, so no partial file is left
     for a reader to take as finished; a device, pipe or link at ``path``
     (say ``/dev/stdout``) is left in place."""
     try:
-        fh = open(path, "w", encoding="utf-8", newline="\n")
+        if isinstance(text, bytes):
+            fh = open(path, "wb")
+        else:
+            fh = open(path, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
     try:
         with fh:
-            fh.writelines([text] if isinstance(text, str) else text)
+            fh.writelines([text] if isinstance(text, (str, bytes)) else text)
     except BaseException as exc:
         with contextlib.suppress(OSError):
             if stat.S_ISREG(os.lstat(path).st_mode):
@@ -240,12 +244,15 @@ def save_raster(r: Raster, path: str) -> None:
         "dtype": _HEADER_DTYPE,
         "order": _HEADER_ORDER,
     }
-    write_text(base + ".json", json.dumps(header, separators=(",", ":")) + "\n")
+    # payload first: a failed write removes it and leaves no header behind,
+    # and a failed header write takes the payload with it
+    write_text(base + ".r32", np.ascontiguousarray(r.data, dtype="<f4").tobytes())
     try:
-        with open(base + ".r32", "wb") as fh:
-            fh.write(np.ascontiguousarray(r.data, dtype="<f4").tobytes())
-    except OSError as exc:
-        raise IoError(f"cannot write {base}.r32: {exc}") from exc
+        write_text(base + ".json", json.dumps(header, separators=(",", ":")) + "\n")
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(base + ".r32")
+        raise
 
 
 def _load_mask(path: str, grid: tuple[int, int]) -> np.ndarray:

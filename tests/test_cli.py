@@ -304,6 +304,29 @@ def test_run_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     assert default == one
 
 
+def test_run_under_a_foreign_main_module_matches_a_plain_run(tmp_path):
+    # under `python -m cProfile -m acdkit.cli` the CLI module is not
+    # sys.modules["__main__"], so the workers' function must be pickled by
+    # its acdkit.cli name
+    paths = _write_scene_files(tmp_path)
+    cfg_path = str(tmp_path / "run.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({"scene": {k: paths[k] for k in ("t0", "t1", "inner", "outer")},
+                   "detectors": ["diff", "hacd"]}, fh)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    prof = ["-m", "cProfile", "-o", str(tmp_path / "run.prof")]
+    for name, pre in (("plain", []), ("profiled", prof)):
+        proc = subprocess.run([sys.executable, *pre, "-m", "acdkit.cli", "run", cfg_path,
+                               "--out", str(tmp_path / name)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0 and not proc.stderr, (name, proc.stderr)
+    plain, profiled = _run_files(tmp_path / "plain"), _run_files(tmp_path / "profiled")
+    assert "league.csv" in plain
+    assert profiled == plain
+
+
 def test_run_empty_inner_mask_in_a_worker_is_exit_2(tmp_path, capsys):
     # the roc of every detector's map raises EmptyClass in its worker
     paths = _write_scene_files(tmp_path)

@@ -381,19 +381,33 @@ def test_streamed_detector_matches_materialised_reference(name, shape):
     width=st.integers(1, 9),
     dx=st.integers(1, 3),
     dy=st.integers(1, 3),
+    spread=st.booleans(),
+    zero_rows=st.integers(0, 2),
 )
-def test_merged_tile_moments_match_numpy_cov(seed, height, width, dx, dy):
-    # a large common offset is where a naive sum-of-squares update loses digits
+def test_merged_tile_moments_match_numpy_cov(seed, height, width, dx, dy, spread, zero_rows):
+    # a large offset is where a naive sum-of-squares update loses digits; with
+    # spread, x and y sit at opposite offsets that also differ by coordinate,
+    # which only a per-coordinate shift takes out.  Zero-filled (no-data)
+    # leading rows of a 100x taller grid leave a first row unlike the rest;
+    # raw sums about its mean lose about height * 1e-16 of the covariance,
+    # which is then about 1e8 / height, so the tolerance is 1e-13 of it
     rng = np.random.default_rng(seed)
-    x = 1e4 + rng.normal(size=(height, width, dx))
-    y = 1e4 + rng.normal(size=(height, width, dy)) + 0.5 * x[:, :, :1]
+    if zero_rows:
+        height *= 100
+    off_x, off_y = 1e4, 1e4
+    if spread:
+        off_x, off_y = 1e4 + 1e3 * np.arange(dx), -1e4 - 1e3 * np.arange(dy)
+    x = off_x + rng.normal(size=(height, width, dx))
+    y = off_y + rng.normal(size=(height, width, dy)) + 0.5 * x[:, :, :1]
+    x[:zero_rows], y[:zero_rows] = 0.0, 0.0
     m = fit_hacd(_stack(x), _stack(y), ridge=1.0)
     z = np.concatenate([x.reshape(-1, dx), y.reshape(-1, dy)], axis=1)
     np.testing.assert_allclose(
         np.concatenate([m.mean_x, m.mean_y]), z.mean(axis=0), rtol=1e-12, atol=0
     )
     want = np.atleast_2d(np.cov(z, rowvar=False, bias=True))
-    np.testing.assert_allclose(m.cov - np.eye(dx + dy), want, rtol=0, atol=1e-12)
+    atol = 1e-13 * np.abs(want).max() if zero_rows else 1e-12
+    np.testing.assert_allclose(m.cov - np.eye(dx + dy), want, rtol=0, atol=atol)
 
 
 @settings(max_examples=60, deadline=None)
@@ -427,15 +441,22 @@ def test_canonical_scores_match_explicit_q_form(seed, height, width, dx, dy):
     patch=st.sampled_from([1, 3, 5, 7]),
     extra=st.tuples(st.integers(0, 9), st.integers(0, 9)),
     offset=st.sampled_from([0.0, 1e4]),
+    zero_rows=st.integers(0, 5),
 )
-def test_row_gram_patch_moments_match_numpy_cov(seed, patch, extra, offset):
+def test_row_gram_patch_moments_match_numpy_cov(seed, patch, extra, offset, zero_rows):
     # grids start at the mirror-padding minimum (patch + 1) / 2, so height <
     # patch occurs, where the rows that end some blocks' sums come before
-    # the rows that start others
+    # the rows that start others.  Zero-filled (no-data) leading rows of a
+    # 100x taller grid at offset 1e4 make the first padded rows unlike the
+    # rest; the covariance is then about 1e8 / height and the tolerance 1e-13
+    # of it
     height, width = ((patch + 1) // 2 + e for e in extra)
     rng = np.random.default_rng(seed)
+    if zero_rows:
+        height, offset = height * 100, 1e4
     t0 = offset + rng.normal(size=(height, width))
     t1 = offset + rng.normal(size=(height, width)) + 0.5 * t0
+    t0[:zero_rows], t1[:zero_rows] = 0.0, 0.0
     r0, r1 = Raster(t0.astype(np.float32)), Raster(t1.astype(np.float32))
     m = fit_hacd(PatchWindows(r0, patch), PatchWindows(r1, patch), ridge=1.0)
     z = np.concatenate([patch_features(r, patch).data.reshape(height * width, -1)
@@ -444,12 +465,13 @@ def test_row_gram_patch_moments_match_numpy_cov(seed, patch, extra, offset):
         np.concatenate([m.mean_x, m.mean_y]), z.mean(axis=0), rtol=1e-12, atol=1e-12
     )
     want = np.atleast_2d(np.cov(z, rowvar=False, bias=True))
-    np.testing.assert_allclose(m.cov - np.eye(z.shape[1]), want, rtol=0, atol=1e-12)
+    atol = 1e-13 * np.abs(want).max() if zero_rows else 1e-12
+    np.testing.assert_allclose(m.cov - np.eye(z.shape[1]), want, rtol=0, atol=atol)
 
 
 def test_row_gram_fit_matches_tile_loop_fit():
-    # the detector's PatchWindows take the row-Gram sums, patch_features
-    # stacks the per-row moment merge
+    # one moment routine, two feeds: the detector's PatchWindows pass their
+    # padded-row windows, the patch_features stacks their rows
     pair = _textured_pair(61, 47, seed=35)
     rows, rows_model = run_detector("patch-hacd", pair)
     x, y = (patch_features(r, DEFAULT_PATCH) for r in (pair.t0, pair.t1))

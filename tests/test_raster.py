@@ -244,6 +244,42 @@ def test_write_past_the_file_size_limit_leaves_no_file(tmp_path):
     assert not os.path.exists(path)
 
 
+def test_raster_save_past_the_file_size_limit_leaves_no_sidecar(tmp_path):
+    # the payload (256 KiB) passes the 64 KiB limit; its header must not be
+    # left behind beside a truncated payload
+    base = str(tmp_path / "m")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"), env.get("PYTHONPATH")]))
+    code = ("import resource, sys\n"
+            "import numpy as np\n"
+            "from acdkit.errors import IoError\n"
+            "from acdkit.raster import Raster, save_raster\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (65536, resource.getrlimit("
+            "resource.RLIMIT_FSIZE)[1]))\n"
+            "try:\n"
+            "    save_raster(Raster(np.ones((256, 256), np.float32)), sys.argv[1])\n"
+            "except IoError as exc:\n"
+            "    print(type(exc).__name__, exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code, base], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"IoError cannot write {base}.r32:")
+    assert os.listdir(tmp_path) == []
+    with pytest.raises(NotFound):
+        load_raster(base)
+
+
+def test_raster_save_whose_header_write_fails_leaves_no_payload(tmp_path):
+    # a directory at the header's name fails the header write after the
+    # payload was written, which must then go too
+    base = str(tmp_path / "m")
+    os.mkdir(base + ".json")
+    with pytest.raises(IoError, match=f"cannot write {re.escape(base)}.json"):
+        save_raster(Raster(np.ones((4, 4), np.float32)), base)
+    assert os.listdir(tmp_path) == ["m.json"]
+
+
 @pytest.mark.parametrize("read", [
     load_raster,
     load_model,
