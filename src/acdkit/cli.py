@@ -8,6 +8,9 @@ Subcommands:
              evaluation runs in forked worker processes
     convert  R32 raster <-> plain-text pixel dump
 
+``eval`` and ``run``'s workers evaluate a map with one function,
+``acdkit.evaluate.evaluate_map``.
+
 Exit codes: 0 success, 2 user/data error (the diagnostic names the
 originating error class), 3 internal invariant violation.  Option
 precedence is flags > config file > defaults.
@@ -18,7 +21,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import os
 import sys
@@ -28,9 +30,10 @@ import numpy as np
 
 from .detectors import DETECTOR_NAMES, run_detector
 from .errors import AcdError, BadConfig, FormatError, NotFound
-from .evaluate import DEFAULT_FPR_MAX, auc, render_loglog_svg, roc, write_roc_csv
+from .evaluate import DEFAULT_FPR_MAX, evaluate_map, render_loglog_svg
+from .evaluate import roc, write_roc_csv  # noqa: F401  bench/spans.py traces them here
 from .features import DEFAULT_LEVELS, DEFAULT_OFFSETS, DEFAULT_PATCH
-from .hacd import AnomalyMap, save_model
+from .hacd import save_model
 from .raster import (
     CoregisteredPair,
     Raster,
@@ -138,28 +141,6 @@ def _require(cfg: dict, key: str) -> object:
     return cfg[key]
 
 
-def _write_map(amap: AnomalyMap, path: str) -> None:
-    save_raster(Raster(amap.scores.astype(np.float32)), path)
-
-
-def _load_map(path: str) -> AnomalyMap:
-    r = load_raster(path)
-    return AnomalyMap(r.data.astype(np.float64))
-
-
-def _summary(band) -> dict:
-    return {
-        "pauc_inner": band.pauc_inner,
-        "pauc_outer": band.pauc_outer,
-        "auc_inner": auc(band.inner_curve),
-        "auc_outer": auc(band.outer_curve),
-        "fpr_max": band.fpr_max,
-        "n_pos_inner": band.n_pos_inner,
-        "n_pos_outer": band.n_pos_outer,
-        "n_neg": band.n_neg,
-    }
-
-
 def _detect_pair(cfg: dict, pair: CoregisteredPair, out_dir: str) -> str:
     """Run cfg's detector on ``pair``, write its map (and model) into out_dir.
 
@@ -175,7 +156,7 @@ def _detect_pair(cfg: dict, pair: CoregisteredPair, out_dir: str) -> str:
     )
     make_dir(out_dir)
     map_base = os.path.join(out_dir, "anomaly")
-    _write_map(amap, map_base)
+    save_raster(Raster(amap.scores.astype(np.float32)), map_base)
     if model is not None:
         save_model(model, os.path.join(out_dir, "model.json"))
     return map_base
@@ -201,30 +182,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _eval_one(amap: AnomalyMap, gt, fpr_max: float, name: str, out_dir: str) -> "dict":
-    band = roc(amap, gt, fpr_max=fpr_max)
-    make_dir(out_dir)
-    write_roc_csv(band, os.path.join(out_dir, "roc.csv"))
-    render_loglog_svg({name: band}, os.path.join(out_dir, "roc.svg"))
-    summary = _summary(band)
-    write_text(os.path.join(out_dir, "summary.json"),
-               json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return {"band": band, "summary": summary}
-
-
-def _eval_map(map_base: str, gt, fpr_max: float) -> dict:
-    """Evaluate a persisted map into its own directory, labeled by its stem,
-    as ``eval --map map_base --out dirname(map_base)`` does."""
-    out_dir, name = os.path.split(map_base)
-    return _eval_one(_load_map(map_base), gt, fpr_max, name, out_dir)
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     fpr_max = _options({}, {"roc_fpr_max": args.fpr_max})["roc_fpr_max"]
-    amap = _load_map(args.map)
-    gt = load_ground_truth(args.inner, args.outer, (amap.width, amap.height))
-    name = _base_path(os.path.basename(os.path.normpath(args.map)))
-    _eval_one(amap, gt, fpr_max, name or "map", args.out)
+    evaluate_map(args.map, args.out, (args.inner, args.outer), fpr_max)
     return 0
 
 
@@ -293,25 +253,23 @@ def cmd_run(args: argparse.Namespace) -> int:
     # detection stays in this process, where BLAS has every core
     map_bases = [_detect_pair({**cfg, "detector": name}, pair, os.path.join(out_dir, name))
                  for name in detectors]
-    # Each evaluation is a pure function of its persisted f32 map, and each
-    # worker formats rates from its own table cache, so the per-detector
-    # outputs are byte-identical to detect + eval composed for any worker
-    # count; pool.map raises a worker's AcdError here again.  The pool's
-    # modules are imported here so that other commands do not load them.
+    # Each evaluation is evaluate_map, as in eval: a pure function of its
+    # persisted f32 map, and each worker formats rates from its own table
+    # cache, so the per-detector outputs are byte-identical to detect + eval
+    # composed for any worker count; pool.map raises a worker's AcdError
+    # here again.  The pool's modules are imported here so that other
+    # commands do not load them.
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
     workers = min(len(detectors), len(os.sched_getaffinity(0)))
-    evaluate = functools.partial(_eval_map, gt=gt, fpr_max=cfg["roc_fpr_max"])
+    evaluate = functools.partial(evaluate_map, truth=gt, fpr_max=cfg["roc_fpr_max"])
     with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-        results = list(pool.map(evaluate, map_bases))
+        results = list(pool.map(evaluate, map_bases, map(os.path.dirname, map_bases)))
 
-    bands = {}
-    rows = []
-    for name, result in zip(detectors, results):
-        bands[name] = result["band"]
-        s = result["summary"]
-        rows.append((name, s["pauc_inner"], s["pauc_outer"], s["auc_inner"], s["auc_outer"]))
+    bands = {name: band for name, (band, _) in zip(detectors, results)}
+    rows = [(name, s["pauc_inner"], s["pauc_outer"], s["auc_inner"], s["auc_outer"])
+            for name, (_, s) in zip(detectors, results)]
 
     render_loglog_svg(bands, os.path.join(out_dir, "roc.svg"))
     rows.sort(key=lambda r: (-r[1], r[0]))
@@ -416,7 +374,4 @@ def entry() -> None:
 
 
 if __name__ == "__main__":
-    # run's pool pickles _eval_map by name, so take entry from acdkit.cli,
-    # which holds that name even when another module is __main__ (cProfile)
-    from acdkit.cli import entry
     entry()

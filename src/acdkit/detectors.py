@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import BadConfig
-from .features import (  # noqa: F401  glcm/patch_features: bench/spans.py traces them here
+from .features import (  # noqa: F401  glcm/identity/patch_features: bench/spans.py traces them here
     DEFAULT_LEVELS,
     DEFAULT_OFFSETS,
     DEFAULT_PATCH,
@@ -21,16 +21,14 @@ DETECTOR_NAMES = ("diff", "hacd", "patch-hacd", "glcm-hacd")
 
 
 def _features(name: str, r: Raster, patch: int, levels: int, offsets) -> Features:
-    if name == "hacd":
-        return identity_features(r)
-    if name == "patch-hacd":
-        # streamed: fit and score read only the padded rows' windows and
-        # cut no patch vectors
-        return PatchWindows(r, patch)
-    # glcm-hacd: each epoch is quantized against its own quantiles, so a
-    # global monotone intensity change between epochs is already neutralized;
-    # streamed: fit and score divide each row's integer pair counts
-    return GlcmCounts(quantize(r, levels), patch, offsets)
+    if name == "glcm-hacd":
+        # each epoch is quantized against its own quantiles, so a global
+        # monotone intensity change between epochs is already neutralized;
+        # streamed: fit and score divide each row's integer pair counts
+        return GlcmCounts(quantize(r, levels), patch, offsets)
+    # hacd is the 1x1 patch; streamed: fit and score read only the padded
+    # rows' windows and cut no patch vectors
+    return PatchWindows(r, 1 if name == "hacd" else patch)
 
 
 def run_detector(

@@ -1,4 +1,5 @@
-"""Dual-mask ROC curves, partial AUC, CSV export, and log-log SVG plots.
+"""Dual-mask ROC curves, partial AUC, CSV export, log-log SVG plots, and
+the evaluation of one persisted anomaly map (``evaluate_map``).
 
 A detector is evaluated against both ground-truth masks at once.  The
 outer curve treats every outer-mask pixel as positive; the inner curve
@@ -11,6 +12,8 @@ the unknown exact truth.
 from __future__ import annotations
 
 import functools
+import json
+import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
@@ -19,7 +22,7 @@ import numpy as np
 
 from .errors import EmptyClass, GridMismatch
 from .hacd import AnomalyMap
-from .raster import GroundTruth, write_text
+from .raster import GroundTruth, _base_path, load_ground_truth, load_raster, make_dir, write_text
 
 DEFAULT_FPR_MAX = 0.01
 DEFAULT_FPR_FLOOR = 1e-5
@@ -234,6 +237,39 @@ def _roc_csv_chunks(band: RocBand):
         cells[:, :4, _CELL_WIDTH] = ord(",")
         cells[:, 4, _CELL_WIDTH] = ord("\n")
         yield cells[cells != 0].tobytes().decode("ascii")
+
+
+def evaluate_map(path: str, out_dir: str, truth: GroundTruth | tuple[str, str | None],
+                 fpr_max: float) -> tuple[RocBand, dict]:
+    """Evaluate the f32 anomaly map persisted at ``path`` into ``out_dir``:
+    roc.csv, roc.svg labelled by the map's file stem (or "map"), and
+    summary.json, whose dict is returned with the band.
+
+    ``truth`` is the GroundTruth or the (inner, outer) mask paths, loaded on
+    the map's grid.  ``eval`` and ``run``'s workers call this function; the
+    workers' pool pickles it by this module's name, never ``__main__``.
+    """
+    amap = AnomalyMap(load_raster(path).data.astype(np.float64))
+    if not isinstance(truth, GroundTruth):
+        truth = load_ground_truth(*truth, (amap.width, amap.height))
+    band = roc(amap, truth, fpr_max=fpr_max)
+    make_dir(out_dir)
+    write_roc_csv(band, os.path.join(out_dir, "roc.csv"))
+    label = _base_path(os.path.basename(os.path.normpath(path))) or "map"
+    render_loglog_svg({label: band}, os.path.join(out_dir, "roc.svg"))
+    summary = {
+        "pauc_inner": band.pauc_inner,
+        "pauc_outer": band.pauc_outer,
+        "auc_inner": auc(band.inner_curve),
+        "auc_outer": auc(band.outer_curve),
+        "fpr_max": band.fpr_max,
+        "n_pos_inner": band.n_pos_inner,
+        "n_pos_outer": band.n_pos_outer,
+        "n_neg": band.n_neg,
+    }
+    write_text(os.path.join(out_dir, "summary.json"),
+               json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    return band, summary
 
 
 def _decimate(n: int) -> np.ndarray:

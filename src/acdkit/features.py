@@ -114,7 +114,8 @@ class PatchWindows:
         self.height, self.width = r.height, r.width
         self.patch = patch
         self.dim = patch * patch
-        self._padded = np.pad(r.data.astype(np.float64), pad, mode="reflect")
+        # padded before the cast: the float32 temporary is the smaller one
+        self._padded = np.pad(r.data, pad, mode="reflect").astype(np.float64)
 
     def rows(self):
         """Yield each output row's patch vectors as a (width, p*p) strided view.

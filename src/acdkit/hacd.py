@@ -116,15 +116,18 @@ class HacdModel:
             raise DimensionMismatch("feature dimensions must each be >= 1")
         if c.shape != (d, d):
             raise DimensionMismatch(f"covariance shape {c.shape} does not match d={d}")
+        if not np.isfinite(self.ridge):
+            raise SingularCovariance(f"ridge {self.ridge!r} is not finite")
+        # checked after symmetrising, where entries above half the float64
+        # range overflow: a non-finite covariance is refused here, not saved
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = float(np.abs(c).max()) or 1.0
+            if float(np.abs(c - c.T).max()) > 1e-10 * scale:
+                raise SingularCovariance("covariance is not symmetric within 1e-10 relative")
+            c = np.ascontiguousarray((c + c.T) / 2.0)
         for name, val in (("mean_x", mx), ("mean_y", my), ("covariance", c)):
             if not np.isfinite(val).all():
                 raise SingularCovariance(f"{name} has non-finite entries")
-        if not np.isfinite(self.ridge):
-            raise SingularCovariance(f"ridge {self.ridge!r} is not finite")
-        scale = float(np.abs(c).max()) or 1.0
-        if float(np.abs(c - c.T).max()) > 1e-10 * scale:
-            raise SingularCovariance("covariance is not symmetric within 1e-10 relative")
-        c = np.ascontiguousarray((c + c.T) / 2.0)
 
         dx = mx.size
         _cholesky(c, "joint covariance")  # only the positive-definiteness check

@@ -101,6 +101,19 @@ def test_detect_missing_input_is_exit_2(tmp_path, capsys):
     assert "NotFound" in err and "nope" in err
 
 
+@pytest.mark.parametrize("detector", ["hacd", "patch-hacd", "glcm-hacd"])
+def test_detect_ridge_that_overflows_the_covariance_is_exit_2(tmp_path, capsys, detector):
+    # 1e308 on the diagonal overflows when the covariance is symmetrised:
+    # the fit refuses it instead of writing a model load_model refuses
+    paths = _write_scene_files(tmp_path)
+    out = tmp_path / "o"
+    rc = main(["detect", "--detector", detector, "--ridge", "1e308", "--t0", paths["t0"],
+               "--t1", paths["t1"], "--out", str(out)])
+    assert rc == 2
+    assert "error SingularCovariance" in capsys.readouterr().err
+    assert not (out / "model.json").exists()
+
+
 def test_detect_dimension_mismatch_names_error(tmp_path, capsys):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     save_raster(Raster(np.zeros((2, 2), np.float32)), a)
@@ -285,6 +298,14 @@ def test_run_matches_detect_plus_eval(tmp_path):
             assert a == b, (det, name)
 
 
+def _src_env() -> dict:
+    """This process's environment with the repository's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def _run_files(out: Path) -> dict:
     return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
             if p.is_file()}
@@ -306,16 +327,14 @@ def test_run_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
 
 def test_run_under_a_foreign_main_module_matches_a_plain_run(tmp_path):
     # under `python -m cProfile -m acdkit.cli` the CLI module is not
-    # sys.modules["__main__"], so the workers' function must be pickled by
-    # its acdkit.cli name
+    # sys.modules["__main__"]; the workers' function is pickled by its
+    # acdkit.evaluate name, a module that never runs as __main__
     paths = _write_scene_files(tmp_path)
     cfg_path = str(tmp_path / "run.json")
     with open(cfg_path, "w") as fh:
         json.dump({"scene": {k: paths[k] for k in ("t0", "t1", "inner", "outer")},
                    "detectors": ["diff", "hacd"]}, fh)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _src_env()
     prof = ["-m", "cProfile", "-o", str(tmp_path / "run.prof")]
     for name, pre in (("plain", []), ("profiled", prof)):
         proc = subprocess.run([sys.executable, *pre, "-m", "acdkit.cli", "run", cfg_path,
@@ -325,6 +344,20 @@ def test_run_under_a_foreign_main_module_matches_a_plain_run(tmp_path):
     plain, profiled = _run_files(tmp_path / "plain"), _run_files(tmp_path / "profiled")
     assert "league.csv" in plain
     assert profiled == plain
+
+
+def test_cli_as_main_is_not_imported_again(tmp_path):
+    # `python -m acdkit.cli` runs the module once, as __main__: no module
+    # of the package, and not its own __main__ block, imports acdkit.cli
+    missing = str(tmp_path / "missing")
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "acdkit.cli", "eval",
+                           "--map", missing, "--inner", missing, "--out", str(tmp_path / "o")],
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and "error NotFound" in proc.stderr, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "acdkit.evaluate" in imported
+    assert "acdkit.cli" not in imported
 
 
 def test_run_empty_inner_mask_in_a_worker_is_exit_2(tmp_path, capsys):
@@ -651,9 +684,7 @@ def test_cli_annotations_resolve():
 @pytest.mark.parametrize("module", ["acdkit", "acdkit.cli"])
 def test_runtime_imports_no_scipy(module):
     # numpy is the only runtime dependency; scipy is a test-only oracle
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _src_env()
     code = (f"import sys, {module}\n"
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,

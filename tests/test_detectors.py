@@ -3,6 +3,7 @@ import pytest
 
 from acdkit import (
     BadConfig,
+    FeatureStack,
     Raster,
     fit_hacd,
     glcm_features,
@@ -27,12 +28,25 @@ def test_unknown_detector():
 
 
 def test_hacd_is_identity_feature_composition():
+    # the detector reads each pixel as a 1x1 patch; model and scores must
+    # equal, bit for bit, those of the dim-1 identity stacks
     pair = _pair()
-    amap, model = run_detector("hacd", pair, ridge=0.0)
     fx, fy = identity_features(pair.t0), identity_features(pair.t1)
-    m = fit_hacd(fx, fy, ridge=0.0)
-    assert np.array_equal(amap.scores, score_map(m, fx, fy).scores)
-    assert np.array_equal(model.cov, m.cov)
+    for ridge in (0.0, None):
+        amap, model = run_detector("hacd", pair, ridge=ridge)
+        m = fit_hacd(fx, fy, ridge=ridge)
+        assert amap.scores.tobytes() == score_map(m, fx, fy).scores.tobytes()
+        for name in ("mean_x", "mean_y", "cov"):
+            assert getattr(model, name).tobytes() == getattr(m, name).tobytes(), (ridge, name)
+
+
+@pytest.mark.parametrize("name", ["hacd", "patch-hacd", "glcm-hacd"])
+def test_detectors_build_no_feature_stack(monkeypatch, name):
+    def refuse(self):
+        raise AssertionError("a FeatureStack was built")
+
+    monkeypatch.setattr(FeatureStack, "__post_init__", refuse)
+    run_detector(name, _pair(), patch=5, levels=4)
 
 
 def test_glcm_detector_quantizes_each_epoch_separately():

@@ -249,6 +249,41 @@ def test_model_json_round_trip(tmp_path):
     assert hacd_score(back, x, y) == hacd_score(m, x, y)
 
 
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    seed=st.integers(0, 2**32 - 1),
+    # up to the float64 overflow edge: entries above half the range
+    # (about 9e307) overflow when the covariance is symmetrised
+    scale=st.one_of(st.sampled_from([1e-300, 1.0, 1e300, 8.9e307, 8.99e307, 9e307, 1.7e308]),
+                    st.floats(1e-300, 1.79e308)),
+    asymmetry=st.sampled_from([0.0, 1e-13]),
+    mean=_finite,
+    ridge=_finite,
+)
+def test_a_model_that_constructs_survives_save_and_load(
+        tmp_path_factory, dims, seed, scale, asymmetry, mean, ridge):
+    dx, dy = dims
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dx + dy, dx + dy))
+    cov = a @ a.T + np.eye(dx + dy)
+    cov = cov / np.abs(cov).max() * (1.0 - asymmetry)
+    cov[0, -1] += asymmetry  # within the symmetry tolerance; symmetrising rounds it
+    try:
+        m = HacdModel(np.full(dx, mean), rng.normal(size=dy), cov * scale, ridge=ridge)
+    except SingularCovariance:
+        return
+    path = str(tmp_path_factory.mktemp("model") / "model.json")
+    save_model(m, path)
+    back = load_model(path)
+    for name in ("mean_x", "mean_y", "cov"):
+        assert getattr(back, name).tobytes() == getattr(m, name).tobytes(), name
+    assert np.float64(back.ridge).tobytes() == np.float64(m.ridge).tobytes()
+
+
 @pytest.mark.parametrize("edit", [
     None,
     lambda doc: doc.pop("ridge"),
