@@ -30,8 +30,9 @@ import numpy as np
 
 from .detectors import DETECTOR_NAMES, run_detector
 from .errors import AcdError, BadConfig, FormatError, NotFound
-from .evaluate import DEFAULT_FPR_MAX, evaluate_map, render_loglog_svg
-from .evaluate import roc, write_roc_csv  # noqa: F401  bench/spans.py traces them here
+from .evaluate import DEFAULT_FPR_MAX, evaluate_map, write_loglog_svg
+# bench/spans.py traces these three here
+from .evaluate import render_loglog_svg, roc, write_roc_csv  # noqa: F401
 from .features import DEFAULT_LEVELS, DEFAULT_OFFSETS, DEFAULT_PATCH
 from .hacd import save_model
 from .raster import (
@@ -222,7 +223,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     """Detect with every listed detector in order, in this process, then
     evaluate the persisted maps in forked workers, min(detectors, usable
-    CPUs) of them, and write the combined roc.svg and league.csv."""
+    CPUs) of them, and write the combined roc.svg and league.csv from the
+    plot points and summaries they return; no ROC band reaches this
+    process."""
     config = read_json(args.config, BadConfig, _RUN_KEYS)
     # a scene path object gives the same keys as the top level
     paths = config.get("scene") if isinstance(config.get("scene"), dict) else {}
@@ -267,11 +270,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
         results = list(pool.map(evaluate, map_bases, map(os.path.dirname, map_bases)))
 
-    bands = {name: band for name, (band, _) in zip(detectors, results)}
+    points = {name: p for name, (p, _) in zip(detectors, results)}
     rows = [(name, s["pauc_inner"], s["pauc_outer"], s["auc_inner"], s["auc_outer"])
             for name, (_, s) in zip(detectors, results)]
 
-    render_loglog_svg(bands, os.path.join(out_dir, "roc.svg"))
+    write_loglog_svg(points, os.path.join(out_dir, "roc.svg"))
     rows.sort(key=lambda r: (-r[1], r[0]))
     lines = ["detector,pauc_inner,pauc_outer,auc_inner,auc_outer"]
     lines += [f"{r[0]},{r[1]!r},{r[2]!r},{r[3]!r},{r[4]!r}" for r in rows]

@@ -1,6 +1,12 @@
 """Dual-mask ROC curves, partial AUC, CSV export, log-log SVG plots, and
 the evaluation of one persisted anomaly map (``evaluate_map``).
 
+A plot is drawn in two steps: ``plot_points`` reduces a band to the
+vertices its polylines draw (at most ``_SVG_MAX_POINTS`` + 1 per curve),
+and ``write_loglog_svg`` writes named vertices as SVG.  ``evaluate_map``
+returns the vertices, not the band, so ``run``'s workers send its parent
+a few thousand points per map whatever the map's size.
+
 A detector is evaluated against both ground-truth masks at once.  The
 outer curve treats every outer-mask pixel as positive; the inner curve
 treats only inner-mask pixels as positive and drops the ambiguous
@@ -16,7 +22,7 @@ import json
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -90,6 +96,10 @@ class RocBand:
     def __post_init__(self):
         if min(self.n_pos_inner, self.n_pos_outer, self.n_neg) < 1:
             raise ValueError("class counts must be >= 1")
+
+
+# a band's inner and outer curves as the (2, k) fpr/tpr vertices plotted
+PlotPoints = tuple[np.ndarray, np.ndarray]
 
 
 def _curve(
@@ -240,10 +250,11 @@ def _roc_csv_chunks(band: RocBand):
 
 
 def evaluate_map(path: str, out_dir: str, truth: GroundTruth | tuple[str, str | None],
-                 fpr_max: float) -> tuple[RocBand, dict]:
+                 fpr_max: float) -> tuple[PlotPoints, dict]:
     """Evaluate the f32 anomaly map persisted at ``path`` into ``out_dir``:
     roc.csv, roc.svg labelled by the map's file stem (or "map"), and
-    summary.json, whose dict is returned with the band.
+    summary.json.  Returns the band's ``plot_points`` and the summary dict,
+    whose sizes do not grow with the map, and drops the band itself.
 
     ``truth`` is the GroundTruth or the (inner, outer) mask paths, loaded on
     the map's grid.  ``eval`` and ``run``'s workers call this function; the
@@ -255,8 +266,9 @@ def evaluate_map(path: str, out_dir: str, truth: GroundTruth | tuple[str, str | 
     band = roc(amap, truth, fpr_max=fpr_max)
     make_dir(out_dir)
     write_roc_csv(band, os.path.join(out_dir, "roc.csv"))
+    points = plot_points(band)
     label = _base_path(os.path.basename(os.path.normpath(path))) or "map"
-    render_loglog_svg({label: band}, os.path.join(out_dir, "roc.svg"))
+    write_loglog_svg({label: points}, os.path.join(out_dir, "roc.svg"))
     summary = {
         "pauc_inner": band.pauc_inner,
         "pauc_outer": band.pauc_outer,
@@ -269,35 +281,43 @@ def evaluate_map(path: str, out_dir: str, truth: GroundTruth | tuple[str, str | 
     }
     write_text(os.path.join(out_dir, "summary.json"),
                json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return band, summary
+    return points, summary
 
 
-def _decimate(n: int) -> np.ndarray:
-    stride = max(1, -(-n // _SVG_MAX_POINTS))
-    idx = np.arange(0, n, stride)
-    if idx[-1] != n - 1:
-        idx = np.append(idx, n - 1)
-    return idx
+def plot_points(band: RocBand) -> PlotPoints:
+    """The vertices ``write_loglog_svg`` draws for ``band``: each curve's
+    (fpr, tpr) rows at every ``ceil(n / _SVG_MAX_POINTS)``-th operating
+    point and the last one, so at most ``_SVG_MAX_POINTS`` + 1 columns."""
+    def vertices(curve: RocCurve) -> np.ndarray:
+        n = curve.fpr.size
+        idx = np.arange(0, n, -(-n // _SVG_MAX_POINTS))
+        if idx[-1] != n - 1:
+            idx = np.append(idx, n - 1)
+        return np.stack([curve.fpr[idx], curve.tpr[idx]])
+
+    return vertices(band.inner_curve), vertices(band.outer_curve)
 
 
-def _polyline_points(
-    curve: RocCurve, floor: float, to_px
-) -> str:
-    idx = _decimate(curve.fpr.size)
-    xs, ys = to_px(np.log10(np.maximum(curve.fpr[idx], floor)),
-                   np.log10(np.maximum(curve.tpr[idx], floor)))
+def _polyline_points(vertices: np.ndarray, floor: float, to_px) -> str:
+    xs, ys = to_px(*np.log10(np.maximum(vertices, floor)))
     return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs.tolist(), ys.tolist()))
 
 
 def render_loglog_svg(bands: Mapping[str, RocBand], path: str) -> None:
-    """Render named ROC bands as a standalone log-log SVG plot.
+    """Render named ROC bands as a standalone log-log SVG plot:
+    ``write_loglog_svg`` of each band's ``plot_points``."""
+    write_loglog_svg({name: plot_points(band) for name, band in bands.items()}, path)
 
-    ``bands`` maps each name to its RocBand, in plotting order; each band draws
-    two polylines (inner solid, outer dashed) in one color.  Rates below
-    DEFAULT_FPR_FLOOR (1e-5) are clipped to it so zero never reaches log10.
-    Output bytes are a pure function of the inputs.
+
+def write_loglog_svg(points: Mapping[str, PlotPoints], path: str) -> None:
+    """Write named bands' plot points as a standalone log-log SVG plot.
+
+    ``points`` maps each name to its ``plot_points``, in plotting order; each
+    band draws two polylines (inner solid, outer dashed) in one color.  Rates
+    below DEFAULT_FPR_FLOOR (1e-5) are clipped to it so zero never reaches
+    log10.  Output bytes are a pure function of the inputs.
     """
-    if not bands:
+    if not points:
         raise ValueError("at least one band is required")
 
     width, height = 720, 540
@@ -356,10 +376,10 @@ def render_loglog_svg(bands: Mapping[str, RocBand], path: str) -> None:
         "true positive rate</text>"
     )
 
-    for i, (name, band) in enumerate(bands.items()):
+    for i, (name, (inner, outer)) in enumerate(points.items()):
         color = _PALETTE[i % len(_PALETTE)]
-        inner_pts = _polyline_points(band.inner_curve, DEFAULT_FPR_FLOOR, to_px)
-        outer_pts = _polyline_points(band.outer_curve, DEFAULT_FPR_FLOOR, to_px)
+        inner_pts = _polyline_points(inner, DEFAULT_FPR_FLOOR, to_px)
+        outer_pts = _polyline_points(outer, DEFAULT_FPR_FLOOR, to_px)
         parts.append(
             f'<polyline points="{inner_pts}" fill="none" stroke="{color}" '
             'stroke-width="1.8"/>'
@@ -375,7 +395,7 @@ def render_loglog_svg(bands: Mapping[str, RocBand], path: str) -> None:
         )
         parts.append(
             f'<text x="{ml + 50}" y="{ly + 4}" font-size="12" '
-            f'font-family="sans-serif">{escape(str(name))}</text>'
+            f'font-family="sans-serif">{escape(str(name), quote=False)}</text>'
         )
     parts.append("</svg>")
     write_text(path, "\n".join(parts) + "\n")

@@ -31,11 +31,15 @@ _U53 = float(1 << 53)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 output function on uint64 values (vectorized)."""
+    """splitmix64 output function on uint64 values, in place on an array
+    (a scalar is rebound); returns ``z``."""
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * MIX1
-        z = (z ^ (z >> np.uint64(27))) * MIX2
-        return z ^ (z >> np.uint64(31))
+        z ^= z >> np.uint64(30)
+        z *= MIX1
+        z ^= z >> np.uint64(27)
+        z *= MIX2
+        z ^= z >> np.uint64(31)
+        return z
 
 
 def stream_key(seed: int, stream: int) -> np.uint64:
@@ -49,29 +53,53 @@ def raw_u64(seed: int, stream: int, counters: np.ndarray) -> np.ndarray:
     """uint64 draws at the given counters of one stream."""
     key = stream_key(seed, stream)
     with np.errstate(over="ignore"):
-        c = counters.astype(np.uint64, copy=False)
-        return _mix64(key + (c + np.uint64(1)) * GAMMA)
+        z = counters.astype(np.uint64, copy=False) + np.uint64(1)
+        z *= GAMMA
+        z += key
+        return _mix64(z)
+
+
+def _unit(u: np.ndarray) -> np.ndarray:
+    """The top 53 bits of uint64 draws ``u`` (shifted in place) as
+    full-precision doubles in [0, 1)."""
+    u >>= np.uint64(11)
+    x = u.astype(np.float64)
+    x /= _U53
+    return x
 
 
 def uniform(seed: int, stream: int, n: int, start: int = 0) -> np.ndarray:
     """n doubles in [0, 1), one per counter start..start+n-1."""
-    counters = np.arange(start, start + n, dtype=np.uint64)
-    u = raw_u64(seed, stream, counters)
-    # top 53 bits -> full-precision double in [0, 1)
-    return (u >> np.uint64(11)).astype(np.float64) / _U53
+    return _unit(raw_u64(seed, stream, np.arange(start, start + n, dtype=np.uint64)))
 
+
+# The draws below work in place on arrays they own, so ``normal`` holds at
+# most four n-element arrays (32 B per draw); each step is the same IEEE
+# operation as its out-of-place form, so the bits are too.
 
 def normal(seed: int, stream: int, n: int) -> np.ndarray:
     """n standard normal draws via Box-Muller; draw i uses counters 2i, 2i+1."""
-    even = np.arange(0, 2 * n, 2, dtype=np.uint64)
-    u1 = (raw_u64(seed, stream, even) >> np.uint64(11)).astype(np.float64) / _U53
-    u2 = (raw_u64(seed, stream, even + np.uint64(1)) >> np.uint64(11)).astype(np.float64) / _U53
-    # 1 - u1 is in (0, 1], so the log is finite
-    r = np.sqrt(-2.0 * np.log1p(-u1))
-    return r * np.cos(2.0 * np.pi * u2)
+    counters = np.arange(0, 2 * n, 2, dtype=np.uint64)
+    r = _unit(raw_u64(seed, stream, counters))
+    counters += np.uint64(1)
+    c = _unit(raw_u64(seed, stream, counters))
+    del counters
+    # r = sqrt(-2 log(1 - u1)); 1 - u1 is in (0, 1], so the log is finite
+    np.negative(r, out=r)
+    np.log1p(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    # c = cos(2 pi u2)
+    c *= 2.0 * np.pi
+    np.cos(c, out=c)
+    r *= c
+    return r
 
 
 def exponential(seed: int, stream: int, n: int) -> np.ndarray:
     """n unit-mean exponential draws (inverse CDF)."""
-    u = uniform(seed, stream, n)
-    return -np.log1p(-u)
+    e = uniform(seed, stream, n)
+    np.negative(e, out=e)
+    np.log1p(e, out=e)
+    np.negative(e, out=e)
+    return e

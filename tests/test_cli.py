@@ -10,10 +10,14 @@ import numpy as np
 import pytest
 
 from acdkit import (
+    AnomalyMap,
     Raster,
     diff_score,
+    load_ground_truth,
     load_raster,
     make_pair,
+    render_loglog_svg,
+    roc,
     run_detector,
     save_raster,
 )
@@ -298,6 +302,27 @@ def test_run_matches_detect_plus_eval(tmp_path):
             assert a == b, (det, name)
 
 
+def test_run_combined_plot_is_the_plot_of_the_recomputed_bands(tmp_path):
+    # the workers return plot points, not bands; the combined roc.svg must be
+    # the plot of the bands that roc recomputes from the written maps, on a
+    # grid with more distinct scores than a polyline draws
+    detectors = ["diff", "hacd", "patch-hacd", "glcm-hacd"]
+    paths = _write_scene_files(tmp_path, side=80)
+    out = tmp_path / "run"
+    cfg_path = str(tmp_path / "run.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({"scene": {k: paths[k] for k in ("t0", "t1", "inner", "outer")},
+                   "detectors": detectors, "out": str(out)}, fh)
+    assert main(["run", cfg_path]) == 0
+    gt = load_ground_truth(paths["inner"], paths["outer"], (80, 80))
+    bands = {det: roc(AnomalyMap(load_raster(str(out / det / "anomaly")).data.astype(np.float64)),
+                      gt)
+             for det in detectors}
+    assert bands["diff"].inner_curve.fpr.size > acdkit.evaluate._SVG_MAX_POINTS
+    render_loglog_svg(bands, str(tmp_path / "expected.svg"))
+    assert (out / "roc.svg").read_bytes() == (tmp_path / "expected.svg").read_bytes()
+
+
 def _src_env() -> dict:
     """This process's environment with the repository's src/ first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -358,6 +383,18 @@ def test_cli_as_main_is_not_imported_again(tmp_path):
                 if line.startswith("import time:")]
     assert "acdkit.evaluate" in imported
     assert "acdkit.cli" not in imported
+
+
+def test_cli_imports_no_network_or_mail_modules():
+    # the SVG writer escapes labels with html.escape; xml.sax.saxutils would
+    # pull in urllib.request and with it http.client, email, ssl and socket
+    code = ("import sys, acdkit.cli\n"
+            "print(sorted({'urllib.request', 'http.client', 'email', 'ssl', 'socket'}"
+            " & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_run_empty_inner_mask_in_a_worker_is_exit_2(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import csv
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -14,12 +15,14 @@ from acdkit import (
     EmptyClass,
     GridMismatch,
     GroundTruth,
+    Raster,
     RocBand,
     RocCurve,
     auc,
     pauc,
     render_loglog_svg,
     roc,
+    save_raster,
     write_roc_csv,
 )
 
@@ -258,11 +261,19 @@ def _reference_write_roc_csv(band, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def _reference_polyline_points(curve, floor, to_px):
-    lf = np.log10(np.maximum(curve.fpr, floor))
-    lt = np.log10(np.maximum(curve.tpr, floor))
-    idx = evaluate._decimate(lf.size)
-    return " ".join(f"{to_px(lf[i], lt[i])[0]:.2f},{to_px(lf[i], lt[i])[1]:.2f}" for i in idx)
+def _reference_plot_points(band):
+    def vertices(curve):
+        n = curve.fpr.size
+        idx = sorted(set(range(0, n, math.ceil(n / evaluate._SVG_MAX_POINTS))) | {n - 1})
+        return np.array([[curve.fpr[i] for i in idx], [curve.tpr[i] for i in idx]])
+
+    return vertices(band.inner_curve), vertices(band.outer_curve)
+
+
+def _reference_polyline_points(vertices, floor, to_px):
+    lf = np.log10(np.maximum(vertices[0], floor))
+    lt = np.log10(np.maximum(vertices[1], floor))
+    return " ".join(f"{to_px(x, y)[0]:.2f},{to_px(x, y)[1]:.2f}" for x, y in zip(lf, lt))
 
 
 def _assert_csv_matches_reference(band, tmp_path):
@@ -275,7 +286,8 @@ def _assert_csv_matches_reference(band, tmp_path):
 def _assert_svg_matches_reference(bands, tmp_path):
     new, ref = tmp_path / "new.svg", tmp_path / "ref.svg"
     render_loglog_svg(bands, str(new))
-    with mock.patch.object(evaluate, "_polyline_points", _reference_polyline_points):
+    with mock.patch.object(evaluate, "plot_points", _reference_plot_points), \
+            mock.patch.object(evaluate, "_polyline_points", _reference_polyline_points):
         render_loglog_svg(bands, str(ref))
     assert new.read_bytes() == ref.read_bytes()
 
@@ -399,3 +411,24 @@ def test_svg_bytes_match_reference_with_decimation(tmp_path):
     }
     assert bands["large"].inner_curve.fpr.size > evaluate._SVG_MAX_POINTS
     _assert_svg_matches_reference(bands, tmp_path)
+
+
+def test_evaluate_map_returns_a_result_that_does_not_grow_with_the_map(tmp_path):
+    # run's workers send this result to their parent through a pipe: the
+    # plot points and the summary, not the band of every distinct score
+    sizes = {}
+    for side in (64, 256):
+        scores = np.random.default_rng(side).normal(size=(side, side)).astype(np.float32)
+        outer = np.zeros((side, side), bool)
+        outer[side // 4: side // 2, side // 4: side // 2] = True
+        base = str(tmp_path / f"map{side}")
+        save_raster(Raster(scores), base)
+        result = evaluate.evaluate_map(base, str(tmp_path / f"eval{side}"), _gt(outer), 0.01)
+        assert np.unique(scores).size + 1 > evaluate._SVG_MAX_POINTS
+        sizes[side] = len(pickle.dumps(result))
+    # two curves of two float64 rows, at most _SVG_MAX_POINTS + 1 vertices each
+    bound = 4 * 8 * (evaluate._SVG_MAX_POINTS + 1) + 2048
+    assert max(sizes.values()) <= bound, sizes
+    # 16 times the pixels; the decimation strides (2 and 17) keep 2049 and
+    # 3857 vertices per curve
+    assert sizes[256] < 2 * sizes[64], sizes
