@@ -4,10 +4,11 @@ Every extractor maps a Raster (or QuantizedRaster) to float64 vectors, one
 per pixel on the same grid.  A feature source offers ``rows()``, which
 yields each output row's (width, dim) vectors in order; that is what the
 HACD score reads, and the fit unless both sources are `PatchWindows` of
-one size.  `FeatureStack` holds every vector.  Two streamed
-sources hold less: `PatchWindows` keeps only the padded raster and yields
-strided views of its windows, and `GlcmCounts` keeps the integer pair
-counts and divides one row at a time.  `patch_features` and
+one size.  `FeatureStack` holds every vector.  Two streamed sources hold
+O(pixels), not O(pixels x dim): `PatchWindows` keeps only the padded
+raster and yields strided views of its windows, and `GlcmCounts` keeps
+one small-integer cell image per offset and counts each row's pairs from
+rolling column windows, afresh on every pass.  `patch_features` and
 `glcm_features` collect those rows into a FeatureStack.  Borders are
 handled by mirror padding (reflection without repeating the edge sample),
 so the output grid always equals the input grid.
@@ -168,21 +169,53 @@ def quantize(r: Raster, levels: int = DEFAULT_LEVELS) -> QuantizedRaster:
     """
     flat = r.data.ravel()
     n = flat.size
-    sorted_vals = np.sort(flat)
-    count_less = np.searchsorted(sorted_vals, flat, side="left").astype(np.int64)
-    lev = np.minimum(levels * count_less // n, levels - 1).astype(np.int32)
+    # one argsort: a pixel's count_less is the sorted position where its
+    # run of equal values starts (-0.0 == 0.0, so they share a run)
+    order = np.argsort(flat)
+    ranked = flat[order]
+    lev_sorted = np.arange(n)  # sorted position, then count_less, then level
+    lev_sorted[1:][ranked[1:] == ranked[:-1]] = 0
+    del ranked
+    np.maximum.accumulate(lev_sorted, out=lev_sorted)
+    lev_sorted *= levels
+    lev_sorted //= n
+    np.minimum(lev_sorted, levels - 1, out=lev_sorted)
+    lev = np.empty(n, dtype=np.int32)
+    lev[order] = lev_sorted
     return QuantizedRaster(levels, lev.reshape(r.data.shape))
 
 
-class GlcmCounts:
-    """Unordered-pair GLCM counts that are divided into features one row at a time.
+def _box_sums(window: np.ndarray, win: int, out: np.ndarray) -> None:
+    """Add ``window[j : j + win].sum(axis=0)`` to ``out[j]`` for every j < len(out).
 
-    ``counts`` holds every pixel's pair counts as unsigned integers,
-    pixel-major, shape (height * width, L(L+1)/2); each pixel's counts sum
-    to ``total``, the number of pairs scanned per pixel.  ``rows()`` divides
-    one image row of counts by ``total`` into a reused buffer, which gives
-    the vectors ``glcm_features`` holds bit for bit without a float64
-    stack.  See ``glcm_features`` for the cells and the arguments.
+    Sums of 1, 2, 4, ... consecutive rows are built by doubling, one add
+    each, and the ones that make up ``win`` in binary are added to ``out``:
+    about 2 log2(win) adds of (len(window), cells) integers, fewer passes
+    than ``np.cumsum`` along rows and its difference.
+    """
+    n = len(out)
+    runs, length, start = window, 1, 0  # runs[j] = window[j : j + length].sum(axis=0)
+    while True:
+        if win & length:
+            out += runs[start : start + n]
+            start += length
+        if 2 * length > win:
+            return
+        runs = runs[:-length] + runs[length:]
+        length *= 2
+
+
+class GlcmCounts:
+    """Unordered-pair GLCM features computed one row at a time from integer counts.
+
+    Holds one padded cell image per offset, never an O(pixels x cells)
+    array: entry [i, j] is the cell {a, b} of the level pair that starts at
+    padded pixel (i, j), in the narrowest unsigned dtype that holds
+    L(L+1)/2 - 1 (uint8 up to L = 22).  ``rows()`` counts each output row's
+    pairs exactly as integers and divides them by ``total``, the number of
+    pairs scanned per pixel, into a reused buffer, which gives the vectors
+    ``glcm_features`` holds bit for bit without a float64 stack.  See
+    ``glcm_features`` for the cells and the arguments.
     """
 
     def __init__(
@@ -199,56 +232,66 @@ class GlcmCounts:
                 raise BadOffset(f"offset ({dy}, {dx}) does not fit in a {patch}x{patch} patch")
 
         lvl = q.levels
-        h, w = self.height, self.width = q.height, q.width
+        self.height, self.width = q.height, q.width
         self.dim = lvl * (lvl + 1) // 2
         # Every pixel sees the same pair geometry (mirror padding), so each
         # pixel scans the constant sum_offsets (patch-|dy|)(patch-|dx|) pairs,
-        # and no count can exceed it: uint16 unless that does not hold it.
+        # and no count or partial sum of counts can exceed it.
         self.total = sum((patch - abs(dy)) * (patch - abs(dx)) for dy, dx in offsets)
-        dtype = np.promote_types(np.min_scalar_type(self.total), np.uint16)
+        self._dtype = np.int32 if self.total < 2**31 else np.int64
         padded = np.pad(q.data, pad, mode="reflect") if pad else q.data
 
         # cell_of[a, b] = cell_of[b, a] = position of {min, max} in triu order
         upper = np.triu_indices(lvl)
-        cell_of = np.zeros((lvl, lvl), dtype=np.intp)
+        cell_of = np.zeros((lvl, lvl), dtype=np.min_scalar_type(self.dim - 1))
         cell_of[upper] = cell_of[upper[::-1]] = np.arange(self.dim)
 
         # The pairs counted for the patch at (r, c) under offset (dy, dx) are
         # the (patch-|dy|) x (patch-|dx|) block of that offset's cell image
-        # whose top-left corner is (r, c).  So each offset's one-hot cell
-        # image becomes one pixel-major summed-area table, and four corners
-        # of it give every pixel's block counts for all cells at once.  The
-        # table is kept in the count dtype: its entries wrap, but sums and
-        # differences are exact modulo 2**bits and every block count is at
-        # most total, so the corners come out exact.
+        # whose top-left corner is (r, c).  Offsets of one block width share
+        # one column window in rows().
         ph, pw = padded.shape
-        table = np.empty((ph + 1, pw + 1, self.dim), dtype)
-        counts = np.zeros((h, w, self.dim), dtype)
+        groups: dict[int, list] = {}
         for dy, dx in offsets:
             r0, c0 = max(0, -dy), max(0, -dx)
             r1, c1 = ph - max(0, dy), pw - max(0, dx)
+            # (h + win_h - 1, w + win_w - 1)
             cells = cell_of[padded[r0:r1, c0:c1], padded[r0 + dy : r1 + dy, c0 + dx : c1 + dx]]
-            win_h, win_w = patch - abs(dy), patch - abs(dx)
-            ch, cw = cells.shape  # h + win_h - 1, w + win_w - 1
-            table.fill(0)
-            np.put_along_axis(table[1 : ch + 1, 1 : cw + 1], cells[:, :, np.newaxis], 1, axis=2)
-            # row by row and column by column: np.cumsum along either leading
-            # axis of this 3-D table is several times slower
-            for i in range(2, ch + 1):
-                table[i] += table[i - 1]
-            for j in range(2, cw + 1):
-                table[: ch + 1, j] += table[: ch + 1, j - 1]
-            counts += table[win_h : win_h + h, win_w : win_w + w]
-            counts -= table[win_h : win_h + h, :w]
-            counts -= table[:h, win_w : win_w + w]
-            counts += table[:h, :w]
-        self.counts = counts.reshape(h * w, self.dim)
-        self.counts.setflags(write=False)
+            groups.setdefault(patch - abs(dx), []).append((cells, patch - abs(dy)))
+        self._groups = sorted(groups.items())
 
     def rows(self):
-        buf = np.empty((self.width, self.dim))
-        for row in self.counts.reshape(self.height, self.width, self.dim):
-            np.divide(row, float(self.total), out=buf)
+        """Yield each output row's divided counts as a reused (width, dim) buffer.
+
+        Each block width win_w keeps an integer (width + win_w - 1, dim)
+        window whose entry [j, c] counts cell c in column j of the cell rows
+        that its offsets' blocks span at the current output row.  For each
+        row the entering cell rows are added, win_w columns are box-summed
+        into the row's counts, and the rows that leave are taken out.
+        """
+        w, dim = self.width, self.dim
+        counts = np.empty((w, dim), self._dtype)
+        buf = np.empty((w, dim))
+        windows = []
+        for win_w, images in self._groups:
+            window = np.zeros((w + win_w - 1, dim), self._dtype)
+            # flat index of window[j, 0]; a cell row holds one cell per
+            # column, so no index repeats within one fancy add
+            head = np.arange(w + win_w - 1) * dim
+            flat = window.reshape(-1)
+            for cells, win_h in images:
+                for i in range(win_h - 1):
+                    flat[head + cells[i]] += 1
+            windows.append((win_w, images, window, flat, head))
+        for r in range(self.height):
+            counts.fill(0)
+            for win_w, images, window, flat, head in windows:
+                for cells, win_h in images:
+                    flat[head + cells[r + win_h - 1]] += 1
+                _box_sums(window, win_w, counts)
+                for cells, _ in images:
+                    flat[head + cells[r]] -= 1
+            np.divide(counts, float(self.total), out=buf)
             yield buf
 
 

@@ -201,7 +201,9 @@ def fit_hacd(x: Features, y: Features, ridge: float | None = None) -> HacdModel:
 
     One pass of ``_moments`` gives the moments.  Two PatchWindows of one
     patch size feed it their padded-row windows (``row_windows()``); every
-    other pair feeds it ``rows()``.
+    other pair feeds it ``rows()``.  A GlcmCounts source counts its pairs
+    again on each pass over ``rows()``, so fit and score each count them
+    once and neither holds an O(pixels x cells) array.
 
     Raises GridMismatch when the stacks disagree and SingularCovariance
     when the regularized covariance cannot be factorized (e.g. fewer

@@ -134,6 +134,24 @@ def test_quantize_ties_share_levels():
     assert len(set(ones.tolist())) == 1
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_quantize_equals_searchsorted_count_less_property(data):
+    # many ties and both signed zeros: a pixel's level comes from the number
+    # of strictly smaller values, -0.0 and 0.0 being equal
+    h = data.draw(st.integers(1, 12), label="h")
+    w = data.draw(st.integers(1, 12), label="w")
+    levels = data.draw(st.integers(1, 9), label="levels")
+    value = st.one_of(st.sampled_from([-2.5, -0.0, 0.0, 0.5, 3.0]),
+                      st.floats(-4, 4, width=32))
+    pixels = data.draw(st.lists(value, min_size=h * w, max_size=h * w), label="pixels")
+    r = _raster(np.array(pixels).reshape(h, w))
+    flat = r.data.ravel()
+    count_less = np.searchsorted(np.sort(flat), flat, side="left")
+    expect = np.minimum(levels * count_less // flat.size, levels - 1)
+    assert np.array_equal(quantize(r, levels).data.ravel(), expect)
+
+
 def _glcm_reference(q, patch, offsets):
     """Symmetric L x L co-occurrence matrix per pixel, shape (h, w, L, L).
 
@@ -211,7 +229,8 @@ def test_glcm_symmetry():
     assert glcm_features(q, 5, reversed_).data.tobytes() == glcm_features(q, 5, offsets).data.tobytes()
 
 
-@pytest.mark.parametrize("levels", [1, 2, 3, 8])
+# 23 levels make 276 cells, more than a uint8 cell image holds
+@pytest.mark.parametrize("levels", [1, 2, 3, 8, 23])
 @pytest.mark.parametrize("patch", [1, 3, 5, 11])
 def test_glcm_equals_folded_reference(levels, patch):
     rng = np.random.default_rng(100 * levels + patch)
@@ -271,9 +290,7 @@ def test_rows_equal_feature_stack_rows_property(kind, data):
         src, stack = PatchWindows(r, patch), patch_features(r, patch)
     else:
         src, stack = GlcmCounts(q, patch, offsets), glcm_features(q, patch, offsets)
-        assert src.counts.dtype == np.uint16
-        assert src.counts.shape == (h * w, levels * (levels + 1) // 2)
-        assert np.all(src.counts.sum(axis=1) == src.total)
+        assert src.dim == levels * (levels + 1) // 2
     # each row is only valid until the next one is asked for, so copy it
     rows = [np.array(row) for row in src.rows()]
     expect = _oracle_stack(kind, r, q, patch, offsets)
@@ -281,6 +298,17 @@ def test_rows_equal_feature_stack_rows_property(kind, data):
     assert all(row.shape == (w, src.dim) for row in rows)
     assert np.stack(rows).tobytes() == expect.tobytes()
     assert stack.data.tobytes() == expect.tobytes()
+    # a second pass starts afresh and yields the same bytes
+    assert np.stack([np.array(row) for row in src.rows()]).tobytes() == expect.tobytes()
+    if kind == "glcm":
+        _assert_exact_counts(np.stack(rows), src.total)
+
+
+def _assert_exact_counts(rows, total):
+    """Every pixel's divided row is integer counts that sum to ``total``."""
+    counts = np.rint(rows * total)
+    assert np.all(counts.sum(axis=-1) == total)
+    assert (counts / total).tobytes() == rows.tobytes()
 
 
 def test_glcm_counts_wider_than_uint16():
@@ -290,14 +318,14 @@ def test_glcm_counts_wider_than_uint16():
     q = QuantizedRaster(2, rng.integers(0, 2, size=(65, 65)).astype(np.int32))
     src = GlcmCounts(q, 129)
     assert src.total == 65792
-    assert src.counts.dtype == np.uint32
-    assert np.all(src.counts.sum(axis=1) == src.total)
-    rows = np.stack([np.array(row) for row in src.rows()][31:34])
+    rows = np.stack([np.array(row) for row in src.rows()])
+    _assert_exact_counts(rows, src.total)
     expect = _fold(_glcm_reference(q, 129, DEFAULT_OFFSETS))[31:34]
-    assert rows.tobytes() == expect.tobytes()
+    assert rows[31:34].tobytes() == expect.tobytes()
     # a constant map puts every pair in cell {0, 0}
     flat = GlcmCounts(QuantizedRaster(2, np.zeros((65, 65), np.int32)), 129)
-    assert np.all(flat.counts[:, 0] == 65792) and not flat.counts[:, 1:].any()
+    flat_rows = np.stack([np.array(row) for row in flat.rows()])
+    assert np.all(flat_rows[..., 0] * flat.total == 65792) and not flat_rows[..., 1:].any()
 
 
 def test_glcm_monotone_intensity_invariance():

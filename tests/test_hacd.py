@@ -561,34 +561,38 @@ def test_mixed_patch_sizes_fit_and_score_through_tiles():
     _assert_close_scores(score_map(m, x, y).scores, score_map(want, sx, sy).scores)
 
 
-def test_patch_detector_memory_does_not_grow_with_pixels_times_dim():
-    def peak(height):
-        pair = _textured_pair(height, 128, seed=33)
-        tracemalloc.start()
-        try:
-            run_detector("patch-hacd", pair)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+def _detector_peak_bytes(name, height, width, seed):
+    """tracemalloc peak of running detector ``name`` on a textured pair."""
+    pair = _textured_pair(height, width, seed=seed)
+    tracemalloc.start()
+    try:
+        run_detector(name, pair)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
+
+def test_patch_detector_memory_does_not_grow_with_pixels_times_dim():
     # the padded rasters, the score map and the input pair grow by a few
     # float64 per pixel; a 121-dim float64 stack of either epoch would add
     # at least 968 bytes per pixel
-    small, large = peak(256), peak(1024)
+    small = _detector_peak_bytes("patch-hacd", 256, 128, seed=33)
+    large = _detector_peak_bytes("patch-hacd", 1024, 128, seed=33)
     assert (large - small) / (768 * 128) <= 4 * 8
 
 
-def test_glcm_detector_holds_no_float64_stack():
-    # the two epochs' uint16 counts take half of one float64 (h, w, 36)
-    # stack and the build table a quarter, so a float64 stack of either
-    # epoch on top of them breaks the budget
-    height, width = 512, 256
-    pair = _textured_pair(height, width, seed=34)
-    tracemalloc.start()
-    try:
-        run_detector("glcm-hacd", pair)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < height * width * 36 * 8
+def test_glcm_detector_memory_does_not_grow_with_pixels_times_cells():
+    # quantize's sort order and ranks, the cell images and the score map
+    # grow by a few words per pixel; a uint16 count stack of 36 cells per
+    # pixel, of either epoch, would add 72 bytes per pixel
+    small = _detector_peak_bytes("glcm-hacd", 256, 128, seed=35)
+    large = _detector_peak_bytes("glcm-hacd", 1024, 128, seed=35)
+    assert (large - small) / (768 * 128) <= 36
 
+
+def test_glcm_detector_holds_no_float64_stack():
+    # the detector holds per-pixel cell images and quantize's transients,
+    # a few words per pixel, so a float64 (h, w, 36) stack of either epoch
+    # breaks the budget
+    height, width = 512, 256
+    assert _detector_peak_bytes("glcm-hacd", height, width, seed=34) < height * width * 36 * 8
