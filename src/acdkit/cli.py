@@ -70,12 +70,37 @@ _RUN_KEYS = (_DETECT_KEYS - {"detector"}) | {
 _SCENE_PATHS = ("t0", "t1", "inner", "outer")
 
 
-def _parse_offsets(text: str) -> list[list[int]]:
-    """Split '0,1;1,0;1,-1' into integer offset pairs; _options checks them."""
+def _count(text: str) -> int | float:
+    """int() keeps every digit; other numbers are floats, taken if integral ('5.0' is 5)."""
     try:
-        return [[int(v) for v in part.split(",")] for part in text.split(";") if part]
+        return int(text)
     except ValueError:
-        raise BadConfig(f"--offsets must be integer pairs 'dy,dx;dy,dx;...', got {text!r}") from None
+        return float(text)
+
+
+def _pairs(text: str) -> list[list[int | float]]:
+    """'0,1;1,0' as [[0, 1], [1, 0]]; an empty part does not parse."""
+    return [[_count(v) for v in part.split(",")] for part in text.split(";")]
+
+
+# option key -> the reader of its flag's text; the other flags stay text
+_FLAG_READERS = {"patch": _count, "glcm_levels": _count, "seed": _count,
+                 "ridge": float, "roc_fpr_max": float, "glcm_offsets": _pairs}
+_FLAG_NAMES = {"glcm_levels": "--levels", "glcm_offsets": "--offsets", "roc_fpr_max": "--fpr-max"}
+
+
+def _flags(args: argparse.Namespace, keys) -> dict:
+    """The given flags among ``keys`` as option values, checked by _options."""
+    flags = {}
+    for key in keys:
+        if (text := getattr(args, key)) is not None:
+            try:
+                flags[key] = _FLAG_READERS.get(key, str)(text)
+            except ValueError:
+                expected = "pairs 'dy,dx;dy,dx;...'" if key == "glcm_offsets" else "a number"
+                flag = _FLAG_NAMES.get(key, "--" + key)
+                raise BadConfig(f"{flag} must be {expected}, got {text!r}") from None
+    return flags
 
 
 def _offset_pairs(value) -> tuple[tuple[int, int], ...]:
@@ -114,7 +139,7 @@ def _number(key: str, value):
 
 
 def _options(config: dict, flags: dict) -> dict:
-    """Defaults < config < flags (None means unset), converted and checked
+    """Defaults < config < flags (a null config value is unset), converted and checked
     once, so a bad flag and a bad config field fail alike."""
     cfg = dict(_DEFAULTS)
     cfg.update((k, v) for src in (config, flags) for k, v in src.items() if v is not None)
@@ -165,17 +190,7 @@ def _detect_pair(cfg: dict, pair: CoregisteredPair, out_dir: str) -> str:
 
 def cmd_detect(args: argparse.Namespace) -> int:
     config = read_json(args.config, BadConfig, _DETECT_KEYS) if args.config else {}
-    flags = {
-        "detector": args.detector,
-        "patch": args.patch,
-        "glcm_levels": args.levels,
-        "glcm_offsets": _parse_offsets(args.offsets) if args.offsets else None,
-        "ridge": args.ridge,
-        "t0": args.t0,
-        "t1": args.t1,
-        "out": args.out,
-    }
-    cfg = _options(config, flags)
+    cfg = _options(config, _flags(args, _DETECT_KEYS))
     out_dir = _require(cfg, "out")
     _require(cfg, "detector")
     pair = make_pair(load_raster(_require(cfg, "t0")), load_raster(_require(cfg, "t1")))
@@ -184,7 +199,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    fpr_max = _options({}, {"roc_fpr_max": args.fpr_max})["roc_fpr_max"]
+    fpr_max = _options({}, _flags(args, ["roc_fpr_max"]))["roc_fpr_max"]
     evaluate_map(args.map, args.out, (args.inner, args.outer), fpr_max)
     return 0
 
@@ -214,9 +229,7 @@ def _resolve_scene_config(name_or_none: str | None, config_path: str | None) -> 
 
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = _resolve_scene_config(args.scene, args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    _write_scene(cfg, args.out)
+    _write_scene(dataclasses.replace(cfg, **_flags(args, ["seed"])), args.out)
     return 0
 
 
@@ -231,7 +244,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     paths = config.get("scene") if isinstance(config.get("scene"), dict) else {}
     if unknown := set(paths) - set(_SCENE_PATHS):
         raise BadConfig(f"unknown scene path keys {sorted(unknown)}")
-    cfg = _options({**config, **paths}, {"out": args.out})
+    cfg = _options({**config, **paths}, _flags(args, ["out"]))
     if clash := set(paths) & set(config):
         raise BadConfig(f"paths {sorted(clash)} are both in the scene object and at the top level")
     suite = isinstance(cfg.get("scene"), str)
@@ -324,11 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--config", help="JSON config; flags override its fields")
     d.add_argument("--t0", help="base-epoch raster (R32 base path)")
     d.add_argument("--t1", help="second-epoch raster")
-    d.add_argument("--detector", choices=DETECTOR_NAMES)
-    d.add_argument("--patch", type=int, help="odd patch side length (default 11)")
-    d.add_argument("--levels", type=int, help="GLCM quantization levels (default 8)")
-    d.add_argument("--offsets", help="GLCM offsets as 'dy,dx;dy,dx;...'")
-    d.add_argument("--ridge", type=float, help="covariance ridge epsilon")
+    d.add_argument("--detector", help=f"one of {', '.join(DETECTOR_NAMES)}")
+    d.add_argument("--patch", help="odd patch side length (default 11)")
+    d.add_argument("--levels", dest="glcm_levels", metavar="L", help="GLCM grey levels (default 8)")
+    d.add_argument("--offsets", dest="glcm_offsets", metavar="DY,DX;...", help="GLCM offsets")
+    d.add_argument("--ridge", help="covariance ridge epsilon")
     d.add_argument("--out", help="output directory")
     d.set_defaults(func=cmd_detect)
 
@@ -336,14 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--map", required=True, help="anomaly map (R32 base path)")
     e.add_argument("--inner", required=True, help="inner truth mask")
     e.add_argument("--outer", help="outer truth mask (defaults to inner)")
-    e.add_argument("--fpr-max", type=float, default=DEFAULT_FPR_MAX, dest="fpr_max")
+    e.add_argument("--fpr-max", dest="roc_fpr_max", metavar="FPR", help="pAUC limit (default 0.01)")
     e.add_argument("--out", required=True, help="output directory")
     e.set_defaults(func=cmd_eval)
 
     s = sub.add_parser("synth", help="generate a synthetic benchmark scene")
     s.add_argument("scene", nargs="?", help="suite scene name")
     s.add_argument("--config", help="SceneConfig JSON instead of a name")
-    s.add_argument("--seed", type=int, help="override the config seed")
+    s.add_argument("--seed", help="override the config seed")
     s.add_argument("--out", required=True, help="output directory")
     s.set_defaults(func=cmd_synth)
 

@@ -46,22 +46,15 @@ STREAM_NOISE_T1 = 4
 STREAM_ANOMALY = 5
 
 
-def _integer(value) -> int:
-    """int(value), refusing a float with a fractional part that int() would drop."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
-
-
 def _real(name: str, value, integer: bool = False):
     """``value`` if it is a finite real number (not a bool or a string); an
-    integer field goes through _integer, so 5.0 means 5 and 5.5 is refused."""
+    integer field takes its int() unless that drops a fraction (5.0 is 5, 5.5 fails)."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         if isinstance(value, numbers.Integral) or math.isfinite(value):
-            try:
-                return _integer(value) if integer else value
-            except ValueError:
-                pass
+            if not integer:
+                return value
+            if not isinstance(value, float) or value.is_integer():
+                return int(value)
     expected = "an integer" if integer else "a finite number"
     raise BadConfig(f"{name} must be {expected}, got {value!r}")
 
@@ -76,7 +69,7 @@ def _items(name: str, value, n: int | None = None) -> tuple:
 
 @dataclass(frozen=True)
 class SceneConfig:
-    """Full description of one synthetic scene; JSON round-trippable."""
+    """Full description of one synthetic scene, valid once built; JSON round-trippable."""
 
     width: int = 512
     height: int = 512
@@ -93,9 +86,9 @@ class SceneConfig:
     pervasive_patches: tuple[tuple[int, int, int, int, float], ...] = ()
 
     def __post_init__(self):
-        # Types and shapes are checked here, so every way of making a config
-        # (keywords, JSON, dataclasses.replace) is covered; validate() checks
-        # the ranges.
+        # Every way of making a config (keywords, JSON, dataclasses.replace)
+        # passes here, so a config that exists is valid: types and shapes
+        # first, then ranges.
         for name in ("width", "height", "seed", "background_corr_len"):
             object.__setattr__(self, name, _real(name, getattr(self, name), integer=True))
         for name in ("pervasive_gain", "pervasive_offset", "anomaly_texture_gain",
@@ -113,16 +106,13 @@ class SceneConfig:
             patches.append((*(_real("pervasive patch", v, integer=True) for v in box),
                             _real("pervasive patch gain", gain)))
         object.__setattr__(self, "pervasive_patches", tuple(patches))
-
-    def validate(self) -> None:
         if self.width < 1 or self.height < 1:
             raise BadConfig(f"grid {self.width}x{self.height} is empty")
         if not 0 <= self.seed < 2**64:  # rng keys take the seed as 64 bits
             raise BadConfig(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.background_corr_len < 0:
-            raise BadConfig("background_corr_len must be >= 0")
-        if self.background_corr_len > min(self.width, self.height) - 1:
-            raise BadConfig("background_corr_len too large for the grid")
+        if not 0 <= self.background_corr_len < min(self.width, self.height):
+            raise BadConfig(f"background_corr_len must be in [0, {min(self.width, self.height)})"
+                            f" for the grid, got {self.background_corr_len}")
         if self.pervasive_gain <= 0:
             raise BadConfig("pervasive_gain must be > 0")
         if self.anomaly_texture_gain < 0:
@@ -131,9 +121,7 @@ class SceneConfig:
             raise BadConfig("noise_sigma must be >= 0")
         x, y, w, h = self.anomaly_rect
         if w < 2 * MASK_BAND + 1 or h < 2 * MASK_BAND + 1:
-            raise BadConfig(
-                f"anomaly_rect {self.anomaly_rect} too small for a non-empty inner mask"
-            )
+            raise BadConfig(f"anomaly_rect {self.anomaly_rect} too small for an inner mask")
         if x < 0 or y < 0 or x + w > self.width or y + h > self.height:
             raise BadConfig(f"anomaly_rect {self.anomaly_rect} not inside the grid")
         for p in self.pervasive_patches:
@@ -172,7 +160,6 @@ def _rect_slices(rect: tuple[int, int, int, int]) -> tuple[slice, slice]:
 
 def generate_scene(cfg: SceneConfig) -> tuple[Raster, Raster, GroundTruth]:
     """Deterministically generate (t0, t1, ground truth) from a config."""
-    cfg.validate()
     h, w = cfg.height, cfg.width
     r = cfg.background_corr_len
 

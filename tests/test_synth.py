@@ -40,11 +40,11 @@ def test_different_seeds_differ():
 
 def test_seed_range_is_what_the_generator_keys_on():
     # stream keys take the seed's 64 bits: the largest 64-bit seed is valid,
-    # one more would alias seed 0
-    _small(seed=2**64 - 1).validate()
+    # one more would alias seed 0; a config is checked when it is built
+    assert _small(seed=2**64 - 1).seed == 2**64 - 1
     for seed in (-1, 2**64):
         with pytest.raises(BadConfig, match="seed"):
-            _small(seed=seed).validate()
+            _small(seed=seed)
 
 
 def test_identity_configuration():
@@ -147,7 +147,7 @@ def test_suite_contents():
     assert [suite[k].seed for k in ("simple-additive", "textured", "cluttered")] == [101, 202, 303]
     for cfg in suite.values():
         assert (cfg.width, cfg.height) == (512, 512)
-        cfg.validate()
+        assert SceneConfig(**dataclasses.asdict(cfg)) == cfg
     assert suite["cluttered"].speckle and suite["cluttered"].pervasive_patches
     assert suite["simple-additive"].anomaly_offset > 0
     assert suite["textured"].anomaly_texture_gain > 1
@@ -176,8 +176,9 @@ def test_suite_masks_validate():
     ],
 )
 def test_bad_configs(kw):
+    # refused when built, so generate_scene never sees an invalid config
     with pytest.raises(BadConfig):
-        generate_scene(_small(**kw))
+        _small(**kw)
 
 
 def test_integral_float_fields_equal_their_integers():
