@@ -326,8 +326,16 @@ def cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a malformed command line with BadConfig, so a usage error exits 2
+    naming its class like any other; subparsers are built from this class too."""
+
+    def error(self, message: str):
+        raise BadConfig(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="acdkit",
         description="Anomalous change detection on co-registered single-band image pairs.",
     )
@@ -373,9 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except AcdError as exc:
         print(f"error {type(exc).__name__}: {exc}", file=sys.stderr)

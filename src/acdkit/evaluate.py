@@ -102,27 +102,6 @@ class RocBand:
 PlotPoints = tuple[np.ndarray, np.ndarray]
 
 
-def _curve(
-    sorted_scores: np.ndarray,
-    group_ends: np.ndarray,
-    positive: np.ndarray,
-    negative: np.ndarray,
-    n_pos: int,
-    n_neg: int,
-    label: str,
-) -> RocCurve:
-    if n_pos == 0:
-        raise EmptyClass(f"{label} curve has no positive pixels")
-    if n_neg == 0:
-        raise EmptyClass(f"{label} curve has no negative pixels")
-    cum_pos = np.cumsum(positive)[group_ends]
-    cum_neg = np.cumsum(negative)[group_ends]
-    thresholds = np.concatenate([[np.inf], sorted_scores[group_ends]])
-    fpr = np.concatenate([[0.0], cum_neg / n_neg])
-    tpr = np.concatenate([[0.0], cum_pos / n_pos])
-    return RocCurve(thresholds, fpr, tpr)
-
-
 def roc(amap: AnomalyMap, gt: GroundTruth, fpr_max: float = DEFAULT_FPR_MAX) -> RocBand:
     """Compute the dual-mask ROC band of an anomaly map.
 
@@ -138,20 +117,32 @@ def roc(amap: AnomalyMap, gt: GroundTruth, fpr_max: float = DEFAULT_FPR_MAX) -> 
     inner = gt.inner.ravel()
     outer = gt.outer.ravel()
 
+    # Negatives are the complement of the OUTER mask for both curves; the
+    # ambiguous outer-minus-inner ring is therefore in neither class of the
+    # inner curve (not inner-positive, not a negative).
+    n_inner = int(np.count_nonzero(inner))
+    n_outer = int(np.count_nonzero(outer))
+    n_neg = outer.size - n_outer
+    for label, n_pos in (("inner", n_inner), ("outer", n_outer)):
+        if n_pos == 0:
+            raise EmptyClass(f"{label} curve has no positive pixels")
+        if n_neg == 0:
+            raise EmptyClass(f"{label} curve has no negative pixels")
+
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
     # last index of each tie group of equal scores
     group_ends = np.nonzero(np.append(s[1:] != s[:-1], True))[0]
+    thresholds = np.concatenate([[np.inf], s[group_ends]])
+    del s  # freed before the rate columns are built, which lowers roc's peak
 
-    # Negatives are the complement of the OUTER mask for both curves; the
-    # ambiguous outer-minus-inner ring is therefore in neither class of the
-    # inner curve (not inner-positive, not a negative).
-    negatives = ~outer[order]
-    n_inner = int(np.count_nonzero(inner))
-    n_outer = int(np.count_nonzero(outer))
-    n_neg = outer.size - n_outer
-    inner_curve = _curve(s, group_ends, inner[order], negatives, n_inner, n_neg, "inner")
-    outer_curve = _curve(s, group_ends, outer[order], negatives, n_outer, n_neg, "outer")
+    def rate(members: np.ndarray, n: int) -> np.ndarray:
+        return np.concatenate([[0.0], np.cumsum(members[order])[group_ends] / n])
+
+    # both curves share the thresholds and the negatives' fpr column
+    fpr = rate(~outer, n_neg)
+    inner_curve = RocCurve(thresholds, fpr, rate(inner, n_inner))
+    outer_curve = RocCurve(thresholds, fpr, rate(outer, n_outer))
     return RocBand(
         inner_curve,
         outer_curve,

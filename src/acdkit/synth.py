@@ -153,33 +153,29 @@ def _field(seed: int, stream: int, h: int, w: int, kind: str) -> np.ndarray:
     return rng.exponential(seed, stream, n).reshape(h, w)
 
 
-def _rect_slices(rect: tuple[int, int, int, int]) -> tuple[slice, slice]:
-    x, y, w, h = rect
-    return slice(y, y + h), slice(x, x + w)
-
-
 def generate_scene(cfg: SceneConfig) -> tuple[Raster, Raster, GroundTruth]:
-    """Deterministically generate (t0, t1, ground truth) from a config."""
+    """Deterministically generate (t0, t1, ground truth) from a config.
+
+    Each full-size intermediate dies at its last use, and t0 and t1 are
+    changed in place, so no plane is held twice."""
     h, w = cfg.height, cfg.width
     r = cfg.background_corr_len
+    x, y, rw, rh = cfg.anomaly_rect
+    rect = slice(y, y + rh), slice(x, x + rw)
 
-    bg = _field(cfg.seed, STREAM_BACKGROUND, h, w, "normal")
-    smooth = _box_mean(bg, r) * float(2 * r + 1)  # restore roughly unit variance
-    t0_clean = BG_LEVEL + BG_SIGMA * smooth
+    # the box mean times 2r+1 restores roughly unit variance
+    t0 = BG_LEVEL + BG_SIGMA * (
+        _box_mean(_field(cfg.seed, STREAM_BACKGROUND, h, w, "normal"), r) * float(2 * r + 1))
 
-    t1_base = cfg.pervasive_gain * t0_clean + cfg.pervasive_offset
+    t1 = cfg.pervasive_gain * t0 + cfg.pervasive_offset
     for px, py, pw, ph, pgain in cfg.pervasive_patches:
-        t1_base[py : py + ph, px : px + pw] *= pgain
-    rect = _rect_slices(cfg.anomaly_rect)
+        t1[py : py + ph, px : px + pw] *= pgain
     if cfg.anomaly_offset:
-        t1_base[rect] += cfg.anomaly_offset
+        t1[rect] += cfg.anomaly_offset
 
     if cfg.speckle:
-        t0 = t0_clean * _field(cfg.seed, STREAM_SPECKLE_T0, h, w, "exponential")
-        t1 = t1_base * _field(cfg.seed, STREAM_SPECKLE_T1, h, w, "exponential")
-    else:
-        t0 = t0_clean.copy()
-        t1 = t1_base.copy()
+        t0 *= _field(cfg.seed, STREAM_SPECKLE_T0, h, w, "exponential")
+        t1 *= _field(cfg.seed, STREAM_SPECKLE_T1, h, w, "exponential")
 
     if cfg.noise_sigma:
         t0 += cfg.noise_sigma * _field(cfg.seed, STREAM_NOISE_T0, h, w, "normal")
@@ -187,12 +183,11 @@ def generate_scene(cfg: SceneConfig) -> tuple[Raster, Raster, GroundTruth]:
 
     amp = float(np.sqrt(max(cfg.anomaly_texture_gain**2 - 1.0, 0.0)))
     if amp > 0.0:
-        hf = t1 - _box_mean(t1, LOCAL_STD_RADIUS)
-        local_sigma = np.sqrt(_box_mean(hf * hf, LOCAL_STD_RADIUS))
-        noise = _field(cfg.seed, STREAM_ANOMALY, h, w, "normal")
-        t1[rect] += amp * local_sigma[rect] * noise[rect]
+        # local std of t1's high-frequency part, taken only inside the rectangle
+        local_sigma = np.sqrt(
+            _box_mean(np.square(t1 - _box_mean(t1, LOCAL_STD_RADIUS)), LOCAL_STD_RADIUS)[rect])
+        t1[rect] += amp * local_sigma * _field(cfg.seed, STREAM_ANOMALY, h, w, "normal")[rect]
 
-    x, y, rw, rh = cfg.anomaly_rect
     inner = np.zeros((h, w), dtype=bool)
     inner[y + MASK_BAND : y + rh - MASK_BAND, x + MASK_BAND : x + rw - MASK_BAND] = True
     outer = np.zeros((h, w), dtype=bool)

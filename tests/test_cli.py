@@ -680,17 +680,28 @@ def test_out_onto_a_file_is_io_error(tmp_path, capsys, command):
     ("detect", {}, ["--offsets", ""]),
     ("detect", {}, ["--offsets", "0,1;"]),
     ("eval", None, ["--fpr-max", "abc"]),
+    # argparse's usage errors; a None command means the flags are the whole argv
+    ("detect", {}, ["--ridge"]),
+    ("detect", {}, ["--ridge", "-1e-3"]),
+    ("detect", {}, ["--nope", "1"]),
+    (None, None, ["eval", "--map", "m", "--out", "o"]),
+    (None, None, ["nope"]),
+    (None, None, []),
 ], ids=["eval-fpr-max-0", "run-fpr-max-0", "offsets-not-pairs", "patch-not-int",
         "seed-not-int", "levels-0", "offsets-flag-not-pairs", "ridge-nan",
         "patch-fractional", "levels-fractional", "seed-fractional", "offsets-fractional",
         "levels-bool", "patch-string", "offsets-string-component", "ridge-bool",
         "seed-numeric-string", "offsets-flag-not-integer", "patch-flag-not-number",
         "levels-flag-fractional", "ridge-flag-not-number", "detector-flag-unknown",
-        "offsets-flag-empty", "offsets-flag-empty-pair", "eval-fpr-max-flag-not-number"])
+        "offsets-flag-empty", "offsets-flag-empty-pair", "eval-fpr-max-flag-not-number",
+        "ridge-flag-no-value", "ridge-flag-dash-value", "flag-unknown",
+        "eval-inner-flag-missing", "command-unknown", "command-missing"])
 def test_malformed_option_is_exit_2(tmp_path, capsys, command, fields, flags):
     paths = _write_scene_files(tmp_path, side=16)
     out = str(tmp_path / "o")
-    if command == "eval":
+    if command is None:
+        argv = []
+    elif command == "eval":
         argv = ["eval", "--map", paths["t0"], "--inner", paths["inner"], "--out", out]
     else:
         cfg = {"t0": paths["t0"], "t1": paths["t1"], **fields}
@@ -710,6 +721,14 @@ def test_malformed_option_is_exit_2(tmp_path, capsys, command, fields, flags):
         # run's seed cases also put paths beside the suite name; the bad
         # value must be what is refused
         assert "seed" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["detect", "--help"]])
+def test_help_is_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: acdkit" in capsys.readouterr().out
 
 
 def test_integral_float_options_equal_their_integers(tmp_path):
@@ -777,8 +796,9 @@ def test_any_flag_text_is_exit_0_or_2_with_readable_outputs(tmp_path, data):
         # a flag is left out twice as often as given, so that some runs succeed
         text = data.draw(st.one_of(st.none(), st.none(), text), label=flag)
         if text is not None:
-            # --flag=text: argparse takes "-1e308" after a space for an option
-            argv.append(f"{flag}={text}")
+            # argparse takes "-1e308" after a space for an option, a usage error
+            spaced = data.draw(st.booleans(), label=f"{flag} spaced")
+            argv += [flag, text] if spaced else [f"{flag}={text}"]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         rc = main(argv)

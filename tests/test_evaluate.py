@@ -1,6 +1,7 @@
 import csv
 import math
 import pickle
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -83,8 +84,33 @@ def test_ambiguous_band_excluded_from_inner_curve():
     band = roc(amap, _gt(inner, outer))
     assert band.inner_curve.tpr.tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
     assert band.outer_curve.tpr.tolist() == [0.0, 0.5, 1.0, 1.0, 1.0]
-    # negatives (complement of outer) identical for both curves
-    assert band.inner_curve.fpr.tolist() == band.outer_curve.fpr.tolist()
+    # negatives (complement of outer) identical for both curves: one shared
+    # read-only column, on one shared threshold grid
+    assert band.inner_curve.fpr is band.outer_curve.fpr
+    assert band.inner_curve.thresholds is band.outer_curve.thresholds
+    assert not band.inner_curve.fpr.flags.writeable
+
+
+def test_roc_holds_each_column_once():
+    # an all-distinct 512x512 map: the sort order, the tie-group ends, the
+    # shared thresholds and fpr, two tpr columns and one cumulative sum
+    # come to about 57 B per pixel; a second fpr or a kept sorted copy adds
+    # 8 B or more
+    side = 512
+    scores = np.random.default_rng(7).permutation(side * side).astype(np.float64)
+    amap = _amap(scores.reshape(side, side))
+    inner, outer = np.zeros((2, side, side), bool)
+    inner[200:300, 200:300] = True
+    outer[196:304, 196:304] = True
+    gt = _gt(inner, outer)
+    tracemalloc.start()
+    try:
+        band = roc(amap, gt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert band.inner_curve.thresholds.size == side * side + 1
+    assert peak <= 72 * side * side
 
 
 def test_grid_mismatch():

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +153,42 @@ def test_suite_contents():
     assert suite["cluttered"].speckle and suite["cluttered"].pervasive_patches
     assert suite["simple-additive"].anomaly_offset > 0
     assert suite["textured"].anomaly_texture_gain > 1
+
+
+# sha256 prefixes of each suite scene's t0, t1 (little-endian f4) and its
+# inner and outer masks (one byte per pixel); the three scenes share one
+# rectangle, so one mask pair
+_SUITE_MASK_DIGESTS = ("ccda72c245717748", "3140e9759cd71036")
+_SUITE_DIGESTS = {
+    "simple-additive": ("5d658dc64880c409", "cc6c2dabe7bdbfb9", *_SUITE_MASK_DIGESTS),
+    "textured": ("3185fc9c55cb2029", "ecc2d1fbbdf772bc", *_SUITE_MASK_DIGESTS),
+    "cluttered": ("cd5a6fcc5c382668", "cb5605c561b88e00", *_SUITE_MASK_DIGESTS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SUITE_DIGESTS))
+def test_suite_scenes_keep_their_golden_bytes(name):
+    # the league and the acceptance criteria read these scenes, so a rewrite
+    # of the generator must keep every byte
+    t0, t1, gt = generate_scene(scene_suite()[name])
+    planes = (t0.data.astype("<f4"), t1.data.astype("<f4"), gt.inner, gt.outer)
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in planes)
+    assert digests == _SUITE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(_SUITE_DIGESTS))
+def test_generate_scene_holds_no_plane_twice(name):
+    # at the peak, t0 and t1 (float64) and a box mean's input, summed-area
+    # table and two differences come to 48 B per pixel; a kept copy or dead
+    # intermediate adds 8 each
+    cfg = scene_suite()[name]
+    tracemalloc.start()
+    try:
+        generate_scene(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * cfg.width * cfg.height
 
 
 def test_suite_masks_validate():
