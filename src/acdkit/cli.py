@@ -26,8 +26,6 @@ import os
 import sys
 import traceback
 
-import numpy as np
-
 from .detectors import DETECTOR_NAMES, run_detector
 from .errors import AcdError, BadConfig, FormatError, NotFound
 from .evaluate import DEFAULT_FPR_MAX, evaluate_map, write_loglog_svg
@@ -182,7 +180,7 @@ def _detect_pair(cfg: dict, pair: CoregisteredPair, out_dir: str) -> str:
     )
     make_dir(out_dir)
     map_base = os.path.join(out_dir, "anomaly")
-    save_raster(Raster(amap.scores.astype(np.float32)), map_base)
+    save_raster(Raster(amap.scores), map_base)
     if model is not None:
         save_model(model, os.path.join(out_dir, "model.json"))
     return map_base
@@ -209,8 +207,8 @@ def _write_scene(cfg: SceneConfig, out_dir: str) -> None:
     make_dir(out_dir)
     save_raster(t0, os.path.join(out_dir, "t0"))
     save_raster(t1, os.path.join(out_dir, "t1"))
-    save_raster(Raster(gt.inner.astype(np.float32)), os.path.join(out_dir, "inner"))
-    save_raster(Raster(gt.outer.astype(np.float32)), os.path.join(out_dir, "outer"))
+    save_raster(Raster(gt.inner), os.path.join(out_dir, "inner"))
+    save_raster(Raster(gt.outer), os.path.join(out_dir, "outer"))
     config_to_json(cfg, os.path.join(out_dir, "scene.json"))
 
 
@@ -312,7 +310,10 @@ def _parse_text(path: str) -> Raster:
         raise FormatError(f"{path}: bad pixel dump: {exc}") from exc
     if len(rows) != height or any(len(row) != width for row in rows):
         raise FormatError(f"{path}: dump does not match declared {width}x{height}")
-    return Raster(np.array(rows, dtype=np.float32))
+    try:
+        return Raster(rows)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def cmd_convert(args: argparse.Namespace) -> int:

@@ -35,16 +35,21 @@ _HEADER_ORDER = "row-major"
 
 @dataclass(frozen=True, eq=False)
 class Raster:
-    """Single-band float32 image; ``data`` has shape (height, width)."""
+    """Single-band float32 image; ``data`` has shape (height, width).
+
+    ``data`` may be any real array or nested list: it is cast to float32
+    here, and a value beyond float32's range becomes infinite in that cast
+    and is refused with the NaNs and infinities, without a warning."""
 
     data: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.data, dtype=np.float32)
+        with np.errstate(over="ignore"):
+            a = np.asarray(self.data, dtype=np.float32)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise FormatError(f"raster data must be 2-D and non-empty, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
-            raise FormatError("raster contains non-finite values")
+            raise FormatError("raster contains values that are not finite in float32")
         a = np.ascontiguousarray(a)
         a.setflags(write=False)
         object.__setattr__(self, "data", a)

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import rng
-from .errors import BadConfig
+from .errors import BadConfig, FormatError
 from .raster import GroundTruth, Raster, read_json, write_text
 
 BG_LEVEL = 4.0
@@ -153,11 +153,14 @@ def _field(seed: int, stream: int, h: int, w: int, kind: str) -> np.ndarray:
     return rng.exponential(seed, stream, n).reshape(h, w)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def generate_scene(cfg: SceneConfig) -> tuple[Raster, Raster, GroundTruth]:
     """Deterministically generate (t0, t1, ground truth) from a config.
 
     Each full-size intermediate dies at its last use, and t0 and t1 are
-    changed in place, so no plane is held twice."""
+    changed in place, so no plane is held twice.  A config whose values
+    overflow float64 or float32 on the way is refused with BadConfig when
+    the planes become Rasters, without a warning."""
     h, w = cfg.height, cfg.width
     r = cfg.background_corr_len
     x, y, rw, rh = cfg.anomaly_rect
@@ -181,7 +184,7 @@ def generate_scene(cfg: SceneConfig) -> tuple[Raster, Raster, GroundTruth]:
         t0 += cfg.noise_sigma * _field(cfg.seed, STREAM_NOISE_T0, h, w, "normal")
         t1 += cfg.noise_sigma * _field(cfg.seed, STREAM_NOISE_T1, h, w, "normal")
 
-    amp = float(np.sqrt(max(cfg.anomaly_texture_gain**2 - 1.0, 0.0)))
+    amp = float(np.sqrt(max(np.float64(cfg.anomaly_texture_gain) ** 2 - 1.0, 0.0)))
     if amp > 0.0:
         # local std of t1's high-frequency part, taken only inside the rectangle
         local_sigma = np.sqrt(
@@ -194,11 +197,10 @@ def generate_scene(cfg: SceneConfig) -> tuple[Raster, Raster, GroundTruth]:
     outer[max(0, y - MASK_BAND) : min(h, y + rh + MASK_BAND),
           max(0, x - MASK_BAND) : min(w, x + rw + MASK_BAND)] = True
 
-    return (
-        Raster(t0.astype(np.float32)),
-        Raster(t1.astype(np.float32)),
-        GroundTruth(inner, outer),
-    )
+    try:
+        return Raster(t0), Raster(t1), GroundTruth(inner, outer)
+    except FormatError as exc:
+        raise BadConfig(f"config overflows the scene: {exc}") from exc
 
 
 def scene_suite() -> dict[str, SceneConfig]:

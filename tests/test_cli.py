@@ -241,6 +241,9 @@ def test_synth_integral_float_seed_equals_its_integer(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+_SMALL_SCENE = {"width": 16, "height": 16, "background_corr_len": 2, "anomaly_rect": [3, 3, 8, 8]}
+
+
 @pytest.mark.parametrize("doc", [
     {"width": "abc"},
     {"noise_sigma": "0.1"},
@@ -255,9 +258,15 @@ def test_synth_integral_float_seed_equals_its_integer(tmp_path):
     {"height": True},
     {"speckle": "no"},
     [1, 2],
+    # finite values whose scene leaves float32 (a cast) or float64 (an add,
+    # and a Python float square); each is refused without a warning
+    {**_SMALL_SCENE, "pervasive_gain": 1e300},
+    {**_SMALL_SCENE, "anomaly_offset": 1e308, "pervasive_offset": 1e308},
+    {**_SMALL_SCENE, "anomaly_texture_gain": 1e200},
 ], ids=["width-string", "sigma-string", "rect-string", "patch-short", "width-fractional",
         "seed-fractional", "rect-fractional", "patch-gain-string", "patches-not-list",
-        "sigma-nan", "height-bool", "speckle-string", "not-an-object"])
+        "sigma-nan", "height-bool", "speckle-string", "not-an-object",
+        "gain-overflows-float32", "offsets-overflow-float64", "texture-gain-overflows"])
 def test_malformed_scene_config_is_exit_2(tmp_path, capsys, doc):
     cfg_path = str(tmp_path / "scene.json")
     with open(cfg_path, "w") as fh:
@@ -639,6 +648,15 @@ def test_convert_non_utf8_is_format_error(tmp_path, capsys, src, name):
     assert "FormatError" in err and name in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "1e39"])
+def test_convert_dump_value_that_is_not_a_finite_float32_names_the_dump(tmp_path, capsys, value):
+    # 1e39 is finite as a Python float but beyond float32's range
+    (tmp_path / "dump.txt").write_text(f"2 1\n{value} 1.5\n")
+    assert main(["convert", str(tmp_path / "dump.txt"), str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "FormatError" in err and "dump.txt" in err
+
+
 @pytest.mark.parametrize("command", [
     ["synth", "simple-additive"],
     ["detect", "--detector", "diff", "--t0", "{t0}", "--t1", "{t1}"],
@@ -865,12 +883,32 @@ def test_cli_annotations_resolve():
 
 
 @pytest.mark.parametrize("module", ["acdkit", "acdkit.cli"])
-def test_runtime_imports_no_scipy(module):
-    # numpy is the only runtime dependency; scipy is a test-only oracle
-    env = _src_env()
-    code = (f"import sys, {module}\n"
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+def test_runtime_imports_no_scipy(tmp_path, module):
+    # numpy is the only runtime dependency (scipy is a test-only oracle):
+    # importing the module, and for the CLI a synth and a four-detector run
+    # in the same process, loads no top-level module outside the standard
+    # library but numpy and acdkit, beyond what the bare interpreter had
+    # loaded (site .pth hooks); __mp_main__ is multiprocessing's alias of
+    # the -c script
+    commands = []
+    if module == "acdkit.cli":
+        scene, run = tmp_path / "scene.json", tmp_path / "run.json"
+        scene.write_text(json.dumps({"width": 48, "height": 48, "background_corr_len": 4,
+                                     "anomaly_rect": [16, 16, 12, 10],
+                                     "anomaly_texture_gain": 2.5}))
+        run.write_text(json.dumps({
+            "scene": {k: str(tmp_path / "scene" / k) for k in ("t0", "t1", "inner", "outer")},
+            "detectors": ["diff", "hacd", "patch-hacd", "glcm-hacd"]}))
+        commands = [["synth", "--config", str(scene), "--out", str(tmp_path / "scene")],
+                    ["run", str(run), "--out", str(tmp_path / "run")]]
+    code = ("import sys\n"
+            "bare = {m.partition('.')[0] for m in sys.modules}\n"
+            f"import {module}\n"
+            f"for argv in {commands!r}:\n"
+            "    assert acdkit.cli.main(argv) == 0\n"
+            "added = {m.partition('.')[0] for m in sys.modules} - bare\n"
+            "print(sorted(added - set(sys.stdlib_module_names) - {'__mp_main__'}))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "['acdkit', 'numpy']"
