@@ -5,7 +5,8 @@ Subcommands:
     eval     score an anomaly map against ground-truth masks
     synth    generate a named or configured synthetic scene
     run      detect + eval for several detectors, with a combined plot;
-             evaluation runs in forked worker processes
+             evaluation runs in worker processes forked before the scene
+             is synthesised or loaded
     convert  R32 raster <-> plain-text pixel dump
 
 ``eval`` and ``run``'s workers evaluate a map with one function,
@@ -232,10 +233,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    """Detect with every listed detector in order, in this process, then
-    evaluate the persisted maps in forked workers, min(detectors, usable
-    CPUs) of them, and write the combined roc.svg and league.csv from the
-    plot points and summaries they return; no ROC band reaches this
+    """Fork min(detectors, usable CPUs) evaluation workers once the options
+    are checked, before the scene is synthesised or loaded; then detect with
+    every listed detector in order, in this process, evaluate the persisted
+    maps in the workers, and write the combined roc.svg and league.csv from
+    the plot points and summaries they return; no ROC band reaches this
     process."""
     config = read_json(args.config, BadConfig, _RUN_KEYS)
     # a scene path object gives the same keys as the top level
@@ -258,28 +260,42 @@ def cmd_run(args: argparse.Namespace) -> int:
         if "seed" in cfg:
             scene_cfg = dataclasses.replace(scene_cfg, seed=cfg["seed"])
         scene_dir = os.path.join(out_dir, "scene")
-        _write_scene(scene_cfg, scene_dir)
         cfg.update((k, os.path.join(scene_dir, k)) for k in _SCENE_PATHS)
-    pair = make_pair(load_raster(_require(cfg, "t0")), load_raster(_require(cfg, "t1")))
-    gt = load_ground_truth(_require(cfg, "inner"), cfg.get("outer"),
-                           (pair.t0.width, pair.t0.height))
+    t0, t1, inner = (_require(cfg, k) for k in ("t0", "t1", "inner"))
 
-    # detection stays in this process, where BLAS has every core
-    map_bases = [_detect_pair({**cfg, "detector": name}, pair, os.path.join(out_dir, name))
-                 for name in detectors]
-    # Each evaluation is evaluate_map, as in eval: a pure function of its
-    # persisted f32 map, and each worker formats rates from its own table
-    # cache, so the per-detector outputs are byte-identical to detect + eval
-    # composed for any worker count; pool.map raises a worker's AcdError
-    # here again.  The pool's modules are imported here so that other
-    # commands do not load them.
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
+    # The workers fork here, in Pool's constructor, from the post-import
+    # heap: no scene, map or detector state is resident yet, so none of it
+    # raises their peak.  The pool's modules are imported here so that
+    # other commands do not load them; leaving the block, by an error too,
+    # terminates and joins the workers.
+    import multiprocessing
 
     workers = min(len(detectors), len(os.sched_getaffinity(0)))
-    evaluate = functools.partial(evaluate_map, truth=gt, fpr_max=cfg["roc_fpr_max"])
-    with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-        results = list(pool.map(evaluate, map_bases, map(os.path.dirname, map_bases)))
+    others = set(multiprocessing.active_children())
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        procs = set(multiprocessing.active_children()) - others
+        if suite:
+            _write_scene(scene_cfg, scene_dir)
+        pair = make_pair(load_raster(t0), load_raster(t1))
+        gt = load_ground_truth(inner, cfg.get("outer"), (pair.t0.width, pair.t0.height))
+        # detection stays in this process, where BLAS has every core
+        map_bases = [_detect_pair({**cfg, "detector": name}, pair, os.path.join(out_dir, name))
+                     for name in detectors]
+        # Each evaluation is evaluate_map, as in eval: a pure function of its
+        # persisted f32 map, and each worker formats rates from its own table
+        # cache, so the per-detector outputs are byte-identical to detect +
+        # eval composed for any worker count; each task carries gt, and
+        # get() raises a worker's AcdError here again.
+        evaluate = functools.partial(evaluate_map, truth=gt, fpr_max=cfg["roc_fpr_max"])
+        pending = pool.starmap_async(evaluate, zip(map_bases, map(os.path.dirname, map_bases)))
+        # Pool replaces a worker that dies mid-task (say, killed for its
+        # memory) but never finishes that task, so watch the workers instead
+        # of waiting forever
+        while not pending.ready():
+            if dead := [p.exitcode for p in procs if p.exitcode is not None]:
+                raise RuntimeError(f"an evaluation worker exited with code {dead[0]}")
+            pending.wait(0.5)
+        results = pending.get()
 
     points = {name: p for name, (p, _) in zip(detectors, results)}
     rows = [(name, s["pauc_inner"], s["pauc_outer"], s["auc_inner"], s["auc_outer"])

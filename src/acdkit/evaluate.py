@@ -36,7 +36,7 @@ DEFAULT_FPR_FLOOR = 1e-5
 # cap on polyline vertices per curve when rendering
 _SVG_MAX_POINTS = 4096
 # roc.csv rows formatted per block, bounding the cells held in memory
-_CSV_CHUNK_ROWS = 16384
+_CSV_CHUNK_ROWS = 4096
 # longest float64 repr, e.g. -2.2250738585072014e-308
 _CELL_WIDTH = 24
 
@@ -250,16 +250,18 @@ def evaluate_map(path: str, out_dir: str, truth: GroundTruth | tuple[str, str | 
     ``truth`` is the GroundTruth or the (inner, outer) mask paths, loaded on
     the map's grid.  ``eval`` and ``run``'s workers call this function; the
     workers' pool pickles it by this module's name, never ``__main__``.
+
+    The float64 map is dropped once ``roc`` has the band, and the AUCs'
+    temporaries are gone before roc.csv is written, so the arrays held at
+    once are at most the band's four columns (thresholds, the shared fpr,
+    two tpr) with either ``roc``'s sort ``order`` and cumulative sums or
+    the rate table and one ``_CSV_CHUNK_ROWS`` block of cells.
     """
     amap = AnomalyMap(load_raster(path).data.astype(np.float64))
     if not isinstance(truth, GroundTruth):
         truth = load_ground_truth(*truth, (amap.width, amap.height))
     band = roc(amap, truth, fpr_max=fpr_max)
-    make_dir(out_dir)
-    write_roc_csv(band, os.path.join(out_dir, "roc.csv"))
-    points = plot_points(band)
-    label = _base_path(os.path.basename(os.path.normpath(path))) or "map"
-    write_loglog_svg({label: points}, os.path.join(out_dir, "roc.svg"))
+    del amap
     summary = {
         "pauc_inner": band.pauc_inner,
         "pauc_outer": band.pauc_outer,
@@ -270,6 +272,11 @@ def evaluate_map(path: str, out_dir: str, truth: GroundTruth | tuple[str, str | 
         "n_pos_outer": band.n_pos_outer,
         "n_neg": band.n_neg,
     }
+    make_dir(out_dir)
+    write_roc_csv(band, os.path.join(out_dir, "roc.csv"))
+    points = plot_points(band)
+    label = _base_path(os.path.basename(os.path.normpath(path))) or "map"
+    write_loglog_svg({label: points}, os.path.join(out_dir, "roc.svg"))
     write_text(os.path.join(out_dir, "summary.json"),
                json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return points, summary

@@ -37,6 +37,7 @@ padded-row windows that neighbouring pixels' patches share.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -347,16 +348,21 @@ def diff_score(pair: CoregisteredPair) -> AnomalyMap:
 
 
 def save_model(m: HacdModel, path: str) -> None:
-    """Serialize a model to JSON (dims, means, covariance row-major, ridge)."""
-    doc = {
-        "d_x": m.d_x,
-        "d_y": m.d_y,
-        "mean_x": m.mean_x.tolist(),
-        "mean_y": m.mean_y.tolist(),
-        "cov": m.cov.ravel().tolist(),
-        "ridge": m.ridge,
-    }
-    write_text(path, json.dumps(doc, separators=(",", ":")) + "\n")
+    """Serialize a model to JSON (dims, means, covariance row-major, ridge).
+
+    The bytes are ``json.dumps(doc, separators=(",", ":"))`` of that
+    document and a newline, but the covariance is formatted one row at a
+    time, so no list of its d² floats is built."""
+    dumps = functools.partial(json.dumps, separators=(",", ":"))
+
+    def chunks():
+        yield (f'{{"d_x":{m.d_x},"d_y":{m.d_y},"mean_x":{dumps(m.mean_x.tolist())},'
+               f'"mean_y":{dumps(m.mean_y.tolist())},"cov":[')
+        for i, row in enumerate(m.cov):
+            yield ("," if i else "") + dumps(row.tolist())[1:-1]
+        yield f'],"ridge":{dumps(m.ridge)}}}\n'
+
+    write_text(path, chunks())
 
 
 def load_model(path: str) -> HacdModel:

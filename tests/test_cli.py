@@ -2,6 +2,7 @@ import contextlib
 import inspect
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from acdkit import (
     AnomalyMap,
     Raster,
     diff_score,
+    generate_scene,
     load_ground_truth,
     load_model,
     load_raster,
@@ -442,6 +444,47 @@ def test_run_empty_inner_mask_in_a_worker_is_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error EmptyClass" in err and "inner curve has no positive pixels" in err
     assert not (out / "league.csv").exists()
+
+
+def test_run_forks_its_workers_before_synthesis_and_joins_them_on_error(
+        tmp_path, capsys, monkeypatch):
+    # the workers fork before the scene exists, so they start from the
+    # post-import heap; a detection that fails after the fork (the ridge
+    # overflows hacd's covariance) still exits 2 and leaves no worker behind
+    assert not multiprocessing.active_children()
+    workers_at_synthesis = []
+
+    def probe(cfg):
+        workers_at_synthesis.append(len(multiprocessing.active_children()))
+        return generate_scene(cfg)
+
+    monkeypatch.setattr(acdkit.cli, "generate_scene", probe)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"scene": "simple-additive", "detectors": ["diff", "hacd"],
+                                    "ridge": 1e308}))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "error SingularCovariance" in capsys.readouterr().err
+    assert workers_at_synthesis == [min(2, len(os.sched_getaffinity(0)))]
+    assert not multiprocessing.active_children()
+
+
+def test_run_whose_worker_is_killed_is_exit_3(tmp_path):
+    # a worker killed mid-task (as the OOM killer would) ends run with exit 3
+    # naming the exit code; Pool alone would wait for the lost task forever
+    paths = _write_scene_files(tmp_path)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "scene": {k: paths[k] for k in ("t0", "t1", "inner", "outer")},
+        "detectors": ["diff", "hacd"], "out": str(tmp_path / "o")}))
+    code = ("import os, signal, sys, acdkit.cli\n"
+            "def die(*args, **kwargs):\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+            "acdkit.cli.evaluate_map = die\n"
+            f"sys.exit(acdkit.cli.main(['run', {str(cfg_path)!r}]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "RuntimeError: an evaluation worker exited with code -9" in proc.stderr
 
 
 def test_run_league_ranks_texture_detectors_first(tmp_path):

@@ -113,6 +113,33 @@ def test_roc_holds_each_column_once():
     assert peak <= 72 * side * side
 
 
+def test_evaluate_map_holds_each_column_once(tmp_path):
+    # an all-distinct 512x512 map: at the peak, inside roc, the float64 map
+    # (8 B per pixel), roc's sort order, the band's four columns and roc's
+    # cumulative sums come to about 65 B per pixel; while roc.csv is written
+    # the band's four columns (32), the rate table (24 B per negative pixel)
+    # and one block of cells take about 62.  Keeping the map past roc, the
+    # AUCs' temporaries beside the rate table, or blocks of 16384 rows adds
+    # 5 B per pixel or more
+    side = 512
+    scores = np.random.default_rng(7).permutation(side * side).astype(np.float32)
+    save_raster(Raster(scores.reshape(side, side)), str(tmp_path / "anomaly"))
+    inner, outer = np.zeros((2, side, side), bool)
+    inner[200:300, 200:300] = True
+    outer[196:304, 196:304] = True
+    gt = _gt(inner, outer)
+    evaluate._rate_table.cache_clear()
+    tracemalloc.start()
+    try:
+        _, summary = evaluate.evaluate_map(str(tmp_path / "anomaly"), str(tmp_path / "out"),
+                                           gt, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary["n_neg"] == side * side - 108 * 108
+    assert peak <= 68 * side * side
+
+
 def test_grid_mismatch():
     with pytest.raises(GridMismatch):
         roc(_amap([[1.0]]), FOUR_PIXEL_GT)

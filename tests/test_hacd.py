@@ -249,6 +249,47 @@ def test_model_json_round_trip(tmp_path):
     assert hacd_score(back, x, y) == hacd_score(m, x, y)
 
 
+def _one_dumps(m: HacdModel) -> str:
+    """save_model's document as one json.dumps call, the reference bytes."""
+    doc = {"d_x": m.d_x, "d_y": m.d_y, "mean_x": m.mean_x.tolist(),
+           "mean_y": m.mean_y.tolist(), "cov": m.cov.ravel().tolist(), "ridge": m.ridge}
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("dims", [(1, 2), (3, 1)])
+def test_save_model_streams_the_bytes_of_one_json_dumps(tmp_path, dims):
+    dx, dy = dims
+    d = dx + dy
+    edges = [-0.0, 5e-324, 1e300]
+    cov = 2.0 * np.eye(d)
+    cov[0, 0] = 1e300
+    cov[0, 1] = cov[1, 0] = -0.0
+    cov[1, 2] = cov[2, 1] = 5e-324
+    m = HacdModel(np.array((edges * 2)[:dx]), np.array(edges[::-1][:dy]), cov, ridge=0.5)
+    path = tmp_path / "model.json"
+    save_model(m, str(path))
+    text = path.read_text()
+    assert text == _one_dumps(m)
+    assert all(repr(v) in text for v in edges)
+
+
+def test_save_model_transient_does_not_grow_with_d_squared(tmp_path):
+    # the covariance is formatted one row at a time: about 47 KB at d = 242
+    # (one row's floats and text, the file buffer), where the document built
+    # whole took 7.2 MB
+    rng = np.random.default_rng(5)
+    m = _random_model(rng, 121, 121)
+    path = tmp_path / "model.json"
+    tracemalloc.start()
+    try:
+        save_model(m, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text() == _one_dumps(m)
+    assert peak <= 1024 * (m.d_x + m.d_y)
+
+
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
