@@ -23,19 +23,31 @@ import argparse
 import dataclasses
 import functools
 import math
+import mmap
 import os
 import sys
 import traceback
 
+import numpy as np
+
 from .detectors import DETECTOR_NAMES, run_detector
-from .errors import AcdError, BadConfig, FormatError, NotFound
-from .evaluate import DEFAULT_FPR_MAX, evaluate_map, write_loglog_svg
+from .errors import AcdError, BadConfig, DimensionMismatch, FormatError, NotFound
+from .evaluate import (
+    _CELL_WIDTH,
+    DEFAULT_FPR_MAX,
+    _format_rates,
+    class_counts,
+    evaluate_map,
+    shared_rate_tables,
+    write_loglog_svg,
+)
 # bench/spans.py traces these three here
 from .evaluate import render_loglog_svg, roc, write_roc_csv  # noqa: F401
 from .features import DEFAULT_LEVELS, DEFAULT_OFFSETS, DEFAULT_PATCH
 from .hacd import save_model
 from .raster import (
     CoregisteredPair,
+    GroundTruth,
     Raster,
     _base_path,
     load_ground_truth,
@@ -54,6 +66,7 @@ from .synth import (
     config_to_json,
     generate_scene,
     scene_suite,
+    scene_truth,
 )
 
 _DEFAULTS = {
@@ -203,7 +216,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_scene(cfg: SceneConfig, out_dir: str) -> None:
+def _write_scene(cfg: SceneConfig, out_dir: str) -> GroundTruth:
+    """Synthesise the scene of ``cfg`` into ``out_dir``; returns its masks."""
     t0, t1, gt = generate_scene(cfg)
     make_dir(out_dir)
     save_raster(t0, os.path.join(out_dir, "t0"))
@@ -211,6 +225,7 @@ def _write_scene(cfg: SceneConfig, out_dir: str) -> None:
     save_raster(Raster(gt.inner), os.path.join(out_dir, "inner"))
     save_raster(Raster(gt.outer), os.path.join(out_dir, "outer"))
     config_to_json(cfg, os.path.join(out_dir, "scene.json"))
+    return gt
 
 
 def _resolve_scene_config(name_or_none: str | None, config_path: str | None) -> SceneConfig:
@@ -232,13 +247,38 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _share_rate_tables(counts) -> dict[int, np.ndarray]:
+    """Blank rate tables of each nonzero count in ``counts`` (an empty class
+    has no rates), laid out in one anonymous mapping that the processes
+    forked after it share; making them touches no page."""
+    sizes = {n: (n + 1) * _CELL_WIDTH for n in sorted(set(counts) - {0})}
+    whole = np.frombuffer(mmap.mmap(-1, sum(sizes.values())), np.uint8)
+    parts = np.split(whole, np.cumsum(list(sizes.values()))[:-1])
+    return {n: part.reshape(n + 1, _CELL_WIDTH) for n, part in zip(sizes, parts)}
+
+
+def _fill_rate_tables(tables, turns, barrier) -> None:
+    """Pool initializer of ``run``'s workers: take one of ``turns``, format
+    the slice of every table in ``tables`` given by the order in which the
+    worker reaches ``barrier``, and once every other worker's slice is
+    formatted too, read them as this process's ``shared_rate_tables``.  A
+    worker that Pool starts in place of a dead one finds no turn left, so
+    it never formats a slice or reads a blank one."""
+    turns.acquire()
+    part, parts = barrier.wait(), barrier.parties
+    for n, table in tables.items():
+        _format_rates(table, n, (n + 1) * part // parts, (n + 1) * (part + 1) // parts)
+    barrier.wait()
+    shared_rate_tables.update(tables)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     """Fork min(detectors, usable CPUs) evaluation workers once the options
-    are checked, before the scene is synthesised or loaded; then detect with
-    every listed detector in order, in this process, evaluate the persisted
-    maps in the workers, and write the combined roc.svg and league.csv from
-    the plot points and summaries they return; no ROC band reaches this
-    process."""
+    are checked and the masks are known, before the scene is synthesised or
+    loaded; they format the run's rate tables while this process detects
+    with every listed detector in order, then evaluate the persisted maps;
+    write the combined roc.svg and league.csv from the plot points and
+    summaries they return; no ROC band reaches this process."""
     config = read_json(args.config, BadConfig, _RUN_KEYS)
     # a scene path object gives the same keys as the top level
     paths = config.get("scene") if isinstance(config.get("scene"), dict) else {}
@@ -262,38 +302,62 @@ def cmd_run(args: argparse.Namespace) -> int:
         scene_dir = os.path.join(out_dir, "scene")
         cfg.update((k, os.path.join(scene_dir, k)) for k in _SCENE_PATHS)
     t0, t1, inner = (_require(cfg, k) for k in ("t0", "t1", "inner"))
+    # every map of the run is scored on these masks, so their class counts,
+    # and with them the rate tables of roc.csv, are known before the fork; a
+    # suite scene's masks are made again with the scene, so that these do
+    # not sit beside the synthesis peak
+    if suite:
+        counts = class_counts(scene_truth(scene_cfg))
+    else:
+        gt = load_ground_truth(inner, cfg.get("outer"))
+        counts = class_counts(gt)
 
     # The workers fork here, in Pool's constructor, from the post-import
     # heap: no scene, map or detector state is resident yet, so none of it
-    # raises their peak.  The pool's modules are imported here so that
-    # other commands do not load them; leaving the block, by an error too,
-    # terminates and joins the workers.
+    # raises their peak.  Together they first format the run's rate tables,
+    # in a mapping that this process never touches, beside the synthesis
+    # and detection here, and only then take an evaluation.  The pool's
+    # modules are imported here so that other commands do not load them;
+    # leaving the block, by an error too, terminates and joins the workers.
     import multiprocessing
 
     workers = min(len(detectors), len(os.sched_getaffinity(0)))
     others = set(multiprocessing.active_children())
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
+    ctx = multiprocessing.get_context("fork")
+    turns = ctx.Semaphore(0)
+    with ctx.Pool(workers, _fill_rate_tables,
+                  (_share_rate_tables(counts), turns, ctx.Barrier(workers))) as pool:
         procs = set(multiprocessing.active_children()) - others
+        # the turns are given only now, so a worker that dies in its fill is
+        # among procs
+        for _ in range(workers):
+            turns.release()
         if suite:
-            _write_scene(scene_cfg, scene_dir)
+            gt = _write_scene(scene_cfg, scene_dir)
         pair = make_pair(load_raster(t0), load_raster(t1))
-        gt = load_ground_truth(inner, cfg.get("outer"), (pair.t0.width, pair.t0.height))
+        if gt.shape != pair.shape:
+            raise DimensionMismatch(f"mask {inner} is {gt.shape[1]}x{gt.shape[0]}, "
+                                    f"expected {pair.t0.width}x{pair.t0.height}")
         # detection stays in this process, where BLAS has every core
         map_bases = [_detect_pair({**cfg, "detector": name}, pair, os.path.join(out_dir, name))
                      for name in detectors]
         # Each evaluation is evaluate_map, as in eval: a pure function of its
-        # persisted f32 map, and each worker formats rates from its own table
-        # cache, so the per-detector outputs are byte-identical to detect +
+        # persisted f32 map, and the shared tables hold the bytes of eval's
+        # own, so the per-detector outputs are byte-identical to detect +
         # eval composed for any worker count; each task carries gt, and
         # get() raises a worker's AcdError here again.
         evaluate = functools.partial(evaluate_map, truth=gt, fpr_max=cfg["roc_fpr_max"])
         pending = pool.starmap_async(evaluate, zip(map_bases, map(os.path.dirname, map_bases)))
         # Pool replaces a worker that dies mid-task (say, killed for its
-        # memory) but never finishes that task, so watch the workers instead
-        # of waiting forever
-        while not pending.ready():
+        # memory) but never finishes that task, and a worker that dies in
+        # its fill leaves its slice of the tables blank for the others, so
+        # watch the workers, until the results are taken, instead of waiting
+        # forever
+        while True:
             if dead := [p.exitcode for p in procs if p.exitcode is not None]:
                 raise RuntimeError(f"an evaluation worker exited with code {dead[0]}")
+            if pending.ready():
+                break
             pending.wait(0.5)
         results = pending.get()
 

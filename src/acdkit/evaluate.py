@@ -22,7 +22,6 @@ import json
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass
-from html import escape
 
 import numpy as np
 
@@ -102,6 +101,17 @@ class RocBand:
 PlotPoints = tuple[np.ndarray, np.ndarray]
 
 
+def class_counts(gt: GroundTruth) -> tuple[int, int, int]:
+    """(n_pos_inner, n_pos_outer, n_neg) of every band on ``gt``.
+
+    Negatives are the complement of the OUTER mask for both curves; the
+    ambiguous outer-minus-inner ring is therefore in neither class of the
+    inner curve (not inner-positive, not a negative).
+    """
+    n_outer = int(np.count_nonzero(gt.outer))
+    return int(np.count_nonzero(gt.inner)), n_outer, gt.outer.size - n_outer
+
+
 def roc(amap: AnomalyMap, gt: GroundTruth, fpr_max: float = DEFAULT_FPR_MAX) -> RocBand:
     """Compute the dual-mask ROC band of an anomaly map.
 
@@ -109,40 +119,63 @@ def roc(amap: AnomalyMap, gt: GroundTruth, fpr_max: float = DEFAULT_FPR_MAX) -> 
     curves).  Raises GridMismatch when map and masks disagree and
     EmptyClass when a curve would have no positives or no negatives.
     """
-    if amap.scores.shape != gt.shape:
-        raise GridMismatch(
-            f"anomaly map {amap.scores.shape} does not match masks {gt.shape}"
-        )
-    scores = amap.scores.ravel()
-    inner = gt.inner.ravel()
-    outer = gt.outer.ravel()
+    return _roc(amap.scores, gt, fpr_max)
 
-    # Negatives are the complement of the OUTER mask for both curves; the
-    # ambiguous outer-minus-inner ring is therefore in neither class of the
-    # inner curve (not inner-positive, not a negative).
-    n_inner = int(np.count_nonzero(inner))
-    n_outer = int(np.count_nonzero(outer))
-    n_neg = outer.size - n_outer
+
+def _roc(scores: np.ndarray, gt: GroundTruth, fpr_max: float) -> RocBand:
+    """roc of a finite float32 or float64 score array.  Sorting float32
+    scores gives the order and ties of their float64 values, and widening
+    only the thresholds gives the same values, so no float64 map is made."""
+    if scores.shape != gt.shape:
+        raise GridMismatch(
+            f"anomaly map {scores.shape} does not match masks {gt.shape}"
+        )
+    n_inner, n_outer, n_neg = class_counts(gt)
     for label, n_pos in (("inner", n_inner), ("outer", n_outer)):
         if n_pos == 0:
             raise EmptyClass(f"{label} curve has no positive pixels")
         if n_neg == 0:
             raise EmptyClass(f"{label} curve has no negative pixels")
+    scores = scores.ravel()
+    inner = gt.inner.ravel()
+    outer = gt.outer.ravel()
 
-    order = np.argsort(-scores, kind="stable")
+    # a tie group's counts are read at its last index, whatever the order
+    # inside it, so the sort need not be stable
+    order = np.argsort(-scores).astype(np.int64, copy=False)
     s = scores[order]
     # last index of each tie group of equal scores
     group_ends = np.nonzero(np.append(s[1:] != s[:-1], True))[0]
     thresholds = np.concatenate([[np.inf], s[group_ends]])
     del s  # freed before the rate columns are built, which lowers roc's peak
+    # the one group whose order shows is 0.0 with -0.0: its threshold is the
+    # zero at the highest raster index, as a stable sort would end it
+    if (zero := np.flatnonzero(thresholds == 0)).size:
+        thresholds[zero] = scores[np.flatnonzero(scores == 0)[-1]]
 
-    def rate(members: np.ndarray, n: int) -> np.ndarray:
-        return np.concatenate([[0.0], np.cumsum(members[order])[group_ends] / n])
+    # each class in score order, one byte per pixel; then the order's 8-byte
+    # buffer holds each class's running count in turn, as float64: counts
+    # below 2**53 are exact, so each rate is the same quotient k / n as with
+    # integer counts, and each column is written where it is kept
+    members = [m[order] for m in (~outer, inner, outer)]
+    running = order.view(np.float64)
+    del order
+
+    def rate(ranked: np.ndarray, n: int) -> np.ndarray:
+        running[...] = ranked
+        np.cumsum(running, out=running)
+        column = np.empty(thresholds.size)
+        column[0] = 0.0
+        # mode "clip" writes into out directly, where "raise" buffers it
+        np.take(running, group_ends, out=column[1:], mode="clip")
+        column[1:] /= n
+        return column
 
     # both curves share the thresholds and the negatives' fpr column
-    fpr = rate(~outer, n_neg)
-    inner_curve = RocCurve(thresholds, fpr, rate(inner, n_inner))
-    outer_curve = RocCurve(thresholds, fpr, rate(outer, n_outer))
+    fpr, tpr_inner, tpr_outer = map(rate, members, (n_neg, n_inner, n_outer))
+    del members, group_ends, running  # freed before the curves check their columns
+    inner_curve = RocCurve(thresholds, fpr, tpr_inner)
+    outer_curve = RocCurve(thresholds, fpr, tpr_outer)
     return RocBand(
         inner_curve,
         outer_curve,
@@ -187,10 +220,11 @@ def write_roc_csv(band: RocBand, path: str) -> None:
 
     Every rate of a band from ``roc`` is k / n for one of its three class
     counts, so the reprs of k / n for k = 0..n are kept per count
-    (``_rate_table``, about 24 B per negative pixel) and shared by every
-    band of the process with that count; a rate that is not such a
-    quotient is formatted directly.  Rows are built ``_CSV_CHUNK_ROWS`` at
-    a time as fixed-width, NUL-padded byte cells.
+    (``_rate_table``, about 24 B per negative pixel, or the process's
+    ``shared_rate_tables``) and shared by every band of the process with
+    that count; a rate that is not such a quotient is formatted directly.
+    Rows are built ``_CSV_CHUNK_ROWS`` at a time as fixed-width, NUL-padded
+    byte cells.
     """
     write_text(path, _roc_csv_chunks(band))
 
@@ -206,15 +240,26 @@ def _reprs(values: np.ndarray) -> np.ndarray:
     return cells
 
 
+def _format_rates(table: np.ndarray, n: int, lo: int, hi: int) -> None:
+    """Fill rows lo..hi-1 of an (n + 1, _CELL_WIDTH) table with the
+    NUL-padded reprs of k / n."""
+    for a in range(lo, hi, _CSV_CHUNK_ROWS):
+        b = min(a + _CSV_CHUNK_ROWS, hi)
+        table[a:b] = _reprs(np.arange(a, b) / n)[:, :_CELL_WIDTH]
+
+
 @functools.lru_cache(maxsize=3)  # one table per class count of a run
 def _rate_table(n: int) -> np.ndarray:
     """Read-only (n + 1, _CELL_WIDTH) NUL-padded reprs of k / n, k = 0..n."""
     table = np.empty((n + 1, _CELL_WIDTH), np.uint8)
-    for lo in range(0, n + 1, _CSV_CHUNK_ROWS):
-        hi = min(lo + _CSV_CHUNK_ROWS, n + 1)
-        table[lo:hi] = _reprs(np.arange(lo, hi) / n)[:, :_CELL_WIDTH]
+    _format_rates(table, n, 0, n + 1)
     table.setflags(write=False)
     return table
+
+
+# the filled tables of _rate_table by count that this process shares with
+# others (``run``'s workers); roc.csv reads them in place of its own
+shared_rate_tables: dict[int, np.ndarray] = {}
 
 
 def _roc_csv_chunks(band: RocBand):
@@ -232,7 +277,8 @@ def _roc_csv_chunks(band: RocBand):
             # fmin/fmax keep k in 0..n (NaN too); the int64 views compare
             # bits, so -0.0 is not taken for 0.0
             k = np.rint(np.fmax(np.fmin(rate, 1.0), 0.0) * n).astype(np.int64)
-            cells[:, j, :_CELL_WIDTH] = _rate_table(n)[k]
+            table = shared_rate_tables.get(n)
+            cells[:, j, :_CELL_WIDTH] = (_rate_table(n) if table is None else table)[k]
             other = (k / n).view(np.int64) != rate.view(np.int64)
             cells[other, j] = _reprs(rate[other])
         cells[:, :4, _CELL_WIDTH] = ord(",")
@@ -251,17 +297,18 @@ def evaluate_map(path: str, out_dir: str, truth: GroundTruth | tuple[str, str | 
     the map's grid.  ``eval`` and ``run``'s workers call this function; the
     workers' pool pickles it by this module's name, never ``__main__``.
 
-    The float64 map is dropped once ``roc`` has the band, and the AUCs'
-    temporaries are gone before roc.csv is written, so the arrays held at
-    once are at most the band's four columns (thresholds, the shared fpr,
-    two tpr) with either ``roc``'s sort ``order`` and cumulative sums or
-    the rate table and one ``_CSV_CHUNK_ROWS`` block of cells.
+    ``roc`` sorts the f32 map itself, which is dropped once the band
+    exists, and the AUCs' temporaries are gone before roc.csv is written,
+    so the arrays held at once are at most the band's four columns
+    (thresholds, the shared fpr, two tpr) with either ``roc``'s classes in
+    score order and running count or the rate tables and one
+    ``_CSV_CHUNK_ROWS`` block of cells.
     """
-    amap = AnomalyMap(load_raster(path).data.astype(np.float64))
+    scores = load_raster(path).data
     if not isinstance(truth, GroundTruth):
-        truth = load_ground_truth(*truth, (amap.width, amap.height))
-    band = roc(amap, truth, fpr_max=fpr_max)
-    del amap
+        truth = load_ground_truth(*truth, scores.shape[::-1])
+    band = _roc(scores, truth, fpr_max)
+    del scores
     summary = {
         "pauc_inner": band.pauc_inner,
         "pauc_outer": band.pauc_outer,
@@ -387,13 +434,16 @@ def write_loglog_svg(points: Mapping[str, PlotPoints], path: str) -> None:
             'stroke-width="1.8" stroke-dasharray="6 4"/>'
         )
         ly = mt + 16 + 18 * i
+        # html.escape(quote=False), without importing html, whose entity
+        # tables every process that imports acdkit would hold
+        text = str(name).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'<line x1="{ml + 12}" y1="{ly}" x2="{ml + 44}" y2="{ly}" '
             f'stroke="{color}" stroke-width="3"/>'
         )
         parts.append(
             f'<text x="{ml + 50}" y="{ly + 4}" font-size="12" '
-            f'font-family="sans-serif">{escape(str(name), quote=False)}</text>'
+            f'font-family="sans-serif">{text}</text>'
         )
     parts.append("</svg>")
     write_text(path, "\n".join(parts) + "\n")

@@ -117,6 +117,7 @@ class PatchWindows:
         self.dim = patch * patch
         # padded before the cast: the float32 temporary is the smaller one
         self._padded = np.pad(r.data, pad, mode="reflect").astype(np.float64)
+        self._padded.setflags(write=False)  # rows() may yield views of it
 
     def rows(self):
         """Yield each output row's patch vectors as a (width, p*p) strided view.
@@ -126,9 +127,13 @@ class PatchWindows:
         2p-1, p) buffer, so pixel c's patch at block row t is the p*p
         contiguous floats ``buf[c, t:t+p]``: a view with unit inner stride,
         which BLAS reads in place.  Each padded row is copied about twice
-        instead of once per patch row (p times).
+        instead of once per patch row (p times).  At patch 1 the padded
+        raster is the raster, so its rows are yielded as (width, 1) views.
         """
         h, w, p = self.height, self.width, self.patch
+        if p == 1:
+            yield from self._padded.reshape(h, w, 1)
+            return
         windows = self.row_windows()
         buf = np.empty((w, 2 * p - 1, p))
         for r0 in range(0, h, p):

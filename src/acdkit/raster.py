@@ -260,12 +260,11 @@ def save_raster(r: Raster, path: str) -> None:
         raise
 
 
-def _load_mask(path: str, grid: tuple[int, int]) -> np.ndarray:
-    width, height = grid
+def _load_mask(path: str, grid: tuple[int, int] | None) -> np.ndarray:
     r = load_raster(path)
-    if (r.width, r.height) != (width, height):
+    if grid is not None and (r.width, r.height) != tuple(grid):
         raise DimensionMismatch(
-            f"mask {path} is {r.width}x{r.height}, expected {width}x{height}"
+            f"mask {path} is {r.width}x{r.height}, expected {grid[0]}x{grid[1]}"
         )
     vals = r.data
     if not np.all((vals == 0.0) | (vals == 1.0)):
@@ -273,13 +272,15 @@ def _load_mask(path: str, grid: tuple[int, int]) -> np.ndarray:
     return vals == 1.0
 
 
-def load_ground_truth(inner_path: str, outer_path: str | None, grid: tuple[int, int]) -> GroundTruth:
-    """Load the inner/outer mask pair for a (width, height) grid.
+def load_ground_truth(inner_path: str, outer_path: str | None,
+                      grid: tuple[int, int] | None = None) -> GroundTruth:
+    """Load the inner/outer mask pair for a (width, height) grid, or for the
+    inner mask's own grid when ``grid`` is None.
 
     When ``outer_path`` is None the single mask plays both roles (no
     boundary ambiguity).  Raises MaskInconsistent if inner is not a subset
     of outer and DimensionMismatch when a mask is on the wrong grid.
     """
     inner = _load_mask(inner_path, grid)
-    outer = inner if outer_path is None else _load_mask(outer_path, grid)
+    outer = inner if outer_path is None else _load_mask(outer_path, inner.shape[::-1])
     return GroundTruth(inner, outer)

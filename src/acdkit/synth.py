@@ -191,16 +191,23 @@ def generate_scene(cfg: SceneConfig) -> tuple[Raster, Raster, GroundTruth]:
             _box_mean(np.square(t1 - _box_mean(t1, LOCAL_STD_RADIUS)), LOCAL_STD_RADIUS)[rect])
         t1[rect] += amp * local_sigma * _field(cfg.seed, STREAM_ANOMALY, h, w, "normal")[rect]
 
+    try:
+        return Raster(t0), Raster(t1), scene_truth(cfg)
+    except FormatError as exc:
+        raise BadConfig(f"config overflows the scene: {exc}") from exc
+
+
+def scene_truth(cfg: SceneConfig) -> GroundTruth:
+    """The ground truth of the scene of ``cfg``, which draws nothing: the
+    anomaly rectangle shrunk (inner) and grown (outer) by MASK_BAND."""
+    h, w = cfg.height, cfg.width
+    x, y, rw, rh = cfg.anomaly_rect
     inner = np.zeros((h, w), dtype=bool)
     inner[y + MASK_BAND : y + rh - MASK_BAND, x + MASK_BAND : x + rw - MASK_BAND] = True
     outer = np.zeros((h, w), dtype=bool)
     outer[max(0, y - MASK_BAND) : min(h, y + rh + MASK_BAND),
           max(0, x - MASK_BAND) : min(w, x + rw + MASK_BAND)] = True
-
-    try:
-        return Raster(t0), Raster(t1), GroundTruth(inner, outer)
-    except FormatError as exc:
-        raise BadConfig(f"config overflows the scene: {exc}") from exc
+    return GroundTruth(inner, outer)
 
 
 def scene_suite() -> dict[str, SceneConfig]:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import typing
 from pathlib import Path
 
@@ -485,6 +486,110 @@ def test_run_whose_worker_is_killed_is_exit_3(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 3, proc.stderr
     assert "RuntimeError: an evaluation worker exited with code -9" in proc.stderr
+
+
+def test_run_whose_worker_is_killed_in_its_fill_is_exit_3(tmp_path):
+    # the worker with the first slice of the rate tables is killed while it
+    # formats it: the others wait for that slice at the barrier, and Pool's
+    # replacement gets no turn, so run ends with exit 3, neither waiting
+    # forever nor writing a roc.csv from a blank slice
+    paths = _write_scene_files(tmp_path)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "scene": {k: paths[k] for k in ("t0", "t1", "inner", "outer")},
+        "detectors": ["diff", "hacd"], "out": str(tmp_path / "o")}))
+    code = ("import os, signal, sys, acdkit.cli\n"
+            "fill = acdkit.cli._format_rates\n"
+            "def die_in_the_first_slice(table, n, lo, hi):\n"
+            "    if lo == 0:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    fill(table, n, lo, hi)\n"
+            "acdkit.cli._format_rates = die_in_the_first_slice\n"
+            f"sys.exit(acdkit.cli.main(['run', {str(cfg_path)!r}]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "RuntimeError: an evaluation worker exited with code -9" in proc.stderr
+    assert not (tmp_path / "o" / "diff" / "roc.csv").exists()
+
+
+class _Turn:
+    """Stands in for a Barrier that a worker reaches in turn ``part`` of ``parties``."""
+
+    def __init__(self, part, parties):
+        self.part, self.parties = part, parties
+
+    def wait(self):
+        return self.part
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+def test_rate_tables_filled_in_slices_equal_the_private_tables(parts, monkeypatch):
+    # 9001 rows: not a multiple of 2 or 3, and more than two blocks of
+    # _CSV_CHUNK_ROWS; a zero count gets no table and divides by nothing
+    monkeypatch.setattr(acdkit.cli, "shared_rate_tables", {})
+    rate_table = acdkit.evaluate._rate_table
+    counts = (9000, 7, 0, 9000)
+    turns = threading.Semaphore(2 * parts)
+    whole = acdkit.cli._share_rate_tables(counts)
+    assert sorted(whole) == [7, 9000]
+    for part in reversed(range(parts)):
+        acdkit.cli._fill_rate_tables(whole, turns, _Turn(part, parts))
+        alone = acdkit.cli._share_rate_tables(counts)
+        acdkit.cli._fill_rate_tables(alone, turns, _Turn(part, parts))
+        for n, table in alone.items():
+            lo, hi = (n + 1) * part // parts, (n + 1) * (part + 1) // parts
+            assert table[lo:hi].tobytes() == rate_table(n)[lo:hi].tobytes()
+            assert not table[:lo].any() and not table[hi:].any()
+    for n, table in whole.items():
+        assert table.tobytes() == rate_table(n).tobytes()
+    assert acdkit.cli.shared_rate_tables.keys() == {7, 9000}
+
+
+def test_rate_tables_filled_by_forked_workers_are_shared_with_their_parent():
+    # more workers than cores, each formatting one slice in its own process:
+    # a slice written to a private copy of the mapping would stay zero here
+    ctx = multiprocessing.get_context("fork")
+    tables = acdkit.cli._share_rate_tables((20000, 3))
+    with ctx.Pool(4, acdkit.cli._fill_rate_tables,
+                  (tables, ctx.Semaphore(4), ctx.Barrier(4))) as pool:
+        # a worker takes a task only once every slice is formatted
+        pool.apply_async(int).get(timeout=60)
+    for n, table in tables.items():
+        assert table.tobytes() == acdkit.evaluate._rate_table(n).tobytes()
+
+
+def test_run_workers_read_the_shared_rate_tables(tmp_path, monkeypatch):
+    # the workers fork after this patch, so building a private table of any
+    # of the run's three class counts would fail the run
+    paths = _write_scene_files(tmp_path)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "scene": {k: paths[k] for k in ("t0", "t1", "inner", "outer")},
+        "detectors": ["diff", "hacd"], "out": str(tmp_path / "o")}))
+
+    def no_private_table(n):
+        raise AssertionError(f"a worker formatted its own rate table of {n}")
+
+    monkeypatch.setattr(acdkit.evaluate, "_rate_table", no_private_table)
+    assert main(["run", str(cfg_path)]) == 0
+    assert (tmp_path / "o" / "league.csv").exists()
+
+
+def test_run_refuses_masks_off_the_scene_grid(tmp_path, capsys):
+    # scene path masks are loaded before the rasters, on their own grid, and
+    # checked against the rasters before any detector runs
+    paths = _write_scene_files(tmp_path)
+    for key in ("inner", "outer"):
+        save_raster(Raster(np.zeros((40, 48), np.float32)), paths[key])
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "scene": {k: paths[k] for k in ("t0", "t1", "inner", "outer")},
+        "detectors": ["diff"], "out": str(tmp_path / "o")}))
+    assert main(["run", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error DimensionMismatch" in err and "is 48x40, expected 48x48" in err
+    assert not (tmp_path / "o" / "diff").exists()
 
 
 def test_run_league_ranks_texture_detectors_first(tmp_path):

@@ -92,10 +92,10 @@ def test_ambiguous_band_excluded_from_inner_curve():
 
 
 def test_roc_holds_each_column_once():
-    # an all-distinct 512x512 map: the sort order, the tie-group ends, the
-    # shared thresholds and fpr, two tpr columns and one cumulative sum
-    # come to about 57 B per pixel; a second fpr or a kept sorted copy adds
-    # 8 B or more
+    # an all-distinct 512x512 map: the tie-group ends, the shared thresholds
+    # and fpr, two tpr columns, the three classes in score order and one
+    # running count come to about 51 B per pixel; a second fpr, a kept sort
+    # order or sorted copy, or a cumulative sum per column adds 8 B or more
     side = 512
     scores = np.random.default_rng(7).permutation(side * side).astype(np.float64)
     amap = _amap(scores.reshape(side, side))
@@ -110,17 +110,17 @@ def test_roc_holds_each_column_once():
     finally:
         tracemalloc.stop()
     assert band.inner_curve.thresholds.size == side * side + 1
-    assert peak <= 72 * side * side
+    assert peak <= 56 * side * side
 
 
-def test_evaluate_map_holds_each_column_once(tmp_path):
-    # an all-distinct 512x512 map: at the peak, inside roc, the float64 map
-    # (8 B per pixel), roc's sort order, the band's four columns and roc's
-    # cumulative sums come to about 65 B per pixel; while roc.csv is written
-    # the band's four columns (32), the rate table (24 B per negative pixel)
-    # and one block of cells take about 62.  Keeping the map past roc, the
-    # AUCs' temporaries beside the rate table, or blocks of 16384 rows adds
-    # 5 B per pixel or more
+def test_evaluate_map_holds_each_column_once(tmp_path, monkeypatch):
+    # an all-distinct 512x512 map: up to roc.csv, the f32 map (4 B per
+    # pixel), the tie-group ends, the band's four columns, the classes in
+    # score order and one running count come to about 55 B per pixel, where
+    # a float64 copy of the map makes 59; at the peak, while roc.csv is
+    # written, the band's four columns (32), the rate table (24 B per
+    # negative pixel) and one block of cells take about 62, where the AUCs'
+    # temporaries beside the rate table make 73 and blocks of 16384 rows 78
     side = 512
     scores = np.random.default_rng(7).permutation(side * side).astype(np.float32)
     save_raster(Raster(scores.reshape(side, side)), str(tmp_path / "anomaly"))
@@ -129,6 +129,14 @@ def test_evaluate_map_holds_each_column_once(tmp_path):
     outer[196:304, 196:304] = True
     gt = _gt(inner, outer)
     evaluate._rate_table.cache_clear()
+    before_csv = []
+    write_roc_csv = evaluate.write_roc_csv
+
+    def probe(band, path):
+        before_csv.append(tracemalloc.get_traced_memory()[1])
+        write_roc_csv(band, path)
+
+    monkeypatch.setattr(evaluate, "write_roc_csv", probe)
     tracemalloc.start()
     try:
         _, summary = evaluate.evaluate_map(str(tmp_path / "anomaly"), str(tmp_path / "out"),
@@ -137,7 +145,46 @@ def test_evaluate_map_holds_each_column_once(tmp_path):
     finally:
         tracemalloc.stop()
     assert summary["n_neg"] == side * side - 108 * 108
-    assert peak <= 68 * side * side
+    assert before_csv[0] <= 57 * side * side
+    assert peak <= 64 * side * side
+
+
+def _stable_reference_roc(scores, inner, outer):
+    """(thresholds, fpr, tpr_inner, tpr_outer) of ``scores`` by a stable sort,
+    whose tie groups end at their highest raster index."""
+    s = scores.ravel().astype(np.float64)
+    order = np.argsort(-s, kind="stable")
+    ranked = s[order]
+    ends = np.nonzero(np.append(ranked[1:] != ranked[:-1], True))[0]
+
+    def rate(members):
+        members = members.ravel()
+        return np.concatenate([[0.0], np.cumsum(members[order])[ends] / members.sum()])
+
+    return (np.concatenate([[np.inf], ranked[ends]]), rate(~outer), rate(inner), rate(outer))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_roc_matches_a_stable_sort_reference_property(data, shape, dtype):
+    # few distinct values, so most pixels tie, and 0.0 beside -0.0: the one
+    # tie whose order shows in the bytes (the threshold's sign)
+    scores = data.draw(hnp.arrays(dtype, shape, elements=st.sampled_from(
+        [0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.5, 2.5e-7])))
+    outer = data.draw(hnp.arrays(np.bool_, shape))
+    inner = outer & data.draw(hnp.arrays(np.bool_, shape))
+    assume(inner.any() and not outer.all())
+    gt = _gt(inner, outer)
+    expect = _stable_reference_roc(scores, inner, outer)
+    # the f32 map as evaluate_map scores it, and as the public roc does
+    bands = [evaluate._roc(scores, gt, 0.01), roc(_amap(scores), gt)]
+    for band in bands:
+        got = (band.inner_curve.thresholds, band.inner_curve.fpr, band.inner_curve.tpr,
+               band.outer_curve.tpr)
+        for a, b in zip(got, expect):
+            assert a.dtype == np.float64
+            assert a.view(np.int64).tolist() == b.view(np.int64).tolist()
 
 
 def test_grid_mismatch():

@@ -49,6 +49,18 @@ def test_patch_one_equals_identity_bitwise():
     assert a.tobytes() == b.tobytes()
 
 
+def test_patch_one_rows_are_views_of_the_raster():
+    # no block buffer is reused at patch 1, so every row stays valid after
+    # the next one is asked for, and each row's bytes are the raster row's
+    r = _raster(np.random.default_rng(1).normal(size=(5, 4)))
+    rows = list(PatchWindows(r, 1).rows())
+    assert all(row.shape == (4, 1) and row.flags.c_contiguous for row in rows)
+    # the views are read-only: a caller writing into one would change the
+    # source of every later pass
+    assert not any(row.flags.writeable for row in rows)
+    assert np.stack(rows)[:, :, 0].tobytes() == r.data.astype(np.float64).tobytes()
+
+
 def test_patch_constant_raster():
     fs = patch_features(_raster(np.full((12, 13), 2.5)), 11)
     assert fs.dim == 121

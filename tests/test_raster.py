@@ -347,6 +347,12 @@ def test_ground_truth_wrong_grid(tmp_path):
     save_raster(_mask_raster(np.zeros((2, 2), bool)), base)
     with pytest.raises(DimensionMismatch):
         load_ground_truth(base, None, (3, 3))
+    # without a grid the inner mask's own grid is the one the outer must have
+    assert load_ground_truth(base, base).shape == (2, 2)
+    other = str(tmp_path / "h")
+    save_raster(_mask_raster(np.zeros((2, 3), bool)), other)
+    with pytest.raises(DimensionMismatch, match="is 3x2, expected 2x2"):
+        load_ground_truth(base, other)
 
 
 def test_mask_values_must_be_binary(tmp_path):
