@@ -119,22 +119,24 @@ class PatchWindows:
         self._padded = np.pad(r.data, pad, mode="reflect").astype(np.float64)
         self._padded.setflags(write=False)  # rows() may yield views of it
 
-    def rows(self):
-        """Yield each output row's patch vectors as a (width, p*p) strided view.
+    def rows(self, c0: int = 0, c1: int | None = None):
+        """Yield each output row's patch vectors at columns [c0:c1] (by
+        default all) as a (c1 - c0, p*p) strided view.
 
         Output rows go in blocks of p.  The windows of a block's (at most
-        2p-1) padded rows are copied once, column-major, into a (width,
+        2p-1) padded rows are copied once, column-major, into a (c1 - c0,
         2p-1, p) buffer, so pixel c's patch at block row t is the p*p
         contiguous floats ``buf[c, t:t+p]``: a view with unit inner stride,
         which BLAS reads in place.  Each padded row is copied about twice
         instead of once per patch row (p times).  At patch 1 the padded
-        raster is the raster, so its rows are yielded as (width, 1) views.
+        raster is the raster, so its rows are yielded as (c1 - c0, 1) views.
         """
-        h, w, p = self.height, self.width, self.patch
+        h, p = self.height, self.patch
         if p == 1:
-            yield from self._padded.reshape(h, w, 1)
+            yield from self._padded.reshape(h, self.width, 1)[:, c0:c1]
             return
-        windows = self.row_windows()
+        windows = self.row_windows()[:, c0:c1]
+        w = windows.shape[1]
         buf = np.empty((w, 2 * p - 1, p))
         for r0 in range(0, h, p):
             r1 = min(r0 + p, h)

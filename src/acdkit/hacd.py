@@ -32,7 +32,9 @@ Fit and score read the feature sources one image row at a time (see
 `acdkit.features`).  The one moment routine, ``_moments``, sums products
 of mean-centred row blocks in one pass; its feed is each output row's
 vectors from ``rows()``, or, for two patch sources of one size, the
-padded-row windows that neighbouring pixels' patches share.
+padded-row windows that neighbouring pixels' patches share.  The fit uses
+every BLAS thread; the model's factorisations and the score run on one
+(`acdkit.threads`), and a patch score runs its column tiles on threads.
 """
 
 from __future__ import annotations
@@ -130,20 +132,24 @@ class HacdModel:
             if not np.isfinite(val).all():
                 raise SingularCovariance(f"{name} has non-finite entries")
 
+        from .threads import one_blas_thread
+
         dx = mx.size
-        _cholesky(c, "joint covariance")  # only the positive-definiteness check
-        lx = _cholesky(c[:dx, :dx], "x-marginal covariance")
-        ly = _cholesky(c[dx:, dx:], "y-marginal covariance")
         solve = np.linalg.solve
-        whitened_xy = solve(ly, solve(lx, c[:dx, dx:]).T).T
-        u, rho, vt = np.linalg.svd(whitened_xy, full_matrices=False)
+        # on one thread: at d = 2 x 276 LAPACK's last bits followed the count
+        with one_blas_thread():
+            _cholesky(c, "joint covariance")  # only the positive-definiteness check
+            lx = _cholesky(c[:dx, :dx], "x-marginal covariance")
+            ly = _cholesky(c[dx:, dx:], "y-marginal covariance")
+            whitened_xy = solve(ly, solve(lx, c[:dx, dx:]).T).T
+            u, rho, vt = np.linalg.svd(whitened_xy, full_matrices=False)
+            canon_x = solve(lx.T, u)
+            canon_y = solve(ly.T, vt.T)
         if rho[0] >= 1.0:
             raise SingularCovariance(
                 f"x and y are perfectly correlated (canonical correlation {rho[0]:.17g}); "
                 "increase the ridge"
             )
-        canon_x = solve(lx.T, u)
-        canon_y = solve(ly.T, vt.T)
 
         for name, val in (("mean_x", mx), ("mean_y", my), ("cov", c),
                           ("canon_x", canon_x), ("canon_y", canon_y), ("rho", rho)):
@@ -327,8 +333,14 @@ def score_map(m: HacdModel, x: Features, y: Features) -> AnomalyMap:
 
     ``x`` and ``y`` are feature sources, as for fit_hacd; each row's
     vectors go to the score GEMMs as the sources yield them, so patch
-    vectors are read in place from strided views.
+    vectors are read in place from strided views.  BLAS runs on one
+    thread.  Two PatchWindows, unless both are 1x1, are scored in column
+    tiles of a fixed width, on as many threads as BLAS had (one share on
+    the calling thread); any other pair row by row on the calling thread.
+    The bits depend on the grid alone.
     """
+    from .threads import one_blas_thread, score_tiles
+
     _check_grids(x, y)
     if x.dim != m.d_x or y.dim != m.d_y:
         raise DimensionMismatch(
@@ -336,8 +348,12 @@ def score_map(m: HacdModel, x: Features, y: Features) -> AnomalyMap:
         )
     score = _scorer(m)
     out = np.empty((x.height, x.width))
-    for r, (xs, ys) in enumerate(zip(x.rows(), y.rows(), strict=True)):
-        out[r] = score(xs, ys)
+    with one_blas_thread() as threads:
+        if isinstance(x, PatchWindows) and isinstance(y, PatchWindows) and x.dim * y.dim > 1:
+            score_tiles(score, x, y, out, threads)
+        else:
+            for r, (xs, ys) in enumerate(zip(x.rows(), y.rows(), strict=True)):
+                out[r] = score(xs, ys)
     return AnomalyMap(out)
 
 

@@ -312,6 +312,12 @@ def test_rows_equal_feature_stack_rows_property(kind, data):
     assert stack.data.tobytes() == expect.tobytes()
     # a second pass starts afresh and yields the same bytes
     assert np.stack([np.array(row) for row in src.rows()]).tobytes() == expect.tobytes()
+    if kind == "patch":
+        # a column range yields those columns of every row
+        c0 = data.draw(st.integers(0, w - 1), label="c0")
+        c1 = data.draw(st.integers(c0 + 1, w), label="c1")
+        part = np.stack([np.array(row) for row in src.rows(c0, c1)])
+        assert part.tobytes() == expect[:, c0:c1].tobytes()
     if kind == "glcm":
         _assert_exact_counts(np.stack(rows), src.total)
 

@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -12,6 +16,7 @@ from scipy.stats import multivariate_normal
 
 import acdkit.features
 import acdkit.hacd
+import acdkit.threads
 from acdkit import (
     DETECTOR_NAMES,
     DimensionMismatch,
@@ -35,6 +40,7 @@ from acdkit import (
     score_map,
 )
 from acdkit.features import DEFAULT_PATCH, PatchWindows
+from acdkit.threads import TILE_WIDTH, one_blas_thread, score_tiles
 
 
 def _stack(a):
@@ -590,6 +596,139 @@ def test_unmasked_patch_detector_cuts_no_patches(monkeypatch):
     monkeypatch.setattr(acdkit.features, "_stack", refuse)
     amap, _ = run_detector("patch-hacd", pair, patch=5)
     _assert_close_scores(amap.scores, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    patch=st.sampled_from([3, 5, 7, 9, 11]),
+    extra_rows=st.integers(0, 12),
+    # below, at and above one tile; above it the last tile is ragged
+    # unless the width is a multiple of the tile
+    width=st.one_of(st.integers(6, TILE_WIDTH - 1), st.just(TILE_WIDTH),
+                    st.integers(TILE_WIDTH + 1, 3 * TILE_WIDTH)),
+)
+def test_column_tile_scores_do_not_depend_on_tile_threads(seed, patch, extra_rows, width):
+    height = (patch + 1) // 2 + extra_rows
+    pair = _textured_pair(height, width, seed=seed)
+    x, y = PatchWindows(pair.t0, patch), PatchWindows(pair.t1, patch)
+    m = fit_hacd(x, y, ridge=1.0)
+    score = acdkit.hacd._scorer(m)
+    got = {}
+    with one_blas_thread():
+        for threads in (1, 2):
+            got[threads] = np.empty((height, width))
+            score_tiles(score, x, y, got[threads], threads)
+    assert got[1].tobytes() == got[2].tobytes()
+    want = score_map(m, patch_features(pair.t0, patch), patch_features(pair.t1, patch))
+    _assert_close_scores(got[1], want.scores)
+
+
+def _tiled_case(seed):
+    """(model, x, y) of a patch-3 pair three tiles wide, the last one ragged."""
+    pair = _textured_pair(9, 2 * TILE_WIDTH + 88, seed=seed)
+    x, y = PatchWindows(pair.t0, 3), PatchWindows(pair.t1, 3)
+    return fit_hacd(x, y, ridge=1.0), x, y
+
+
+@pytest.mark.parametrize("in_caller", [True, False], ids=["caller-raises", "other-raises"])
+def test_score_pins_blas_to_one_thread_and_restores_it(monkeypatch, in_caller):
+    # a silent fallback would only cost speed, so finding NumPy's OpenBLAS
+    # is asserted; the count is set to 2 so that the pin changes it even
+    # where the process started at one thread
+    calls = acdkit.threads._blas()
+    assert calls is not None, "NumPy's OpenBLAS thread calls were not found"
+    get, set_, _ = calls
+    before = get()
+    set_(2)
+    try:
+        with one_blas_thread() as threads:
+            assert (threads, get()) == (2, 1)
+            with one_blas_thread() as inner:
+                assert (inner, get()) == (2, 1)
+            assert get() == 1
+        assert get() == 2
+        # a product on two threads starts the pool; leaving a pin stops it,
+        # so that no pool thread spins on
+        tasks = len(os.listdir("/proc/self/task"))
+        np.ones((400, 400)) @ np.ones((400, 400))
+        assert len(os.listdir("/proc/self/task")) == tasks + 1
+        with one_blas_thread():
+            pass
+        assert len(os.listdir("/proc/self/task")) == tasks
+
+        # one thread's first tile raises while the other still has rows to
+        # score, which the call must wait for
+        m, x, y = _tiled_case(seed=38)
+        caller, scorer, raised = threading.get_ident(), acdkit.hacd._scorer, threading.Event()
+
+        def failing(model):
+            f = scorer(model)
+
+            def score(xs, ys):
+                if (threading.get_ident() == caller) == in_caller:
+                    raised.set()
+                    raise ValueError("a tile failed")
+                raised.wait(timeout=30)
+                time.sleep(0.01)
+                return f(xs, ys)
+            return score
+
+        alive = threading.active_count()
+        monkeypatch.setattr(acdkit.hacd, "_scorer", failing)
+        with pytest.raises(ValueError, match="a tile failed"):
+            score_map(m, x, y)
+        assert get() == 2
+        assert threading.active_count() == alive
+    finally:
+        set_(before)
+
+
+def test_concurrent_pins_keep_one_thread_and_restore_the_count():
+    # more threads than cores, switching often: a lost update of the pin's
+    # depth would restore the count inside another thread's scope, or leave
+    # it at one afterwards
+    get = acdkit.threads._blas()[0]
+    before, seen = get(), []
+
+    def enter_and_leave():
+        for _ in range(2000):
+            with one_blas_thread():
+                seen.append(get())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=enter_and_leave) for _ in range(8)]
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in pool)
+    assert len(seen) == 8 * 2000 and set(seen) == {1}
+    assert (get(), acdkit.threads._depth) == (before, 0)
+
+
+def test_score_without_blas_handle_runs_on_the_calling_thread(monkeypatch):
+    m, x, y = _tiled_case(seed=39)
+    want = score_map(m, x, y).scores
+    idents, scorer = set(), acdkit.hacd._scorer
+
+    def watched(model):
+        f = scorer(model)
+
+        def score(xs, ys):
+            idents.add(threading.get_ident())
+            return f(xs, ys)
+        return score
+
+    monkeypatch.setattr(acdkit.threads, "_blas", lambda: None)
+    monkeypatch.setattr(acdkit.hacd, "_scorer", watched)
+    got = score_map(m, x, y).scores
+    assert idents == {threading.get_ident()}
+    assert got.tobytes() == want.tobytes()
 
 
 def test_mixed_patch_sizes_fit_and_score_through_tiles():
