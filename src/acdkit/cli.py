@@ -20,9 +20,9 @@ precedence is flags > config file > defaults.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import functools
-import math
 import mmap
 import os
 import sys
@@ -69,12 +69,6 @@ from .synth import (
     scene_truth,
 )
 
-_DEFAULTS = {
-    "patch": DEFAULT_PATCH,
-    "glcm_levels": DEFAULT_LEVELS,
-    "glcm_offsets": [list(o) for o in DEFAULT_OFFSETS],
-    "roc_fpr_max": DEFAULT_FPR_MAX,
-}
 # the config keys each command reads
 _DETECT_KEYS = {"detector", "patch", "glcm_levels", "glcm_offsets", "ridge", "t0", "t1", "out"}
 _RUN_KEYS = (_DETECT_KEYS - {"detector"}) | {
@@ -95,68 +89,72 @@ def _pairs(text: str) -> list[list[int | float]]:
     return [[_count(v) for v in part.split(",")] for part in text.split(";")]
 
 
-# option key -> the reader of its flag's text; the other flags stay text
-_FLAG_READERS = {"patch": _count, "glcm_levels": _count, "seed": _count,
-                 "ridge": float, "roc_fpr_max": float, "glcm_offsets": _pairs}
-_FLAG_NAMES = {"glcm_levels": "--levels", "glcm_offsets": "--offsets", "roc_fpr_max": "--fpr-max"}
+def _number(integer: bool, expected: str, valid=lambda v: True):
+    """The check of a numeric option: a real number by the rule scene configs use (not a
+    bool or a string, and an integer where the option counts something) that ``valid`` takes."""
+    def check(key: str, value):
+        try:
+            number = _real(key, value, integer=True) if integer else float(_real(key, value))
+        except (BadConfig, OverflowError):
+            number = None
+        if number is None or not valid(number):
+            raise BadConfig(f"{key} must be {expected}, got {value!r}")
+        return number
+    return check
 
 
-def _flags(args: argparse.Namespace, keys) -> dict:
-    """The given flags among ``keys`` as option values, checked by _options."""
-    flags = {}
-    for key in keys:
-        if (text := getattr(args, key)) is not None:
-            try:
-                flags[key] = _FLAG_READERS.get(key, str)(text)
-            except ValueError:
-                expected = "pairs 'dy,dx;dy,dx;...'" if key == "glcm_offsets" else "a number"
-                flag = _FLAG_NAMES.get(key, "--" + key)
-                raise BadConfig(f"{flag} must be {expected}, got {text!r}") from None
-    return flags
-
-
-def _offset_pairs(value) -> tuple[tuple[int, int], ...]:
+def _offset_pairs(key: str, value) -> tuple[tuple[int, int], ...]:
     """``value`` as a non-empty tuple of integer (dy, dx) pairs, or BadConfig."""
     try:
-        pairs = tuple((_real("glcm_offsets", dy, integer=True),
-                       _real("glcm_offsets", dx, integer=True)) for dy, dx in value)
+        pairs = tuple(tuple(_real(key, v, integer=True) for v in (dy, dx)) for dy, dx in value)
     except (TypeError, ValueError, BadConfig):
         pairs = ()
     if not pairs:
-        raise BadConfig(f"glcm_offsets must be a non-empty list of dy,dx pairs, got {value!r}")
+        raise BadConfig(f"{key} must be a non-empty list of dy,dx pairs, got {value!r}")
     return pairs
 
 
-# numeric option -> (integer?, accepted values, their description)
-_NUMBERS = {
-    "patch": (True, lambda v: True, "an integer"),
-    "glcm_levels": (True, lambda v: v >= 1, "an integer >= 1"),
-    "ridge": (False, math.isfinite, "a finite number"),
-    "roc_fpr_max": (False, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]"),
-    "seed": (True, lambda v: True, "an integer"),
+# one row per option, in the order _options checks them; a None default leaves it unset
+_Option = collections.namedtuple("_Option", "default flag metavar read check help")
+_OPTIONS = {
+    "patch": _Option(DEFAULT_PATCH, "--patch", None, _count, _number(True, "an integer"),
+                     "odd patch side length (default {default})"),
+    "glcm_levels": _Option(DEFAULT_LEVELS, "--levels", "L", _count,
+                           _number(True, "an integer >= 1", lambda v: v >= 1),
+                           "GLCM grey levels (default {default})"),
+    "ridge": _Option(None, "--ridge", None, float, _number(False, "a finite number"),
+                     "covariance ridge epsilon"),
+    "roc_fpr_max": _Option(DEFAULT_FPR_MAX, "--fpr-max", "FPR", float,
+                           _number(False, "a number in (0, 1]", lambda v: 0.0 < v <= 1.0),
+                           "pAUC limit (default {default})"),
+    "seed": _Option(None, "--seed", None, _count, _number(True, "an integer"),
+                    "override the config seed"),
+    "glcm_offsets": _Option(DEFAULT_OFFSETS, "--offsets", "DY,DX;...", _pairs, _offset_pairs,
+                            "GLCM offsets"),
 }
 
 
-def _number(key: str, value):
-    """``value`` by the rule scene configs use: a real number, not a bool or
-    a string, and an integer where the option counts something."""
-    integer, valid, expected = _NUMBERS[key]
-    try:
-        number = _real(key, value, integer=True) if integer else float(_real(key, value))
-    except (BadConfig, OverflowError):
-        number = None
-    if number is None or not valid(number):
-        raise BadConfig(f"{key} must be {expected}, got {value!r}")
-    return number
+def _flags(args: argparse.Namespace, keys) -> dict:
+    """The given flags among ``keys`` as option values, checked by _options; read in
+    the parser's order, so a bad flag named does not follow a set's hash order."""
+    flags = {}
+    for key, text in vars(args).items():
+        if key in keys and text is not None:
+            option = _OPTIONS.get(key)
+            try:
+                flags[key] = option.read(text) if option else text
+            except ValueError:
+                expected = "pairs 'dy,dx;dy,dx;...'" if key == "glcm_offsets" else "a number"
+                raise BadConfig(f"{option.flag} must be {expected}, got {text!r}") from None
+    return flags
 
 
 def _options(config: dict, flags: dict) -> dict:
     """Defaults < config < flags (a null config value is unset), converted and checked
     once, so a bad flag and a bad config field fail alike."""
-    cfg = dict(_DEFAULTS)
+    cfg = {k: o.default for k, o in _OPTIONS.items() if o.default is not None}
     cfg.update((k, v) for src in (config, flags) for k, v in src.items() if v is not None)
-    cfg.update((k, _number(k, cfg[k])) for k in _NUMBERS if k in cfg)
-    cfg["glcm_offsets"] = _offset_pairs(cfg["glcm_offsets"])
+    cfg.update((k, o.check(k, cfg[k])) for k, o in _OPTIONS.items() if k in cfg)
     for key in (*_SCENE_PATHS, "out"):
         if not isinstance(cfg.get(key, ""), str):
             raise BadConfig(f"path {key!r} must be a string, got {cfg[key]!r}")
@@ -184,14 +182,8 @@ def _detect_pair(cfg: dict, pair: CoregisteredPair, out_dir: str) -> str:
 
     Returns the base path of the written anomaly map.
     """
-    amap, model = run_detector(
-        cfg["detector"],
-        pair,
-        patch=cfg["patch"],
-        levels=cfg["glcm_levels"],
-        offsets=cfg["glcm_offsets"],
-        ridge=cfg.get("ridge"),
-    )
+    amap, model = run_detector(cfg["detector"], pair, patch=cfg["patch"], levels=cfg["glcm_levels"],
+                               offsets=cfg["glcm_offsets"], ridge=cfg.get("ridge"))
     make_dir(out_dir)
     map_base = os.path.join(out_dir, "anomaly")
     save_raster(Raster(amap.scores), map_base)
@@ -235,9 +227,7 @@ def _resolve_scene_config(name_or_none: str | None, config_path: str | None) -> 
         return config_from_json(config_path)
     suite = scene_suite()
     if name_or_none not in suite:
-        raise BadConfig(
-            f"unknown scene {name_or_none!r}, expected one of {sorted(suite)}"
-        )
+        raise BadConfig(f"unknown scene {name_or_none!r}, expected one of {sorted(suite)}")
     return suite[name_or_none]
 
 
@@ -416,6 +406,13 @@ class _Parser(argparse.ArgumentParser):
         raise BadConfig(f"{self.prog}: {message}")
 
 
+def _add_options(parser: argparse.ArgumentParser, *keys: str) -> None:
+    for key in keys:
+        o = _OPTIONS[key]
+        parser.add_argument(o.flag, dest=key, metavar=o.metavar,
+                            help=o.help.format(default=o.default))
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="acdkit",
@@ -428,10 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--t0", help="base-epoch raster (R32 base path)")
     d.add_argument("--t1", help="second-epoch raster")
     d.add_argument("--detector", help=f"one of {', '.join(DETECTOR_NAMES)}")
-    d.add_argument("--patch", help="odd patch side length (default 11)")
-    d.add_argument("--levels", dest="glcm_levels", metavar="L", help="GLCM grey levels (default 8)")
-    d.add_argument("--offsets", dest="glcm_offsets", metavar="DY,DX;...", help="GLCM offsets")
-    d.add_argument("--ridge", help="covariance ridge epsilon")
+    _add_options(d, "patch", "glcm_levels", "glcm_offsets", "ridge")
     d.add_argument("--out", help="output directory")
     d.set_defaults(func=cmd_detect)
 
@@ -439,14 +433,14 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--map", required=True, help="anomaly map (R32 base path)")
     e.add_argument("--inner", required=True, help="inner truth mask")
     e.add_argument("--outer", help="outer truth mask (defaults to inner)")
-    e.add_argument("--fpr-max", dest="roc_fpr_max", metavar="FPR", help="pAUC limit (default 0.01)")
+    _add_options(e, "roc_fpr_max")
     e.add_argument("--out", required=True, help="output directory")
     e.set_defaults(func=cmd_eval)
 
     s = sub.add_parser("synth", help="generate a synthetic benchmark scene")
     s.add_argument("scene", nargs="?", help="suite scene name")
     s.add_argument("--config", help="SceneConfig JSON instead of a name")
-    s.add_argument("--seed", help="override the config seed")
+    _add_options(s, "seed")
     s.add_argument("--out", required=True, help="output directory")
     s.set_defaults(func=cmd_synth)
 

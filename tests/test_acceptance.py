@@ -11,7 +11,6 @@ import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,14 +229,12 @@ def _scene(tmp_path, side=192, seed=7) -> str:
     return scene_dir
 
 
-def _tree_at_blas_threads(tmp_path, argv) -> dict:
+def _tree_at_blas_threads(tmp_path, src_env, argv) -> dict:
     """{threads: _tree_digest of the output}: ``acdkit <argv> --out ...`` in
     child processes whose BLAS runs on one and on two threads."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
     results = {}
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = dict(src_env, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         out = str(tmp_path / f"threads-{threads}")
         proc = subprocess.run([sys.executable, "-m", "acdkit.cli", *argv, "--out", out],
                               env=env, capture_output=True, text=True, timeout=300)
@@ -246,21 +243,21 @@ def _tree_at_blas_threads(tmp_path, argv) -> dict:
     return results
 
 
-def test_criterion_7_determinism_across_blas_thread_counts(tmp_path):
+def test_criterion_7_determinism_across_blas_thread_counts(tmp_path, src_env):
     # `acdkit run` with every detector at one and at two BLAS threads
     scene_dir = _scene(tmp_path)
     with open(tmp_path / "run.json", "w") as fh:
         json.dump({"scene": {k: os.path.join(scene_dir, k)
                              for k in ("t0", "t1", "inner", "outer")},
                    "detectors": list(acdkit.DETECTOR_NAMES)}, fh)
-    results = _tree_at_blas_threads(tmp_path, ["run", str(tmp_path / "run.json")])
+    results = _tree_at_blas_threads(tmp_path, src_env, ["run", str(tmp_path / "run.json")])
     differ = sorted(k for k in results["1"] if results["1"][k] != results["2"].get(k))
     _report(7, "bitwise determinism across BLAS thread counts",
             results["1"] == results["2"] and len(results["1"]) >= 20,
             f"{len(results['1'])} artifacts at 1 and 2 threads, differing={differ}")
 
 
-def test_glcm_model_on_uint16_cells_does_not_depend_on_blas_threads(tmp_path):
+def test_glcm_model_on_uint16_cells_does_not_depend_on_blas_threads(tmp_path, src_env):
     """23 grey levels make 276 GLCM cells, more than a uint8 cell image
     holds, so the counts run on uint16 cells, and a model 276 wide per
     epoch, past the width up to which OpenBLAS's GEMMs give the same bits
@@ -273,7 +270,7 @@ def test_glcm_model_on_uint16_cells_does_not_depend_on_blas_threads(tmp_path):
     gave the same bits here, and ``--patch 23`` is the known gap (ROADMAP
     item 8)."""
     scene_dir = _scene(tmp_path, side=144, seed=18)
-    results = _tree_at_blas_threads(tmp_path, [
+    results = _tree_at_blas_threads(tmp_path, src_env, [
         "detect", "--detector", "glcm-hacd", "--levels", "23", "--patch", "5",
         "--t0", os.path.join(scene_dir, "t0"), "--t1", os.path.join(scene_dir, "t1")])
     assert len(results["1"]) == 3 and results["1"] == results["2"]

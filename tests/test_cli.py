@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import inspect
 import io
 import json
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from acdkit import (
     AnomalyMap,
     Raster,
+    SceneConfig,
     diff_score,
     generate_scene,
     load_ground_truth,
@@ -358,14 +360,6 @@ def test_run_combined_plot_is_the_plot_of_the_recomputed_bands(tmp_path):
     assert (out / "roc.svg").read_bytes() == (tmp_path / "expected.svg").read_bytes()
 
 
-def _src_env() -> dict:
-    """This process's environment with the repository's src/ first on PYTHONPATH."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
 def _run_files(out: Path) -> dict:
     return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
             if p.is_file()}
@@ -378,14 +372,19 @@ def test_run_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
         json.dump({"scene": {k: paths[k] for k in ("t0", "t1", "inner", "outer")},
                    "detectors": ["diff", "hacd", "patch-hacd", "glcm-hacd"]}, fh)
     assert main(["run", cfg_path, "--out", str(tmp_path / "default")]) == 0
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one usable CPU
-    assert main(["run", cfg_path, "--out", str(tmp_path / "one")]) == 0
-    default, one = _run_files(tmp_path / "default"), _run_files(tmp_path / "one")
+    default = _run_files(tmp_path / "default")
     assert len(default) == 25  # 5 (diff) or 6 files per detector, roc.svg, league.csv
-    assert default == one
+    # one usable CPU, one worker; three, so three workers split the rate
+    # tables of 61, 253 and 2053 rows unevenly and one of them evaluates two
+    # of the four maps
+    for cpus in ({0}, {0, 1, 2}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        out = tmp_path / f"cpus-{len(cpus)}"
+        assert main(["run", cfg_path, "--out", str(out)]) == 0
+        assert _run_files(out) == default, cpus
 
 
-def test_run_under_a_foreign_main_module_matches_a_plain_run(tmp_path):
+def test_run_under_a_foreign_main_module_matches_a_plain_run(tmp_path, src_env):
     # under `python -m cProfile -m acdkit.cli` the CLI module is not
     # sys.modules["__main__"]; the workers' function is pickled by its
     # acdkit.evaluate name, a module that never runs as __main__
@@ -394,25 +393,24 @@ def test_run_under_a_foreign_main_module_matches_a_plain_run(tmp_path):
     with open(cfg_path, "w") as fh:
         json.dump({"scene": {k: paths[k] for k in ("t0", "t1", "inner", "outer")},
                    "detectors": ["diff", "hacd"]}, fh)
-    env = _src_env()
     prof = ["-m", "cProfile", "-o", str(tmp_path / "run.prof")]
     for name, pre in (("plain", []), ("profiled", prof)):
         proc = subprocess.run([sys.executable, *pre, "-m", "acdkit.cli", "run", cfg_path,
                                "--out", str(tmp_path / name)],
-                              env=env, capture_output=True, text=True, timeout=300)
+                              env=src_env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0 and not proc.stderr, (name, proc.stderr)
     plain, profiled = _run_files(tmp_path / "plain"), _run_files(tmp_path / "profiled")
     assert "league.csv" in plain
     assert profiled == plain
 
 
-def test_cli_as_main_is_not_imported_again(tmp_path):
+def test_cli_as_main_is_not_imported_again(tmp_path, src_env):
     # `python -m acdkit.cli` runs the module once, as __main__: no module
     # of the package, and not its own __main__ block, imports acdkit.cli
     missing = str(tmp_path / "missing")
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "acdkit.cli", "eval",
                            "--map", missing, "--inner", missing, "--out", str(tmp_path / "o")],
-                          env=_src_env(), capture_output=True, text=True, timeout=120)
+                          env=src_env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2 and "error NotFound" in proc.stderr, proc.stderr
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:")]
@@ -420,16 +418,41 @@ def test_cli_as_main_is_not_imported_again(tmp_path):
     assert "acdkit.cli" not in imported
 
 
-def test_cli_imports_no_network_or_mail_modules():
+def test_cli_imports_no_network_or_mail_modules(src_env):
     # the SVG writer escapes labels with html.escape; xml.sax.saxutils would
     # pull in urllib.request and with it http.client, email, ssl and socket
     code = ("import sys, acdkit.cli\n"
             "print(sorted({'urllib.request', 'http.client', 'email', 'ssl', 'socket'}"
             " & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_imports_no_pool_or_thread_module_until_a_command_needs_it(tmp_path, src_env):
+    # multiprocessing is imported by run alone, where its pool forks, and
+    # acdkit.threads by the first fit or score, so that a process that does
+    # not use them does not hold their modules; synth, detect with every
+    # detector and eval in one process still load no multiprocessing
+    paths = _write_scene_files(tmp_path, side=24)
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(_SMALL_SCENE))
+    commands = [["synth", "--config", str(scene), "--out", str(tmp_path / "scene")]]
+    commands += [["detect", "--detector", name, "--patch", "3", "--t0", paths["t0"],
+                  "--t1", paths["t1"], "--out", str(tmp_path / name)]
+                 for name in ("diff", "hacd", "patch-hacd", "glcm-hacd")]
+    commands += [["eval", "--map", str(tmp_path / "hacd" / "anomaly"), "--inner", paths["inner"],
+                  "--out", str(tmp_path / "ev")]]
+    code = ("import sys, acdkit.cli\n"
+            "print(sorted({'multiprocessing', 'acdkit.threads'} & set(sys.modules)))\n"
+            f"for argv in {commands!r}:\n"
+            "    assert acdkit.cli.main(argv) == 0, argv\n"
+            "print(sorted({'multiprocessing', 'acdkit.threads'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "['acdkit.threads']"]
 
 
 def test_run_empty_inner_mask_in_a_worker_is_exit_2(tmp_path, capsys):
@@ -469,7 +492,7 @@ def test_run_forks_its_workers_before_synthesis_and_joins_them_on_error(
     assert not multiprocessing.active_children()
 
 
-def test_run_whose_worker_is_killed_is_exit_3(tmp_path):
+def test_run_whose_worker_is_killed_is_exit_3(tmp_path, src_env):
     # a worker killed mid-task (as the OOM killer would) ends run with exit 3
     # naming the exit code; Pool alone would wait for the lost task forever
     paths = _write_scene_files(tmp_path)
@@ -482,13 +505,13 @@ def test_run_whose_worker_is_killed_is_exit_3(tmp_path):
             "    os.kill(os.getpid(), signal.SIGKILL)\n"
             "acdkit.cli.evaluate_map = die\n"
             f"sys.exit(acdkit.cli.main(['run', {str(cfg_path)!r}]))\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 3, proc.stderr
     assert "RuntimeError: an evaluation worker exited with code -9" in proc.stderr
 
 
-def test_run_whose_worker_is_killed_in_its_fill_is_exit_3(tmp_path):
+def test_run_whose_worker_is_killed_in_its_fill_is_exit_3(tmp_path, src_env):
     # the worker with the first slice of the rate tables is killed while it
     # formats it: the others wait for that slice at the barrier, and Pool's
     # replacement gets no turn, so run ends with exit 3, neither waiting
@@ -506,7 +529,7 @@ def test_run_whose_worker_is_killed_in_its_fill_is_exit_3(tmp_path):
             "    fill(table, n, lo, hi)\n"
             "acdkit.cli._format_rates = die_in_the_first_slice\n"
             f"sys.exit(acdkit.cli.main(['run', {str(cfg_path)!r}]))\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 3, proc.stderr
     assert "RuntimeError: an evaluation worker exited with code -9" in proc.stderr
@@ -889,6 +912,13 @@ def test_malformed_option_is_exit_2(tmp_path, capsys, command, fields, flags):
         assert "seed" in err
 
 
+def test_bad_flags_are_read_in_the_parser_order():
+    # not in the order of the keys given, which for a set follows the hash seed
+    args = acdkit.cli.build_parser().parse_args(["detect", "--ridge", "y", "--patch", "x"])
+    with pytest.raises(acdkit.errors.BadConfig, match="^--patch must be a number, got 'x'$"):
+        acdkit.cli._flags(args, ["ridge", "patch"])
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["detect", "--help"]])
 def test_help_is_exit_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -988,23 +1018,142 @@ def test_any_flag_text_is_exit_0_or_2_with_readable_outputs(tmp_path, data):
                 json.load(fh)
 
 
+# config values of every JSON type, the extremes among them; "x" names no
+# file or suite scene
+_SCALARS = (st.sampled_from([True, False, None, "", "x", -0.0, 5e-324, 1e308, -1e308,
+                             2**63, -2**63, 0.5])
+            | st.integers(-3, 9))
+_VALUES = _SCALARS | st.lists(_SCALARS | st.lists(_SCALARS, max_size=3), max_size=3)
+# the keys drawn for each command's config; detect's out and run's are
+# config paths, synth's a flag
+_CONFIG_KEYS = {
+    "detect": ["patch", "glcm_levels", "glcm_offsets", "ridge", "t0", "t1", "out"],
+    "run": [*acdkit.cli._OPTIONS, "t0", "t1", "inner", "outer", "out", "scene"],
+    "synth": [f.name for f in dataclasses.fields(SceneConfig)],
+}
+# these keys at a large integral value allocate without bound (ROADMAP item 7)
+_SIZES = {("detect", "glcm_levels"), ("synth", "width"), ("synth", "height")}
+
+
+def _is_large(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and value > 64
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_config_value_is_exit_0_or_2_with_readable_outputs(tmp_path, monkeypatch, data):
+    """Up to three keys of a ``detect --config``, a ``run`` config (``diff``
+    alone) or a ``synth --config`` scene take a drawn value; the others keep
+    a valid one on a 24x20 scene.  A large glcm_levels or grid side is left
+    out: it would allocate without bound in this process, and
+    test_detect_too_large_for_memory_is_exit_2,
+    test_detect_glcm_levels_past_int64_is_exit_2 and
+    test_synth_grid_side_past_int64_is_exit_2 pin those in a child under
+    RLIMIT_AS."""
+    scene = {**_SMALL_SCENE, "width": 24, "height": 20, "anomaly_rect": [4, 4, 10, 8]}
+    paths = tmp_path / "inputs"
+    if not paths.exists():
+        (tmp_path / "scene.json").write_text(json.dumps(scene))
+        assert main(["synth", "--config", str(tmp_path / "scene.json"), "--out", str(paths)]) == 0
+    command = data.draw(st.sampled_from(sorted(_CONFIG_KEYS)), label="command")
+    inputs = {k: str(paths / k) for k in ("t0", "t1", "inner", "outer")}
+    cfg = {"detect": {"detector": data.draw(st.sampled_from(acdkit.DETECTOR_NAMES),
+                                            label="detector"),
+                      "t0": inputs["t0"], "t1": inputs["t1"], "out": "o"},
+           "run": {**inputs, "detectors": ["diff"], "out": "o"},
+           "synth": scene}[command]
+    keys = data.draw(st.lists(st.sampled_from(_CONFIG_KEYS[command]), unique=True, max_size=3),
+                     label="keys")
+    for key in keys:
+        value = _VALUES
+        if (command, key) in _SIZES:
+            value = _VALUES.filter(lambda v: not _is_large(v))
+        cfg[key] = data.draw(value, label=key)
+    cfg_path = str(tmp_path / "cfg.json")
+    Path(cfg_path).write_text(json.dumps(cfg))
+    # outputs, at any relative path a config names, land in a new directory
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    monkeypatch.chdir(work)
+    argv = {"detect": ["detect", "--config", cfg_path],
+            "run": ["run", cfg_path],
+            "synth": ["synth", "--config", cfg_path, "--out", "o"]}[command]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2), err.getvalue()
+    event(f"{command} exit {rc}")
+    if rc == 2:
+        assert err.getvalue().startswith("error "), err.getvalue()
+        name = err.getvalue().split()[1].rstrip(":")
+        assert issubclass(getattr(acdkit.errors, name), acdkit.errors.AcdError)
+        return
+    written = sorted(p for p in work.rglob("*") if p.is_file())
+    assert written
+    for path in written:
+        if path.name == "model.json":
+            load_model(str(path))
+        elif path.suffix == ".r32":
+            load_raster(str(path))
+        elif path.suffix == ".json" and not path.with_suffix(".r32").exists():
+            json.loads(path.read_text())
+
+
+def _main_under_rlimit_as(src_env, argv) -> subprocess.CompletedProcess:
+    """``acdkit <argv>`` in a child that sets a 1.5 GB RLIMIT_AS on itself."""
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, resource.getrlimit("
+            "resource.RLIMIT_AS)[1]))\n"
+            "from acdkit.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          env=src_env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.xfail(strict=True, reason="no memory plan before allocating (ROADMAP item 7)")
-def test_detect_too_large_for_memory_is_exit_2(tmp_path):
+def test_detect_too_large_for_memory_is_exit_2(tmp_path, src_env):
     """A well-formed option whose work exceeds the memory the process may use
     should leave as exit 2 with a named AcdError.  It does not yet: nothing
     plans memory before allocating, so --levels 20000 (200 010 000 GLCM
     cells) on a 16x16 pair exits 3 with NumPy's _ArrayMemoryError under a
     1.5 GB RLIMIT_AS, which the child sets on itself."""
     paths = _write_scene_files(tmp_path, side=16)
-    code = ("import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, resource.getrlimit("
-            "resource.RLIMIT_AS)[1]))\n"
-            "from acdkit.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n")
-    proc = subprocess.run([sys.executable, "-c", code, "detect", "--detector", "glcm-hacd",
-                           "--levels", "20000", "--t0", paths["t0"], "--t1", paths["t1"],
-                           "--out", str(tmp_path / "o")],
-                          env=_src_env(), capture_output=True, text=True, timeout=120)
+    proc = _main_under_rlimit_as(src_env, [
+        "detect", "--detector", "glcm-hacd", "--levels", "20000", "--t0", paths["t0"],
+        "--t1", paths["t1"], "--out", str(tmp_path / "o")])
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stderr.startswith("error ")
+
+
+@pytest.mark.xfail(strict=True, reason="no memory plan before allocating (ROADMAP item 7)")
+@pytest.mark.parametrize("levels", [2**63, 1e308], ids=["2**63", "1e308"])
+def test_detect_glcm_levels_past_int64_is_exit_2(tmp_path, src_env, levels):
+    """A config's glcm_levels of 2**63 or 1e308 is an integer >= 1, so it
+    passes the option check, and glcm-hacd exits 3 with an OverflowError at
+    ``lev_sorted *= levels`` in features.quantize.  A memory plan would
+    refuse its levels (levels + 1) / 2 GLCM cells first, with exit 2."""
+    paths = _write_scene_files(tmp_path, side=16)
+    cfg_path = tmp_path / "d.json"
+    cfg_path.write_text(json.dumps({"detector": "glcm-hacd", "glcm_levels": levels,
+                                    "t0": paths["t0"], "t1": paths["t1"]}))
+    proc = _main_under_rlimit_as(src_env, ["detect", "--config", str(cfg_path),
+                                           "--out", str(tmp_path / "o")])
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stderr.startswith("error ")
+
+
+@pytest.mark.xfail(strict=True, reason="no memory plan before allocating (ROADMAP item 7)")
+@pytest.mark.parametrize("key,side", [("width", 2**63), ("height", 1e308)],
+                         ids=["width-2**63", "height-1e308"])
+def test_synth_grid_side_past_int64_is_exit_2(tmp_path, src_env, key, side):
+    """A scene config's width or height of 2**63 or 1e308 makes a valid
+    SceneConfig, and synth exits 3 with NumPy's "ValueError: Maximum allowed
+    size exceeded" in rng.normal.  A memory plan would refuse the grid
+    first, with exit 2."""
+    cfg_path = tmp_path / "scene.json"
+    cfg_path.write_text(json.dumps({**_SMALL_SCENE, key: side}))
+    proc = _main_under_rlimit_as(src_env, ["synth", "--config", str(cfg_path),
+                                           "--out", str(tmp_path / "o")])
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert proc.stderr.startswith("error ")
 
@@ -1031,7 +1180,7 @@ def test_cli_annotations_resolve():
 
 
 @pytest.mark.parametrize("module", ["acdkit", "acdkit.cli"])
-def test_runtime_imports_no_scipy(tmp_path, module):
+def test_runtime_imports_no_scipy(tmp_path, module, src_env):
     # numpy is the only runtime dependency (scipy is a test-only oracle):
     # importing the module, and for the CLI a synth and a four-detector run
     # in the same process, loads no top-level module outside the standard
@@ -1056,7 +1205,7 @@ def test_runtime_imports_no_scipy(tmp_path, module):
             "    assert acdkit.cli.main(argv) == 0\n"
             "added = {m.partition('.')[0] for m in sys.modules} - bare\n"
             "print(sorted(added - set(sys.stdlib_module_names) - {'__mp_main__'}))\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['acdkit', 'numpy']"

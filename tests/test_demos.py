@@ -1,6 +1,5 @@
 """Every script in demos/ runs to completion against the source tree."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,10 +11,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_exits_0(demo, tmp_path):
+def test_demo_exits_0(demo, tmp_path, src_env):
     # demos write their artefacts under tempfile.mkdtemp(); keep them in tmp_path
-    env = dict(os.environ, TMPDIR=str(tmp_path))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
+                          env=dict(src_env, TMPDIR=str(tmp_path)),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

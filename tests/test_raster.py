@@ -221,13 +221,10 @@ def test_chunk_error_leaves_no_file(tmp_path):
     assert path.is_symlink()
 
 
-def test_write_past_the_file_size_limit_leaves_no_file(tmp_path):
+def test_write_past_the_file_size_limit_leaves_no_file(tmp_path, src_env):
     # the OS refuses the write itself (EFBIG under RLIMIT_FSIZE, which the
     # child sets on itself; Python ignores SIGXFSZ)
     path = str(tmp_path / "big.txt")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"), env.get("PYTHONPATH")]))
     code = ("import resource, sys\n"
             "from acdkit.errors import IoError\n"
             "from acdkit.raster import write_text\n"
@@ -237,20 +234,17 @@ def test_write_past_the_file_size_limit_leaves_no_file(tmp_path):
             "    write_text(sys.argv[1], ['x' * 1000 + '\\n'] * 100)\n"
             "except IoError as exc:\n"
             "    print(type(exc).__name__, exc)\n")
-    proc = subprocess.run([sys.executable, "-c", code, path], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code, path], env=src_env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(f"IoError cannot write {path}:")
     assert not os.path.exists(path)
 
 
-def test_raster_save_past_the_file_size_limit_leaves_no_sidecar(tmp_path):
+def test_raster_save_past_the_file_size_limit_leaves_no_sidecar(tmp_path, src_env):
     # the payload (256 KiB) passes the 64 KiB limit; its header must not be
     # left behind beside a truncated payload
     base = str(tmp_path / "m")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"), env.get("PYTHONPATH")]))
     code = ("import resource, sys\n"
             "import numpy as np\n"
             "from acdkit.errors import IoError\n"
@@ -261,7 +255,7 @@ def test_raster_save_past_the_file_size_limit_leaves_no_sidecar(tmp_path):
             "    save_raster(Raster(np.ones((256, 256), np.float32)), sys.argv[1])\n"
             "except IoError as exc:\n"
             "    print(type(exc).__name__, exc)\n")
-    proc = subprocess.run([sys.executable, "-c", code, base], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code, base], env=src_env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(f"IoError cannot write {base}.r32:")
