@@ -328,8 +328,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         if gt.shape != pair.shape:
             raise DimensionMismatch(f"mask {inner} is {gt.shape[1]}x{gt.shape[0]}, "
                                     f"expected {pair.t0.width}x{pair.t0.height}")
-        # detection stays in this process, where the fits' BLAS threads and
-        # the patch scores' tile threads have every core
+        # detection stays in this process, where the patch fits' and
+        # scores' tile threads have every core
         map_bases = [_detect_pair({**cfg, "detector": name}, pair, os.path.join(out_dir, name))
                      for name in detectors]
         # Each evaluation is evaluate_map, as in eval: a pure function of its

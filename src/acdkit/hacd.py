@@ -32,9 +32,9 @@ Fit and score read the feature sources one image row at a time (see
 `acdkit.features`).  The one moment routine, ``_moments``, sums products
 of mean-centred row blocks in one pass; its feed is each output row's
 vectors from ``rows()``, or, for two patch sources of one size, the
-padded-row windows that neighbouring pixels' patches share.  The fit uses
-every BLAS thread; the model's factorisations and the score run on one
-(`acdkit.threads`), and a patch score runs its column tiles on threads.
+padded-row windows that neighbouring pixels' patches share.  Fit and score
+run with BLAS on one thread, patch fits and scores in column tiles on
+threads (`acdkit.threads`).
 """
 
 from __future__ import annotations
@@ -206,21 +206,25 @@ def fit_hacd(x: Features, y: Features, ridge: float | None = None) -> HacdModel:
     before inversion; None selects the default 1e-6 * trace(C) / (d_x +
     d_y).
 
-    One pass of ``_moments`` gives the moments.  Two PatchWindows of one
-    patch size feed it their padded-row windows (``row_windows()``); every
-    other pair feeds it ``rows()``.  A GlcmCounts source counts its pairs
-    again on each pass over ``rows()``, so fit and score each count them
-    once and neither holds an O(pixels x cells) array.
+    ``_moments`` gives the moments, BLAS on one thread.  Two PatchWindows
+    of one patch size feed it their padded-row windows by column tiles, on
+    as many threads as BLAS had (``threads.fit_tiles``); every other pair
+    feeds it ``rows()`` on this thread.  A GlcmCounts source counts its
+    pairs again on each pass over ``rows()``, so fit and score each count
+    them once and neither holds an O(pixels x cells) array.
 
     Raises GridMismatch when the stacks disagree and SingularCovariance
     when the regularized covariance cannot be factorized (e.g. fewer
     pixels than d_x + d_y with ridge 0).
     """
+    from .threads import fit_tiles, one_blas_thread
+
     _check_grids(x, y)
-    if isinstance(x, PatchWindows) and isinstance(y, PatchWindows) and x.patch == y.patch:
-        mean, cov = _moments(x.row_windows(), y.row_windows(), x.patch, x.height, x.width)
-    else:
-        mean, cov = _moments(x.rows(), y.rows(), 1, x.height, x.width)
+    with one_blas_thread() as threads:
+        if isinstance(x, PatchWindows) and isinstance(y, PatchWindows) and x.patch == y.patch:
+            mean, cov = fit_tiles(_moments, x, y, threads)
+        else:
+            mean, cov = _moments(x.rows(), y.rows(), 1, x.height, x.width)
     eps = DEFAULT_RIDGE_SCALE * float(np.trace(cov)) / len(cov) if ridge is None else float(ridge)
     return HacdModel.from_covariance(mean[: x.dim], mean[x.dim :], cov, ridge=eps)
 
@@ -268,9 +272,7 @@ def _moments(xs, ys, s: int, h: int, w: int):
         # keeps stale data, which only sums that no block reads ever see
         if a < h:
             enter(a + s - 1)
-        # ring' C_a, not C_a' ring: on OpenBLAS 0.3.31 only this form
-        # gives the same bits at one and two threads
-        slots = (ring.reshape(w, s * k).T @ ring[:, a % s]).T.reshape(k, s, k)
+        slots = (ring[:, a % s].T @ ring.reshape(w, s * k)).reshape(k, s, k)
         gram += slots[:, (a + np.arange(s)) % s]
         # gram now covers blocks 0..a
         if a + 1 < s:

@@ -1,13 +1,13 @@
-"""One-thread BLAS scopes and the column-tile driver of the patch score.
+"""One-thread BLAS scopes and the column-tile driver of patch fits and scores.
 
 OpenBLAS gives the same bits at any thread count only for some shapes: a
 product with an inner dimension above 256, and LAPACK's factorisations,
-change their last bits with it.  So the model's factorisations and the
-score run with BLAS pinned to one thread, and the patch score takes its
-parallelism from column tiles of a fixed width instead, one share per
-thread, each tile scored alike; the bits then depend on the grid alone.
-``hacd`` imports this module where it is used, so ``import acdkit``
-compiles none of it.
+change their last bits with it.  So the whole detector (fit, the model's
+factorisations and score) runs with BLAS pinned to one thread, and a
+patch fit or score takes its parallelism from column tiles of a fixed
+width instead, one share per thread, each tile computed alike; the bits
+then depend on the grid alone.  ``hacd`` imports this module where it is
+used, so ``import acdkit`` compiles none of it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,11 @@ import threading
 
 from numpy._core import _multiarray_umath
 
-TILE_WIDTH = 256
+# Neither width follows the thread count.  A fit tile costs about 20 small
+# NumPy calls per padded row, which at 256 columns do not overlap across
+# threads; a score at 512 would leave a 512-wide grid on one thread.
+FIT_TILE_WIDTH = 512
+SCORE_TILE_WIDTH = 256
 
 _lock = threading.Lock()
 _depth = 0
@@ -35,8 +39,8 @@ def _blas():
     overlap a BLAS call on another thread; the next call that uses more
     than one thread starts the pool again.  A pool thread spins for about
     0.1 s of CPU time after each call before it sleeps, which is lost to
-    the threads that score tiles, or to the processes that evaluate beside
-    them.
+    the threads that fit or score tiles, or to the processes that evaluate
+    beside them.
     """
     try:
         lib = ctypes.CDLL(_multiarray_umath.__file__)  # its symbols include its libraries'
@@ -87,39 +91,70 @@ def one_blas_thread():
                 stop()
 
 
-def score_tiles(score, x, y, out, threads: int) -> None:
-    """Fill ``out`` with ``score`` of two PatchWindows, by column tiles.
+def column_tiles(work, width: int, tile: int, threads: int) -> list:
+    """[work(c0, c1) for each column tile of a ``width``-column grid].
 
-    Tiles of TILE_WIDTH columns (the last may be narrower) are dealt round
-    robin to min(threads, tiles) shares; the calling thread scores the
-    first share and a thread of its own each of the others.  A tile's rows
-    come from ``rows(c0, c1)``, so each share holds one (tile, 2p - 1, p)
-    buffer per epoch at a time.
+    Tiles of ``tile`` columns (the last may be narrower) are dealt round
+    robin to min(threads, tiles) shares; the calling thread runs the first
+    share and a thread of its own each of the others.  Every share ends
+    before the call returns, on an error too; then the first error that a
+    share raised is raised again.
     """
-    w = out.shape[1]
-    tiles = [(c0, min(c0 + TILE_WIDTH, w)) for c0 in range(0, w, TILE_WIDTH)]
+    spans = [(c0, min(c0 + tile, width)) for c0 in range(0, width, tile)]
+    results, errors = [None] * len(spans), []
+    shares = min(threads, len(spans))
 
-    def work(share):
-        for c0, c1 in share:
-            for r, (xs, ys) in enumerate(zip(x.rows(c0, c1), y.rows(c0, c1), strict=True)):
-                out[r, c0:c1] = score(xs, ys)
-
-    errors = []
-
-    def guarded(share):
+    def share(first):
         try:
-            work(share)
-        except BaseException as exc:
+            for k in range(first, len(spans), shares):
+                results[k] = work(*spans[k])
+        except BaseException as exc:  # raised again below, once every share ended
             errors.append(exc)
 
-    shares = [tiles[k::threads] for k in range(min(threads, len(tiles)))]
-    pool = [threading.Thread(target=guarded, args=(share,)) for share in shares[1:]]
+    pool = [threading.Thread(target=share, args=(k,)) for k in range(1, shares)]
     for t in pool:
         t.start()
-    try:
-        work(shares[0])
-    finally:  # on an error too, no thread outlives the call
-        for t in pool:
-            t.join()
+    share(0)
+    for t in pool:
+        t.join()
     if errors:
         raise errors[0]
+    return results
+
+
+def fit_tiles(moments, x, y, threads: int):
+    """(mean, population covariance) of two PatchWindows of one patch
+    size: ``moments`` of each column tile of FIT_TILE_WIDTH (see
+    column_tiles), fed the tile's slice of ``row_windows()``.
+
+    The tiles merge in tile order by the pairwise update of Chan, Golub &
+    LeVeque (1983): each tile's covariance plus the outer product of its
+    mean's deviation from the whole mean, weighted by its share of the
+    columns.  One tile is returned as it is.
+    """
+    wx, wy, p, h, w = x.row_windows(), y.row_windows(), x.patch, x.height, x.width
+
+    def tile(c0, c1):
+        return (c1 - c0) / w, *moments(wx[:, c0:c1], wy[:, c0:c1], p, h, c1 - c0)
+
+    tiles = column_tiles(tile, w, FIT_TILE_WIDTH, threads)
+    mean = sum(share * m for share, m, _ in tiles)
+    cov = 0.0
+    for share, m, c in tiles:
+        dev = m - mean
+        cov = cov + share * (c + dev[:, None] * dev)
+    return mean, cov
+
+
+def score_tiles(score, x, y, out, threads: int) -> None:
+    """Fill ``out`` with ``score`` of two PatchWindows, by column tiles of
+    SCORE_TILE_WIDTH (see column_tiles).
+
+    A tile's rows come from ``rows(c0, c1)``, so each share holds one
+    (tile, 2p - 1, p) buffer per epoch at a time.
+    """
+    def tile(c0, c1):
+        for r, (xs, ys) in enumerate(zip(x.rows(c0, c1), y.rows(c0, c1), strict=True)):
+            out[r, c0:c1] = score(xs, ys)
+
+    column_tiles(tile, out.shape[1], SCORE_TILE_WIDTH, threads)

@@ -215,13 +215,15 @@ def test_criterion_7_determinism_across_runs_and_threads(tmp_path):
             f"{len(results[0])} artifacts x 4 runs, types={kinds}")
 
 
-def _scene(tmp_path, side=192, seed=7) -> str:
-    """A 192x192 textured scene on disk, or one ``side`` square with the
-    anomaly scaled; at 192 the patch GEMMs are wide enough for OpenBLAS to
-    split them across threads."""
+def _scene(tmp_path, side=192, seed=7, height=None) -> str:
+    """A 192x192 textured scene on disk, or one ``side`` wide and ``height``
+    (default ``side``) high with the anomaly scaled; at 192 the patch GEMMs
+    are wide enough for OpenBLAS to split them across threads."""
+    height = height or side
     with open(tmp_path / "scene.json", "w") as fh:
-        json.dump({"width": side, "height": side, "seed": seed,
-                   "anomaly_rect": [side * v // 192 for v in (70, 60, 40, 32)],
+        json.dump({"width": side, "height": height, "seed": seed,
+                   "anomaly_rect": [side * 70 // 192, height * 60 // 192,
+                                    side * 40 // 192, height * 32 // 192],
                    "anomaly_texture_gain": 2.5, "noise_sigma": 0.15}, fh)
     scene_dir = str(tmp_path / "scene")
     assert cli_main(["synth", "--config", str(tmp_path / "scene.json"),
@@ -265,15 +267,30 @@ def test_glcm_model_on_uint16_cells_does_not_depend_on_blas_threads(tmp_path, sr
     have the same bytes at one and two BLAS threads: the model's
     factorisations and the score run on one BLAS thread.  Without that
     pin, on this scene (the smallest of the sizes searched where it
-    shows) the anomaly map differed at one pixel by one f32 ulp.  The
-    fit's ``_moments`` still runs on every thread; at 2 x 276 its products
-    gave the same bits here, and ``--patch 23`` is the known gap (ROADMAP
-    item 8)."""
+    shows) the anomaly map differed at one pixel by one f32 ulp.  The fit
+    runs on one BLAS thread too; ``--patch 23`` is checked below."""
     scene_dir = _scene(tmp_path, side=144, seed=18)
     results = _tree_at_blas_threads(tmp_path, src_env, [
         "detect", "--detector", "glcm-hacd", "--levels", "23", "--patch", "5",
         "--t0", os.path.join(scene_dir, "t0"), "--t1", os.path.join(scene_dir, "t1")])
     assert len(results["1"]) == 3 and results["1"] == results["2"]
+
+
+def test_patch_23_detection_does_not_depend_on_blas_threads(tmp_path, src_env):
+    """``--patch 23`` makes a model 529 wide per epoch.  While the fit's
+    products ran on every BLAS thread, ``model.json`` differed between one
+    and two threads on this 32-wide, 512-high scene, and on a 512x512 one,
+    where the anomaly map differed too; it showed at heights of 480 and
+    512, not at 449 or below nor on squares from 192 to 448.  The fit runs
+    on one BLAS thread, in column tiles of a fixed width."""
+    scene_dir = _scene(tmp_path, side=32, height=512)
+    results = _tree_at_blas_threads(tmp_path, src_env, [
+        "detect", "--detector", "patch-hacd", "--patch", "23",
+        "--t0", os.path.join(scene_dir, "t0"), "--t1", os.path.join(scene_dir, "t1")])
+    differ = sorted(k for k in results["1"] if results["1"][k] != results["2"].get(k))
+    _report(7, "bitwise determinism across BLAS thread counts at --patch 23",
+            results["1"] == results["2"] and len(results["1"]) == 3,
+            f"{len(results['1'])} artifacts at 1 and 2 threads, differing={differ}")
 
 
 def test_criterion_8_invertible_transform_invariance():

@@ -7,6 +7,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,8 +40,14 @@ from acdkit import (
     save_model,
     score_map,
 )
-from acdkit.features import DEFAULT_PATCH, PatchWindows
-from acdkit.threads import TILE_WIDTH, one_blas_thread, score_tiles
+from acdkit.features import DEFAULT_PATCH, GlcmCounts, PatchWindows
+from acdkit.threads import (
+    FIT_TILE_WIDTH,
+    SCORE_TILE_WIDTH,
+    fit_tiles,
+    one_blas_thread,
+    score_tiles,
+)
 
 
 def _stack(a):
@@ -605,8 +612,8 @@ def test_unmasked_patch_detector_cuts_no_patches(monkeypatch):
     extra_rows=st.integers(0, 12),
     # below, at and above one tile; above it the last tile is ragged
     # unless the width is a multiple of the tile
-    width=st.one_of(st.integers(6, TILE_WIDTH - 1), st.just(TILE_WIDTH),
-                    st.integers(TILE_WIDTH + 1, 3 * TILE_WIDTH)),
+    width=st.one_of(st.integers(6, SCORE_TILE_WIDTH - 1), st.just(SCORE_TILE_WIDTH),
+                    st.integers(SCORE_TILE_WIDTH + 1, 3 * SCORE_TILE_WIDTH)),
 )
 def test_column_tile_scores_do_not_depend_on_tile_threads(seed, patch, extra_rows, width):
     height = (patch + 1) // 2 + extra_rows
@@ -624,9 +631,51 @@ def test_column_tile_scores_do_not_depend_on_tile_threads(seed, patch, extra_row
     _assert_close_scores(got[1], want.scores)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    patch=st.sampled_from([1, 3, 5]),
+    extra_rows=st.integers(0, 6),
+    # below, at and above one tile of 8 columns; above it the last tile is
+    # ragged unless the width is a multiple of 8
+    width=st.one_of(st.integers(3, 7), st.just(8), st.integers(9, 30)),
+)
+def test_merged_fit_tiles_match_one_untiled_pass(seed, patch, extra_rows, width):
+    # a common offset of 1e4 is where a naive merge of raw sums loses digits
+    height = (patch + 1) // 2 + extra_rows
+    rng = np.random.default_rng(seed)
+    t0 = 1e4 + rng.normal(size=(height, width))
+    t1 = 1e4 + rng.normal(size=(height, width)) + 0.5 * t0
+    x, y = (PatchWindows(Raster(t.astype(np.float32)), patch) for t in (t0, t1))
+    want_mean, want_cov = acdkit.hacd._moments(
+        x.row_windows(), y.row_windows(), patch, height, width)
+    with mock.patch.object(acdkit.threads, "FIT_TILE_WIDTH", 8):
+        mean, cov = fit_tiles(acdkit.hacd._moments, x, y, 2)
+    np.testing.assert_allclose(mean, want_mean, rtol=1e-12, atol=0)
+    assert np.max(np.abs(cov - want_cov)) <= 1e-12 * np.max(np.abs(want_cov))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    patch=st.sampled_from([3, 5, 11]),
+    extra_rows=st.integers(0, 8),
+    width=st.one_of(st.integers(6, FIT_TILE_WIDTH - 1), st.just(FIT_TILE_WIDTH),
+                    st.integers(FIT_TILE_WIDTH + 1, 3 * FIT_TILE_WIDTH)),
+)
+def test_column_tile_fit_does_not_depend_on_tile_threads(seed, patch, extra_rows, width):
+    pair = _textured_pair((patch + 1) // 2 + extra_rows, width, seed=seed)
+    x, y = PatchWindows(pair.t0, patch), PatchWindows(pair.t1, patch)
+    with one_blas_thread():
+        got = [fit_tiles(acdkit.hacd._moments, x, y, threads) for threads in (1, 2, 3)]
+    for mean, cov in got[1:]:
+        assert (mean.tobytes(), cov.tobytes()) == (got[0][0].tobytes(), got[0][1].tobytes())
+
+
 def _tiled_case(seed):
-    """(model, x, y) of a patch-3 pair three tiles wide, the last one ragged."""
-    pair = _textured_pair(9, 2 * TILE_WIDTH + 88, seed=seed)
+    """(model, x, y) of a patch-3 pair three score tiles and two fit tiles
+    wide, the last one ragged."""
+    pair = _textured_pair(9, 2 * SCORE_TILE_WIDTH + 88, seed=seed)
     x, y = PatchWindows(pair.t0, 3), PatchWindows(pair.t1, 3)
     return fit_hacd(x, y, ridge=1.0), x, y
 
@@ -658,28 +707,40 @@ def test_score_pins_blas_to_one_thread_and_restores_it(monkeypatch, in_caller):
         assert len(os.listdir("/proc/self/task")) == tasks
 
         # one thread's first tile raises while the other still has rows to
-        # score, which the call must wait for
+        # score or sum, which the call must wait for; the pair is two fit
+        # tiles wide.  A GlcmCounts fit sums on the calling thread alone
         m, x, y = _tiled_case(seed=38)
-        caller, scorer, raised = threading.get_ident(), acdkit.hacd._scorer, threading.Event()
+        assert SCORE_TILE_WIDTH < FIT_TILE_WIDTH < x.width
+        pair = _textured_pair(9, 40, seed=38)
+        glcm = [GlcmCounts(quantize(r, 4), 3) for r in (pair.t0, pair.t1)]
+        caller, raised, counts = threading.get_ident(), threading.Event(), set()
 
-        def failing(model):
-            f = scorer(model)
-
-            def score(xs, ys):
-                if (threading.get_ident() == caller) == in_caller:
+        def failing(f, anywhere=False):
+            def call(*args):
+                counts.add(get())
+                if anywhere or (threading.get_ident() == caller) == in_caller:
                     raised.set()
                     raise ValueError("a tile failed")
                 raised.wait(timeout=30)
                 time.sleep(0.01)
-                return f(xs, ys)
-            return score
+                return f(*args)
+            return call
 
-        alive = threading.active_count()
-        monkeypatch.setattr(acdkit.hacd, "_scorer", failing)
-        with pytest.raises(ValueError, match="a tile failed"):
-            score_map(m, x, y)
-        assert get() == 2
-        assert threading.active_count() == alive
+        scorer, moments = acdkit.hacd._scorer, acdkit.hacd._moments
+        for name, fake, run in [
+            ("_scorer", lambda model: failing(scorer(model)), lambda: score_map(m, x, y)),
+            ("_moments", failing(moments), lambda: fit_hacd(x, y)),
+            ("_moments", failing(moments, anywhere=True), lambda: fit_hacd(*glcm)),
+        ]:
+            raised.clear()
+            alive = threading.active_count()
+            with monkeypatch.context() as patched:
+                patched.setattr(acdkit.hacd, name, fake)
+                with pytest.raises(ValueError, match="a tile failed"):
+                    run()
+            assert get() == 2
+            assert threading.active_count() == alive
+        assert counts == {1}
     finally:
         set_(before)
 
