@@ -5,11 +5,11 @@ Subcommands:
     eval     score an anomaly map against ground-truth masks
     synth    generate a named or configured synthetic scene
     run      detect + eval for several detectors, with a combined plot;
-             evaluation runs in worker processes forked before the scene
-             is synthesised or loaded
+             each map is evaluated, as soon as it is written, in child
+             processes forked before the scene is synthesised or loaded
     convert  R32 raster <-> plain-text pixel dump
 
-``eval`` and ``run``'s workers evaluate a map with one function,
+``eval`` and ``run``'s children evaluate a map with one function,
 ``acdkit.evaluate.evaluate_map``.
 
 Exit codes: 0 success, 2 user/data error (the diagnostic names the
@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import dataclasses
-import functools
 import mmap
 import os
+import pickle
 import sys
 import traceback
 
@@ -208,8 +209,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_scene(cfg: SceneConfig, out_dir: str) -> GroundTruth:
-    """Synthesise the scene of ``cfg`` into ``out_dir``; returns its masks."""
+def _write_scene(cfg: SceneConfig, out_dir: str) -> None:
+    """Synthesise the scene of ``cfg`` and its masks into ``out_dir``."""
     t0, t1, gt = generate_scene(cfg)
     make_dir(out_dir)
     save_raster(t0, os.path.join(out_dir, "t0"))
@@ -217,7 +218,6 @@ def _write_scene(cfg: SceneConfig, out_dir: str) -> GroundTruth:
     save_raster(Raster(gt.inner), os.path.join(out_dir, "inner"))
     save_raster(Raster(gt.outer), os.path.join(out_dir, "outer"))
     config_to_json(cfg, os.path.join(out_dir, "scene.json"))
-    return gt
 
 
 def _resolve_scene_config(name_or_none: str | None, config_path: str | None) -> SceneConfig:
@@ -247,28 +247,38 @@ def _share_rate_tables(counts) -> dict[int, np.ndarray]:
     return {n: part.reshape(n + 1, _CELL_WIDTH) for n, part in zip(sizes, parts)}
 
 
-def _fill_rate_tables(tables, turns, barrier) -> None:
-    """Pool initializer of ``run``'s workers: take one of ``turns``, format
-    the slice of every table in ``tables`` given by the order in which the
-    worker reaches ``barrier``, and once every other worker's slice is
-    formatted too, read them as this process's ``shared_rate_tables``.  A
-    worker that Pool starts in place of a dead one finds no turn left, so
-    it never formats a slice or reads a blank one."""
-    turns.acquire()
-    part, parts = barrier.wait(), barrier.parties
+def _fill_rate_tables(tables, part: int, parts: int) -> None:
+    """Format slice ``part`` of ``parts`` of every table in ``tables`` and read
+    them as this process's ``shared_rate_tables``, which are whole once each
+    of the ``parts`` processes sharing the mapping has formatted its slice."""
     for n, table in tables.items():
         _format_rates(table, n, (n + 1) * part // parts, (n + 1) * (part + 1) // parts)
-    barrier.wait()
     shared_rate_tables.update(tables)
 
 
+def _evaluator(part: int, parts: int, maps: int, tables, truth: GroundTruth, fpr_max: float,
+               tasks: int, results: int) -> None:
+    """``run``'s child ``part`` of ``parts``: fill its slice of ``tables``, report
+    None on the pipe end ``results``, then evaluate its share of ``maps``
+    read from ``tasks`` and pickle back (points, summary) or the exception."""
+    with open(tasks, "rb") as task_in, open(results, "wb") as out:
+        _fill_rate_tables(tables, part, parts)
+        pickle.dump(None, out)
+        for _ in range(part, maps, parts):
+            out.flush()
+            base = pickle.load(task_in)
+            try:
+                result = evaluate_map(base, os.path.dirname(base), truth, fpr_max)
+            except Exception as exc:
+                result = exc
+            pickle.dump(result, out)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    """Fork min(detectors, usable CPUs) evaluation workers once the options
-    are checked and the masks are known, before the scene is synthesised or
-    loaded; they format the run's rate tables while this process detects
-    with every listed detector in order, then evaluate the persisted maps;
-    write the combined roc.svg and league.csv from the plot points and
-    summaries they return; no ROC band reaches this process."""
+    """Fork min(detectors, usable CPUs) evaluating children before the scene
+    is synthesised or loaded, detect with every listed detector in order and
+    hand each map to a child as soon as it is written; write the combined
+    roc.svg and league.csv from the plot points and summaries they return."""
     config = read_json(args.config, BadConfig, _RUN_KEYS)
     # a scene path object gives the same keys as the top level
     paths = config.get("scene") if isinstance(config.get("scene"), dict) else {}
@@ -292,69 +302,81 @@ def cmd_run(args: argparse.Namespace) -> int:
         scene_dir = os.path.join(out_dir, "scene")
         cfg.update((k, os.path.join(scene_dir, k)) for k in _SCENE_PATHS)
     t0, t1, inner = (_require(cfg, k) for k in ("t0", "t1", "inner"))
-    # every map of the run is scored on these masks, so their class counts,
-    # and with them the rate tables of roc.csv, are known before the fork; a
-    # suite scene's masks are made again with the scene, so that these do
-    # not sit beside the synthesis peak
-    if suite:
-        counts = class_counts(scene_truth(scene_cfg))
-    else:
-        gt = load_ground_truth(inner, cfg.get("outer"))
-        counts = class_counts(gt)
+    # every map of the run is scored on these masks, so the children inherit
+    # them, and the rate tables of roc.csv, sized by their class counts
+    truth = scene_truth(scene_cfg) if suite else load_ground_truth(inner, cfg.get("outer"))
+    shape, tables = truth.shape, _share_rate_tables(class_counts(truth))
 
-    # The workers fork here, in Pool's constructor, from the post-import
-    # heap: no scene, map or detector state is resident yet, so none of it
-    # raises their peak.  Together they first format the run's rate tables,
-    # in a mapping that this process never touches, beside the synthesis
-    # and detection here, and only then take an evaluation.  The pool's
-    # modules are imported here so that other commands do not load them;
-    # leaving the block, by an error too, terminates and joins the workers.
-    import multiprocessing
+    # The children fork from the post-import heap; fcntl and signal are
+    # imported here so that other commands do not load them.  Each child
+    # formats its slice of the tables and reports; every report is read
+    # before the first map is handed out.  A result pipe holds all its child
+    # can owe (at most four maps' plot points, 131 KB each), so no child waits
+    # for this process to read; a smaller one only delays it.  Only this
+    # process holds the task pipes open, so its death is EOF to every child.
+    import fcntl
+    import signal
 
     workers = min(len(detectors), len(os.sched_getaffinity(0)))
-    others = set(multiprocessing.active_children())
-    ctx = multiprocessing.get_context("fork")
-    turns = ctx.Semaphore(0)
-    with ctx.Pool(workers, _fill_rate_tables,
-                  (_share_rate_tables(counts), turns, ctx.Barrier(workers))) as pool:
-        procs = set(multiprocessing.active_children()) - others
-        # the turns are given only now, so a worker that dies in its fill is
-        # among procs
-        for _ in range(workers):
-            turns.release()
-        if suite:
-            gt = _write_scene(scene_cfg, scene_dir)
-        pair = make_pair(load_raster(t0), load_raster(t1))
-        if gt.shape != pair.shape:
-            raise DimensionMismatch(f"mask {inner} is {gt.shape[1]}x{gt.shape[0]}, "
-                                    f"expected {pair.t0.width}x{pair.t0.height}")
-        # detection stays in this process, where the patch fits' and
-        # scores' tile threads have every core
-        map_bases = [_detect_pair({**cfg, "detector": name}, pair, os.path.join(out_dir, name))
-                     for name in detectors]
-        # Each evaluation is evaluate_map, as in eval: a pure function of its
-        # persisted f32 map, and the shared tables hold the bytes of eval's
-        # own, so the per-detector outputs are byte-identical to detect +
-        # eval composed for any worker count; each task carries gt, and
-        # get() raises a worker's AcdError here again.
-        evaluate = functools.partial(evaluate_map, truth=gt, fpr_max=cfg["roc_fpr_max"])
-        pending = pool.starmap_async(evaluate, zip(map_bases, map(os.path.dirname, map_bases)))
-        # Pool replaces a worker that dies mid-task (say, killed for its
-        # memory) but never finishes that task, and a worker that dies in
-        # its fill leaves its slice of the tables blank for the others, so
-        # watch the workers, until the results are taken, instead of waiting
-        # forever
-        while True:
-            if dead := [p.exitcode for p in procs if p.exitcode is not None]:
-                raise RuntimeError(f"an evaluation worker exited with code {dead[0]}")
-            if pending.ready():
-                break
-            pending.wait(0.5)
-        results = pending.get()
+    pids, tasks, results = [], [], []
 
-    points = {name: p for name, (p, _) in zip(detectors, results)}
+    def receive(k: int):  # child k's next result; EOF means it ended
+        try:
+            got = pickle.load(results[k])
+        except (EOFError, pickle.UnpicklingError):
+            pid, pids[k] = pids[k], None
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            raise RuntimeError(f"an evaluation worker exited with code {code}") from None
+        if isinstance(got, Exception):
+            raise got
+        return got
+
+    try:
+        for part in range(workers):
+            (task_r, task_w), (result_r, result_w) = os.pipe(), os.pipe()
+            tasks.append(open(task_w, "wb", buffering=0))
+            results.append(open(result_r, "rb"))
+            with contextlib.suppress(OSError):
+                fcntl.fcntl(result_w, fcntl.F_SETPIPE_SZ, 1 << 20)
+            pids.append(os.fork())
+            if not pids[-1]:
+                try:
+                    for end in tasks + results:
+                        end.close()
+                    _evaluator(part, workers, len(detectors), tables, truth, cfg["roc_fpr_max"],
+                               task_r, result_w)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(task_r)
+            os.close(result_w)
+        del truth
+        if suite:
+            _write_scene(scene_cfg, scene_dir)
+        pair = make_pair(load_raster(t0), load_raster(t1))
+        if shape != pair.shape:
+            raise DimensionMismatch(f"mask {inner} is {shape[1]}x{shape[0]}, "
+                                    f"expected {pair.t0.width}x{pair.t0.height}")
+        # detection stays here, where the tile threads have every core; an
+        # evaluation is eval's evaluate_map of the persisted map, and the
+        # tables hold eval's bytes, so no output depends on the worker count
+        for i, name in enumerate(detectors):
+            map_base = _detect_pair({**cfg, "detector": name}, pair, os.path.join(out_dir, name))
+            for k in range(workers) if i == 0 else ():
+                receive(k)
+            with contextlib.suppress(BrokenPipeError):  # a dead child shows at its results
+                tasks[i % workers].write(pickle.dumps(map_base))
+        outcomes = [receive(i % workers) for i in range(len(detectors))]
+    finally:
+        for end in tasks + results:
+            end.close()
+        for pid in filter(None, pids):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    points = {name: p for name, (p, _) in zip(detectors, outcomes)}
     rows = [(name, s["pauc_inner"], s["pauc_outer"], s["auc_inner"], s["auc_outer"])
-            for name, (_, s) in zip(detectors, results)]
+            for name, (_, s) in zip(detectors, outcomes)]
 
     write_loglog_svg(points, os.path.join(out_dir, "roc.svg"))
     rows.sort(key=lambda r: (-r[1], r[0]))

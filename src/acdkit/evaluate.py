@@ -295,7 +295,7 @@ def evaluate_map(path: str, out_dir: str, truth: GroundTruth | tuple[str, str | 
 
     ``truth`` is the GroundTruth or the (inner, outer) mask paths, loaded on
     the map's grid.  ``eval`` and ``run``'s workers call this function; the
-    workers' pool pickles it by this module's name, never ``__main__``.
+    workers are forked, so nothing pickles it, or imports ``__main__``.
 
     ``roc`` sorts the f32 map itself, which is dropped once the band
     exists, and the AUCs' temporaries are gone before roc.csv is written,

@@ -1,14 +1,15 @@
 import contextlib
 import dataclasses
+import glob
 import inspect
 import io
 import json
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import tempfile
-import threading
+import time
 import typing
 from pathlib import Path
 
@@ -386,8 +387,8 @@ def test_run_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
 
 def test_run_under_a_foreign_main_module_matches_a_plain_run(tmp_path, src_env):
     # under `python -m cProfile -m acdkit.cli` the CLI module is not
-    # sys.modules["__main__"]; the workers' function is pickled by its
-    # acdkit.evaluate name, a module that never runs as __main__
+    # sys.modules["__main__"]; the forked children pickle no function, and
+    # none of them writes the profile when it ends
     paths = _write_scene_files(tmp_path)
     cfg_path = str(tmp_path / "run.json")
     with open(cfg_path, "w") as fh:
@@ -431,10 +432,10 @@ def test_cli_imports_no_network_or_mail_modules(src_env):
 
 
 def test_cli_imports_no_pool_or_thread_module_until_a_command_needs_it(tmp_path, src_env):
-    # multiprocessing is imported by run alone, where its pool forks, and
-    # acdkit.threads by the first fit or score, so that a process that does
-    # not use them does not hold their modules; synth, detect with every
-    # detector and eval in one process still load no multiprocessing
+    # acdkit.threads is imported by the first fit or score, so that a process
+    # that does not use it does not hold its module; synth, detect with every
+    # detector, eval and run (which forks its children with os.fork) in one
+    # process load no multiprocessing
     paths = _write_scene_files(tmp_path, side=24)
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps(_SMALL_SCENE))
@@ -444,6 +445,10 @@ def test_cli_imports_no_pool_or_thread_module_until_a_command_needs_it(tmp_path,
                  for name in ("diff", "hacd", "patch-hacd", "glcm-hacd")]
     commands += [["eval", "--map", str(tmp_path / "hacd" / "anomaly"), "--inner", paths["inner"],
                   "--out", str(tmp_path / "ev")]]
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps({"scene": {k: paths[k] for k in ("t0", "t1", "inner", "outer")},
+                               "detectors": ["diff", "hacd"]}))
+    commands += [["run", str(run), "--out", str(tmp_path / "run")]]
     code = ("import sys, acdkit.cli\n"
             "print(sorted({'multiprocessing', 'acdkit.threads'} & set(sys.modules)))\n"
             f"for argv in {commands!r}:\n"
@@ -470,16 +475,26 @@ def test_run_empty_inner_mask_in_a_worker_is_exit_2(tmp_path, capsys):
     assert not (out / "league.csv").exists()
 
 
+def _children(pid="self") -> set[int]:
+    """The pids of the children of process ``pid``, zombies too, from /proc."""
+    found = set()
+    for path in glob.glob(f"/proc/{pid}/task/*/children"):
+        with contextlib.suppress(FileNotFoundError):
+            found.update(map(int, Path(path).read_text().split()))
+    return found
+
+
 def test_run_forks_its_workers_before_synthesis_and_joins_them_on_error(
         tmp_path, capsys, monkeypatch):
     # the workers fork before the scene exists, so they start from the
     # post-import heap; a detection that fails after the fork (the ridge
-    # overflows hacd's covariance) still exits 2 and leaves no worker behind
-    assert not multiprocessing.active_children()
+    # overflows hacd's covariance) still exits 2 and leaves no worker behind,
+    # not even a zombie
+    before = _children()
     workers_at_synthesis = []
 
     def probe(cfg):
-        workers_at_synthesis.append(len(multiprocessing.active_children()))
+        workers_at_synthesis.append(len(_children() - before))
         return generate_scene(cfg)
 
     monkeypatch.setattr(acdkit.cli, "generate_scene", probe)
@@ -489,12 +504,12 @@ def test_run_forks_its_workers_before_synthesis_and_joins_them_on_error(
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert "error SingularCovariance" in capsys.readouterr().err
     assert workers_at_synthesis == [min(2, len(os.sched_getaffinity(0)))]
-    assert not multiprocessing.active_children()
+    assert _children() == before
 
 
 def test_run_whose_worker_is_killed_is_exit_3(tmp_path, src_env):
     # a worker killed mid-task (as the OOM killer would) ends run with exit 3
-    # naming the exit code; Pool alone would wait for the lost task forever
+    # naming the exit code, instead of a wait for the lost task
     paths = _write_scene_files(tmp_path)
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({
@@ -513,9 +528,8 @@ def test_run_whose_worker_is_killed_is_exit_3(tmp_path, src_env):
 
 def test_run_whose_worker_is_killed_in_its_fill_is_exit_3(tmp_path, src_env):
     # the worker with the first slice of the rate tables is killed while it
-    # formats it: the others wait for that slice at the barrier, and Pool's
-    # replacement gets no turn, so run ends with exit 3, neither waiting
-    # forever nor writing a roc.csv from a blank slice
+    # formats it, so its report never comes and run ends with exit 3,
+    # neither waiting forever nor writing a roc.csv from a blank slice
     paths = _write_scene_files(tmp_path)
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({
@@ -536,14 +550,68 @@ def test_run_whose_worker_is_killed_in_its_fill_is_exit_3(tmp_path, src_env):
     assert not (tmp_path / "o" / "diff" / "roc.csv").exists()
 
 
-class _Turn:
-    """Stands in for a Barrier that a worker reaches in turn ``part`` of ``parties``."""
+def test_run_hands_each_map_over_as_soon_as_it_is_written(tmp_path, monkeypatch):
+    # the first detector's map is evaluated while the last detector runs, not
+    # once every map is written: the last detection waits for its summary
+    paths = _write_scene_files(tmp_path)
+    out = tmp_path / "o"
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "scene": {k: paths[k] for k in ("t0", "t1", "inner", "outer")},
+        "detectors": ["diff", "hacd"], "out": str(out)}))
+    detect, summary, seen = acdkit.cli._detect_pair, out / "diff" / "summary.json", []
 
-    def __init__(self, part, parties):
-        self.part, self.parties = part, parties
+    def probe(cfg, pair, out_dir):
+        if cfg["detector"] == "hacd":
+            deadline = time.monotonic() + 30
+            while not summary.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            seen.append(summary.exists())
+        return detect(cfg, pair, out_dir)
 
-    def wait(self):
-        return self.part
+    monkeypatch.setattr(acdkit.cli, "_detect_pair", probe)
+    assert main(["run", str(cfg_path)]) == 0
+    assert seen == [True]
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_no_worker_outlives_a_run_killed_while_it_detects(tmp_path, src_env):
+    # run's parent killed mid-detection (as the OOM killer would) closes the
+    # task pipes that only it holds, so every child sees EOF and ends
+    paths = _write_scene_files(tmp_path)
+    cfg_path, marker = tmp_path / "run.json", tmp_path / "detecting"
+    cfg_path.write_text(json.dumps({
+        "scene": {k: paths[k] for k in ("t0", "t1", "inner", "outer")},
+        "detectors": ["diff", "hacd"], "out": str(tmp_path / "o")}))
+    code = ("import sys, time, acdkit.cli\n"
+            "def stall(*args):\n"
+            f"    open({str(marker)!r}, 'w').close()\n"
+            "    time.sleep(600)\n"
+            "acdkit.cli._detect_pair = stall\n"
+            f"sys.exit(acdkit.cli.main(['run', {str(cfg_path)!r}]))\n")
+    proc = subprocess.Popen([sys.executable, "-c", code], env=src_env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120
+        while not marker.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert marker.exists() and proc.poll() is None
+        children = _children(proc.pid)
+        assert len(children) == min(2, len(os.sched_getaffinity(0)))
+    finally:
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=60)
+    deadline = time.monotonic() + 10
+    while (alive := set(filter(_running, children))) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not alive
 
 
 @pytest.mark.parametrize("parts", [1, 2, 3])
@@ -553,13 +621,12 @@ def test_rate_tables_filled_in_slices_equal_the_private_tables(parts, monkeypatc
     monkeypatch.setattr(acdkit.cli, "shared_rate_tables", {})
     rate_table = acdkit.evaluate._rate_table
     counts = (9000, 7, 0, 9000)
-    turns = threading.Semaphore(2 * parts)
     whole = acdkit.cli._share_rate_tables(counts)
     assert sorted(whole) == [7, 9000]
     for part in reversed(range(parts)):
-        acdkit.cli._fill_rate_tables(whole, turns, _Turn(part, parts))
+        acdkit.cli._fill_rate_tables(whole, part, parts)
         alone = acdkit.cli._share_rate_tables(counts)
-        acdkit.cli._fill_rate_tables(alone, turns, _Turn(part, parts))
+        acdkit.cli._fill_rate_tables(alone, part, parts)
         for n, table in alone.items():
             lo, hi = (n + 1) * part // parts, (n + 1) * (part + 1) // parts
             assert table[lo:hi].tobytes() == rate_table(n)[lo:hi].tobytes()
@@ -570,14 +637,21 @@ def test_rate_tables_filled_in_slices_equal_the_private_tables(parts, monkeypatc
 
 
 def test_rate_tables_filled_by_forked_workers_are_shared_with_their_parent():
-    # more workers than cores, each formatting one slice in its own process:
-    # a slice written to a private copy of the mapping would stay zero here
-    ctx = multiprocessing.get_context("fork")
+    # more forked children than cores, each formatting one slice in its own
+    # process as run's do: a slice written to a private copy of the mapping
+    # would stay zero here
     tables = acdkit.cli._share_rate_tables((20000, 3))
-    with ctx.Pool(4, acdkit.cli._fill_rate_tables,
-                  (tables, ctx.Semaphore(4), ctx.Barrier(4))) as pool:
-        # a worker takes a task only once every slice is formatted
-        pool.apply_async(int).get(timeout=60)
+    pids = []
+    for part in range(4):
+        pids.append(os.fork())
+        if not pids[-1]:
+            try:
+                acdkit.cli._fill_rate_tables(tables, part, 4)
+                os._exit(0)
+            finally:
+                os._exit(1)
+    for pid in pids:
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
     for n, table in tables.items():
         assert table.tobytes() == acdkit.evaluate._rate_table(n).tobytes()
 
@@ -1185,8 +1259,7 @@ def test_runtime_imports_no_scipy(tmp_path, module, src_env):
     # importing the module, and for the CLI a synth and a four-detector run
     # in the same process, loads no top-level module outside the standard
     # library but numpy and acdkit, beyond what the bare interpreter had
-    # loaded (site .pth hooks); __mp_main__ is multiprocessing's alias of
-    # the -c script
+    # loaded (site .pth hooks)
     commands = []
     if module == "acdkit.cli":
         scene, run = tmp_path / "scene.json", tmp_path / "run.json"
@@ -1204,7 +1277,7 @@ def test_runtime_imports_no_scipy(tmp_path, module, src_env):
             f"for argv in {commands!r}:\n"
             "    assert acdkit.cli.main(argv) == 0\n"
             "added = {m.partition('.')[0] for m in sys.modules} - bare\n"
-            "print(sorted(added - set(sys.stdlib_module_names) - {'__mp_main__'}))\n")
+            "print(sorted(added - set(sys.stdlib_module_names)))\n")
     proc = subprocess.run([sys.executable, "-c", code], env=src_env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
