@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import rng
 from .errors import BadConfig, FormatError
 from .raster import GroundTruth, Raster, read_json, write_text
 
@@ -142,33 +141,32 @@ def _box_mean(a: np.ndarray, radius: int) -> np.ndarray:
     sat[1:, 1:] = np.pad(a, radius, mode="reflect")
     np.cumsum(sat, axis=0, out=sat)
     np.cumsum(sat, axis=1, out=sat)
-    total = sat[side:, side:] - sat[side:, :w] - sat[:h, side:] + sat[:h, :w]
-    return total / float(side * side)
-
-
-def _field(seed: int, stream: int, h: int, w: int, kind: str) -> np.ndarray:
-    n = h * w
-    if kind == "normal":
-        return rng.normal(seed, stream, n).reshape(h, w)
-    return rng.exponential(seed, stream, n).reshape(h, w)
+    total = sat[side:, side:] - sat[side:, :w]
+    total -= sat[:h, side:]
+    total += sat[:h, :w]
+    total /= float(side * side)
+    return total
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def generate_scene(cfg: SceneConfig) -> tuple[Raster, Raster, GroundTruth]:
     """Deterministically generate (t0, t1, ground truth) from a config.
 
-    Each full-size intermediate dies at its last use, and t0 and t1 are
-    changed in place, so no plane is held twice.  A config whose values
-    overflow float64 or float32 on the way is refused with BadConfig when
-    the planes become Rasters, without a warning."""
+    t0 and t1 are changed in place, speckle and noise are drawn into them a
+    block at a time, and the anomaly only inside its rectangle: the only
+    other full-size planes are the background field and the box means.  A
+    config whose values overflow float64 or float32 on the way is refused
+    with BadConfig when the planes become Rasters, without a warning."""
+    from . import rng  # here, not at import: run's children fork before synthesis
+
     h, w = cfg.height, cfg.width
     r = cfg.background_corr_len
     x, y, rw, rh = cfg.anomaly_rect
     rect = slice(y, y + rh), slice(x, x + rw)
 
     # the box mean times 2r+1 restores roughly unit variance
-    t0 = BG_LEVEL + BG_SIGMA * (
-        _box_mean(_field(cfg.seed, STREAM_BACKGROUND, h, w, "normal"), r) * float(2 * r + 1))
+    t0 = BG_LEVEL + BG_SIGMA * (_box_mean(
+        rng.normal(cfg.seed, STREAM_BACKGROUND, h * w).reshape(h, w), r) * float(2 * r + 1))
 
     t1 = cfg.pervasive_gain * t0 + cfg.pervasive_offset
     for px, py, pw, ph, pgain in cfg.pervasive_patches:
@@ -176,20 +174,26 @@ def generate_scene(cfg: SceneConfig) -> tuple[Raster, Raster, GroundTruth]:
     if cfg.anomaly_offset:
         t1[rect] += cfg.anomaly_offset
 
-    if cfg.speckle:
-        t0 *= _field(cfg.seed, STREAM_SPECKLE_T0, h, w, "exponential")
-        t1 *= _field(cfg.seed, STREAM_SPECKLE_T1, h, w, "exponential")
-
-    if cfg.noise_sigma:
-        t0 += cfg.noise_sigma * _field(cfg.seed, STREAM_NOISE_T0, h, w, "normal")
-        t1 += cfg.noise_sigma * _field(cfg.seed, STREAM_NOISE_T1, h, w, "normal")
+    # speckle, then noise, pixel by pixel, through flat views of t0 and t1
+    for lo in range(0, h * w, rng.BLOCK):
+        b0, b1 = t0.reshape(-1)[lo : lo + rng.BLOCK], t1.reshape(-1)[lo : lo + rng.BLOCK]
+        if cfg.speckle:
+            b0 *= rng.exponential(cfg.seed, STREAM_SPECKLE_T0, b0.size, lo)
+            b1 *= rng.exponential(cfg.seed, STREAM_SPECKLE_T1, b1.size, lo)
+        if cfg.noise_sigma:
+            b0 += cfg.noise_sigma * rng.normal(cfg.seed, STREAM_NOISE_T0, b0.size, lo)
+            b1 += cfg.noise_sigma * rng.normal(cfg.seed, STREAM_NOISE_T1, b1.size, lo)
 
     amp = float(np.sqrt(max(np.float64(cfg.anomaly_texture_gain) ** 2 - 1.0, 0.0)))
     if amp > 0.0:
         # local std of t1's high-frequency part, taken only inside the rectangle
-        local_sigma = np.sqrt(
-            _box_mean(np.square(t1 - _box_mean(t1, LOCAL_STD_RADIUS)), LOCAL_STD_RADIUS)[rect])
-        t1[rect] += amp * local_sigma * _field(cfg.seed, STREAM_ANOMALY, h, w, "normal")[rect]
+        d = _box_mean(t1, LOCAL_STD_RADIUS)
+        np.subtract(t1, d, out=d)
+        np.square(d, out=d)
+        local_sigma = np.sqrt(_box_mean(d, LOCAL_STD_RADIUS)[rect])
+        # rectangle row i is the rw draws from pixel (y + i, x) on
+        t1[rect] += amp * local_sigma * np.stack(
+            [rng.normal(cfg.seed, STREAM_ANOMALY, rw, (y + i) * w + x) for i in range(rh)])
 
     try:
         return Raster(t0), Raster(t1), scene_truth(cfg)

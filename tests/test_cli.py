@@ -1222,8 +1222,8 @@ def test_detect_glcm_levels_past_int64_is_exit_2(tmp_path, src_env, levels):
 def test_synth_grid_side_past_int64_is_exit_2(tmp_path, src_env, key, side):
     """A scene config's width or height of 2**63 or 1e308 makes a valid
     SceneConfig, and synth exits 3 with NumPy's "ValueError: Maximum allowed
-    size exceeded" in rng.normal.  A memory plan would refuse the grid
-    first, with exit 2."""
+    dimension exceeded" where rng._blocks makes the background field's
+    output array.  A memory plan would refuse the grid first, with exit 2."""
     cfg_path = tmp_path / "scene.json"
     cfg_path.write_text(json.dumps({**_SMALL_SCENE, key: side}))
     proc = _main_under_rlimit_as(src_env, ["synth", "--config", str(cfg_path),

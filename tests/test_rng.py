@@ -1,6 +1,10 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acdkit import rng
 
@@ -23,6 +27,40 @@ def test_counter_based_slicing():
     full = rng.uniform(7, 3, 100)
     tail = rng.uniform(7, 3, 40, start=60)
     assert np.array_equal(full[60:], tail)
+
+
+# counts within two draws of 0, 1 or 2 blocks: spans that start, end or
+# cross a block boundary, and the empty span
+_NEAR_BLOCKS = st.builds(lambda k, d: max(0, k * rng.BLOCK + d), st.integers(0, 2),
+                         st.integers(-2, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(draw=st.sampled_from([rng.uniform, rng.normal, rng.exponential]),
+       seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 5),
+       start=_NEAR_BLOCKS, n=_NEAR_BLOCKS)
+def test_any_span_of_draws_has_the_bits_of_the_whole(draw, seed, stream, start, n):
+    # draws made a block at a time from any start are the bits of one
+    # whole-array draw (a block larger than every count)
+    whole = draw(seed, stream, start + n)
+    assert draw(seed, stream, n, start).tobytes() == whole[start:].tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng, "BLOCK", start + n + 1)
+        assert draw(seed, stream, start + n).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("draw", [rng.normal, rng.exponential])
+def test_draws_hold_their_output_and_one_block(draw):
+    # 8 B per draw for the result, plus at most four block-sized arrays
+    n = 8 * rng.BLOCK
+    draw(0, 0, 3)
+    tracemalloc.start()
+    try:
+        draw(1, 2, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n + 4 * 8 * rng.BLOCK + 4096
 
 
 def test_uniform_range_and_moments():

@@ -4,8 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from acdkit import BadConfig, config_from_json, config_to_json, generate_scene, scene_suite
+from acdkit import BadConfig, config_from_json, config_to_json, generate_scene, rng, scene_suite
+from acdkit import synth
 from acdkit.synth import MASK_BAND, SceneConfig
 
 
@@ -176,11 +179,87 @@ def test_suite_scenes_keep_their_golden_bytes(name):
     assert digests == _SUITE_DIGESTS[name]
 
 
+def _whole_plane_scene(cfg):
+    """t0 and t1 (float32) by generate_scene's formulas on whole planes: every
+    field drawn full size, the anomaly's too, and every step out of place."""
+    def box_mean(a, radius):
+        if radius == 0:
+            return a.copy()
+        side = 2 * radius + 1
+        h, w = a.shape
+        sat = np.zeros((h + side, w + side))
+        sat[1:, 1:] = np.pad(a, radius, mode="reflect")
+        sat = sat.cumsum(axis=0).cumsum(axis=1)
+        return (sat[side:, side:] - sat[side:, :w] - sat[:h, side:] + sat[:h, :w]) / float(side**2)
+
+    def field(stream, draw=rng.normal):
+        return draw(cfg.seed, stream, h * w).reshape(h, w)
+
+    h, w, r = cfg.height, cfg.width, cfg.background_corr_len
+    x, y, rw, rh = cfg.anomaly_rect
+    rect = slice(y, y + rh), slice(x, x + rw)
+    t0 = synth.BG_LEVEL + synth.BG_SIGMA * (
+        box_mean(field(synth.STREAM_BACKGROUND), r) * float(2 * r + 1))
+    t1 = cfg.pervasive_gain * t0 + cfg.pervasive_offset
+    for px, py, pw, ph, pgain in cfg.pervasive_patches:
+        t1[py : py + ph, px : px + pw] *= pgain
+    if cfg.anomaly_offset:
+        t1[rect] += cfg.anomaly_offset
+    if cfg.speckle:
+        t0 = t0 * field(synth.STREAM_SPECKLE_T0, rng.exponential)
+        t1 = t1 * field(synth.STREAM_SPECKLE_T1, rng.exponential)
+    if cfg.noise_sigma:
+        t0 = t0 + cfg.noise_sigma * field(synth.STREAM_NOISE_T0)
+        t1 = t1 + cfg.noise_sigma * field(synth.STREAM_NOISE_T1)
+    amp = float(np.sqrt(max(np.float64(cfg.anomaly_texture_gain) ** 2 - 1.0, 0.0)))
+    if amp > 0.0:
+        radius = synth.LOCAL_STD_RADIUS
+        local_sigma = np.sqrt(box_mean(np.square(t1 - box_mean(t1, radius)), radius)[rect])
+        t1[rect] += amp * local_sigma * field(synth.STREAM_ANOMALY)[rect]
+    return t0.astype(np.float32), t1.astype(np.float32)
+
+
+@st.composite
+def _scene_configs(draw):
+    """Small grids, square or not, with the rectangle against any edge or none."""
+    w, h = draw(st.integers(5, 48)), draw(st.integers(5, 48))
+    rw, rh = draw(st.integers(5, w)), draw(st.integers(5, h))
+    edge = draw(st.sampled_from(["left", "right", "top", "bottom", None]))
+    x = {"left": 0, "right": w - rw}.get(edge, draw(st.integers(0, w - rw)))
+    y = {"top": 0, "bottom": h - rh}.get(edge, draw(st.integers(0, h - rh)))
+    patches = []
+    for _ in range(draw(st.integers(0, 2))):
+        pw, ph = draw(st.integers(1, w)), draw(st.integers(1, h))
+        patches.append((draw(st.integers(0, w - pw)), draw(st.integers(0, h - ph)), pw, ph,
+                        draw(st.sampled_from([0.55, 1.8]))))
+    return SceneConfig(
+        width=w, height=h, seed=draw(st.integers(0, 2**64 - 1)),
+        background_corr_len=draw(st.integers(0, min(w, h) - 1)), anomaly_rect=(x, y, rw, rh),
+        anomaly_texture_gain=draw(st.sampled_from([0.0, 1.0, 2.5])),
+        anomaly_offset=draw(st.sampled_from([0.0, 2.0])),
+        noise_sigma=draw(st.sampled_from([0.0, 0.15])), speckle=draw(st.booleans()),
+        pervasive_gain=draw(st.sampled_from([1.0, 1.6])),
+        pervasive_offset=draw(st.sampled_from([0.0, 0.4])), pervasive_patches=tuple(patches))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cfg=_scene_configs(), block=st.sampled_from([7, 64, rng.BLOCK]))
+def test_generate_scene_has_the_bytes_of_the_whole_plane_formulas(cfg, block):
+    # blocks of 7 and 64 pixels start, end and cross rows at every offset; a
+    # small grid fits in one block of rng.BLOCK
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng, "BLOCK", block)
+        t0, t1, _ = generate_scene(cfg)
+    want0, want1 = _whole_plane_scene(cfg)
+    assert t0.data.tobytes() == want0.tobytes()
+    assert t1.data.tobytes() == want1.tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(_SUITE_DIGESTS))
 def test_generate_scene_holds_no_plane_twice(name):
-    # at the peak, t0 and t1 (float64) and a box mean's input, summed-area
-    # table and two differences come to 48 B per pixel; a kept copy or dead
-    # intermediate adds 8 each
+    # at the peak, t0 and t1 (float64), the local-sigma step's squared
+    # difference and a box mean's summed-area table and padded input come to
+    # about 41 B per pixel; a kept copy or dead intermediate adds 8 each
     cfg = scene_suite()[name]
     tracemalloc.start()
     try:
@@ -188,7 +267,7 @@ def test_generate_scene_holds_no_plane_twice(name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 64 * cfg.width * cfg.height
+    assert peak <= 44 * cfg.width * cfg.height
 
 
 def test_suite_masks_validate():
