@@ -5,8 +5,9 @@ Subcommands:
     eval     score an anomaly map against ground-truth masks
     synth    generate a named or configured synthetic scene
     run      detect + eval for several detectors, with a combined plot;
-             each map is evaluated, as soon as it is written, in child
-             processes forked before the scene is synthesised or loaded
+             each map is evaluated, as soon as it is written, in a child
+             process of its own, forked before the scene is synthesised
+             or loaded
     convert  R32 raster <-> plain-text pixel dump
 
 ``eval`` and ``run``'s children evaluate a map with one function,
@@ -23,23 +24,19 @@ import argparse
 import collections
 import contextlib
 import dataclasses
-import mmap
 import os
 import pickle
 import sys
 import traceback
 
-import numpy as np
-
 from .detectors import DETECTOR_NAMES, run_detector
 from .errors import AcdError, BadConfig, DimensionMismatch, FormatError, NotFound
 from .evaluate import (
-    _CELL_WIDTH,
     DEFAULT_FPR_MAX,
-    _format_rates,
     class_counts,
     evaluate_map,
-    shared_rate_tables,
+    fill_rate_tables,
+    share_rate_tables,
     write_loglog_svg,
 )
 # bench/spans.py traces these three here
@@ -178,19 +175,19 @@ def _require(cfg: dict, key: str) -> object:
     return cfg[key]
 
 
-def _detect_pair(cfg: dict, pair: CoregisteredPair, out_dir: str) -> str:
-    """Run cfg's detector on ``pair``, write its map (and model) into out_dir.
+def _map_base(out_dir: str) -> str:
+    """The base path of the anomaly map that detection writes into ``out_dir``."""
+    return os.path.join(out_dir, "anomaly")
 
-    Returns the base path of the written anomaly map.
-    """
+
+def _detect_pair(cfg: dict, pair: CoregisteredPair, out_dir: str) -> None:
+    """Run cfg's detector on ``pair``, write its map (and model) into out_dir."""
     amap, model = run_detector(cfg["detector"], pair, patch=cfg["patch"], levels=cfg["glcm_levels"],
                                offsets=cfg["glcm_offsets"], ridge=cfg.get("ridge"))
     make_dir(out_dir)
-    map_base = os.path.join(out_dir, "anomaly")
-    save_raster(Raster(amap.scores), map_base)
+    save_raster(Raster(amap.scores), _map_base(out_dir))
     if model is not None:
         save_model(model, os.path.join(out_dir, "model.json"))
-    return map_base
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
@@ -237,47 +234,28 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _share_rate_tables(counts) -> dict[int, np.ndarray]:
-    """Blank rate tables of each nonzero count in ``counts`` (an empty class
-    has no rates), laid out in one anonymous mapping that the processes
-    forked after it share; making them touches no page."""
-    sizes = {n: (n + 1) * _CELL_WIDTH for n in sorted(set(counts) - {0})}
-    whole = np.frombuffer(mmap.mmap(-1, sum(sizes.values())), np.uint8)
-    parts = np.split(whole, np.cumsum(list(sizes.values()))[:-1])
-    return {n: part.reshape(n + 1, _CELL_WIDTH) for n, part in zip(sizes, parts)}
-
-
-def _fill_rate_tables(tables, part: int, parts: int) -> None:
-    """Format slice ``part`` of ``parts`` of every table in ``tables`` and read
-    them as this process's ``shared_rate_tables``, which are whole once each
-    of the ``parts`` processes sharing the mapping has formatted its slice."""
-    for n, table in tables.items():
-        _format_rates(table, n, (n + 1) * part // parts, (n + 1) * (part + 1) // parts)
-    shared_rate_tables.update(tables)
-
-
-def _evaluator(part: int, parts: int, maps: int, tables, truth: GroundTruth, fpr_max: float,
-               tasks: int, results: int) -> None:
+def _evaluator(part: int, parts: int, tables, truth: GroundTruth, fpr_max: float,
+               out_dir: str, go: int, results: int) -> None:
     """``run``'s child ``part`` of ``parts``: fill its slice of ``tables``, report
-    None on the pipe end ``results``, then evaluate its share of ``maps``
-    read from ``tasks`` and pickle back (points, summary) or the exception."""
-    with open(tasks, "rb") as task_in, open(results, "wb") as out:
-        _fill_rate_tables(tables, part, parts)
+    None on the pipe end ``results``, then wait for a byte on ``go``, evaluate
+    the map in ``out_dir`` and pickle back (points, summary) or the exception.
+    EOF on ``go`` means the parent died, so the child ends evaluating nothing."""
+    with open(go, "rb", buffering=0) as go_in, open(results, "wb") as out:
+        fill_rate_tables(tables, part, parts)
         pickle.dump(None, out)
-        for _ in range(part, maps, parts):
-            out.flush()
-            base = pickle.load(task_in)
+        out.flush()
+        if go_in.read(1):
             try:
-                result = evaluate_map(base, os.path.dirname(base), truth, fpr_max)
+                result = evaluate_map(_map_base(out_dir), out_dir, truth, fpr_max)
             except Exception as exc:
                 result = exc
             pickle.dump(result, out)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    """Fork min(detectors, usable CPUs) evaluating children before the scene
-    is synthesised or loaded, detect with every listed detector in order and
-    hand each map to a child as soon as it is written; write the combined
+    """Fork one evaluating child per listed detector before the scene is
+    synthesised or loaded, detect with every detector in order and tell
+    each child to go as soon as its map is written; write the combined
     roc.svg and league.csv from the plot points and summaries they return."""
     config = read_json(args.config, BadConfig, _RUN_KEYS)
     # a scene path object gives the same keys as the top level
@@ -305,20 +283,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     # every map of the run is scored on these masks, so the children inherit
     # them, and the rate tables of roc.csv, sized by their class counts
     truth = scene_truth(scene_cfg) if suite else load_ground_truth(inner, cfg.get("outer"))
-    shape, tables = truth.shape, _share_rate_tables(class_counts(truth))
+    shape, tables = truth.shape, share_rate_tables(class_counts(truth))
 
-    # The children fork from the post-import heap; fcntl and signal are
-    # imported here so that other commands do not load them.  Each child
-    # formats its slice of the tables and reports; every report is read
-    # before the first map is handed out.  A result pipe holds all its child
-    # can owe (at most four maps' plot points, 131 KB each), so no child waits
-    # for this process to read; a smaller one only delays it.  Only this
-    # process holds the task pipes open, so its death is EOF to every child.
-    import fcntl
+    # The children fork from the post-import heap; signal is imported here
+    # so that other commands do not load it.  Each child formats its slice
+    # of the tables and reports; every report is read before the first map
+    # is handed over.  A child owes one result, so it may wait on its pipe
+    # until this process reads it.  Only this process holds the go pipes
+    # open, so its death is EOF to every child.
     import signal
 
-    workers = min(len(detectors), len(os.sched_getaffinity(0)))
-    pids, tasks, results = [], [], []
+    dirs = [os.path.join(out_dir, name) for name in detectors]
+    pids, gos, results = [], [], []
 
     def receive(k: int):  # child k's next result; EOF means it ended
         try:
@@ -332,23 +308,20 @@ def cmd_run(args: argparse.Namespace) -> int:
         return got
 
     try:
-        for part in range(workers):
-            (task_r, task_w), (result_r, result_w) = os.pipe(), os.pipe()
-            tasks.append(open(task_w, "wb", buffering=0))
+        for k, d in enumerate(dirs):
+            (go_r, go_w), (result_r, result_w) = os.pipe(), os.pipe()
+            gos.append(open(go_w, "wb", buffering=0))
             results.append(open(result_r, "rb"))
-            with contextlib.suppress(OSError):
-                fcntl.fcntl(result_w, fcntl.F_SETPIPE_SZ, 1 << 20)
             pids.append(os.fork())
             if not pids[-1]:
                 try:
-                    for end in tasks + results:
+                    for end in gos + results:
                         end.close()
-                    _evaluator(part, workers, len(detectors), tables, truth, cfg["roc_fpr_max"],
-                               task_r, result_w)
+                    _evaluator(k, len(dirs), tables, truth, cfg["roc_fpr_max"], d, go_r, result_w)
                     os._exit(0)
                 finally:
                     os._exit(1)
-            os.close(task_r)
+            os.close(go_r)
             os.close(result_w)
         del truth
         if suite:
@@ -359,16 +332,16 @@ def cmd_run(args: argparse.Namespace) -> int:
                                     f"expected {pair.t0.width}x{pair.t0.height}")
         # detection stays here, where the tile threads have every core; an
         # evaluation is eval's evaluate_map of the persisted map, and the
-        # tables hold eval's bytes, so no output depends on the worker count
-        for i, name in enumerate(detectors):
-            map_base = _detect_pair({**cfg, "detector": name}, pair, os.path.join(out_dir, name))
-            for k in range(workers) if i == 0 else ():
-                receive(k)
-            with contextlib.suppress(BrokenPipeError):  # a dead child shows at its results
-                tasks[i % workers].write(pickle.dumps(map_base))
-        outcomes = [receive(i % workers) for i in range(len(detectors))]
+        # tables hold eval's bytes, so no output depends on the child count
+        for k, (name, d) in enumerate(zip(detectors, dirs)):
+            _detect_pair({**cfg, "detector": name}, pair, d)
+            for j in range(len(dirs)) if k == 0 else ():
+                receive(j)
+            with contextlib.suppress(BrokenPipeError):  # a dead child shows at its result
+                gos[k].write(b"\1")
+        outcomes = [receive(k) for k in range(len(dirs))]
     finally:
-        for end in tasks + results:
+        for end in gos + results:
             end.close()
         for pid in filter(None, pids):
             os.kill(pid, signal.SIGKILL)

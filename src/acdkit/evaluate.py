@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import json
+import mmap
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -260,6 +261,25 @@ def _rate_table(n: int) -> np.ndarray:
 # the filled tables of _rate_table by count that this process shares with
 # others (``run``'s workers); roc.csv reads them in place of its own
 shared_rate_tables: dict[int, np.ndarray] = {}
+
+
+def share_rate_tables(counts) -> dict[int, np.ndarray]:
+    """Blank rate tables of each nonzero count in ``counts`` (an empty class
+    has no rates), laid out in one anonymous mapping that the processes
+    forked after it share; making them touches no page."""
+    sizes = {n: (n + 1) * _CELL_WIDTH for n in sorted(set(counts) - {0})}
+    whole = np.frombuffer(mmap.mmap(-1, sum(sizes.values())), np.uint8)
+    parts = np.split(whole, np.cumsum(list(sizes.values()))[:-1])
+    return {n: part.reshape(n + 1, _CELL_WIDTH) for n, part in zip(sizes, parts)}
+
+
+def fill_rate_tables(tables, part: int, parts: int) -> None:
+    """Format slice ``part`` of ``parts`` of every table in ``tables`` and read
+    them as this process's ``shared_rate_tables``, which are whole once each
+    of the ``parts`` processes sharing the mapping has formatted its slice."""
+    for n, table in tables.items():
+        _format_rates(table, n, (n + 1) * part // parts, (n + 1) * (part + 1) // parts)
+    shared_rate_tables.update(tables)
 
 
 def _roc_csv_chunks(band: RocBand):

@@ -183,20 +183,21 @@ def generate_scene(cfg: SceneConfig) -> tuple[Raster, Raster, GroundTruth]:
         if cfg.noise_sigma:
             b0 += cfg.noise_sigma * rng.normal(cfg.seed, STREAM_NOISE_T0, b0.size, lo)
             b1 += cfg.noise_sigma * rng.normal(cfg.seed, STREAM_NOISE_T1, b1.size, lo)
+    del b0, b1  # the last views keep the float64 t0 alive
 
     amp = float(np.sqrt(max(np.float64(cfg.anomaly_texture_gain) ** 2 - 1.0, 0.0)))
-    if amp > 0.0:
-        # local std of t1's high-frequency part, taken only inside the rectangle
-        d = _box_mean(t1, LOCAL_STD_RADIUS)
-        np.subtract(t1, d, out=d)
-        np.square(d, out=d)
-        local_sigma = np.sqrt(_box_mean(d, LOCAL_STD_RADIUS)[rect])
-        # rectangle row i is the rw draws from pixel (y + i, x) on
-        t1[rect] += amp * local_sigma * np.stack(
-            [rng.normal(cfg.seed, STREAM_ANOMALY, rw, (y + i) * w + x) for i in range(rh)])
-
     try:
-        return Raster(t0), Raster(t1), scene_truth(cfg)
+        t0 = Raster(t0)  # t0 is final, so its float32 raster replaces it here
+        if amp > 0.0:
+            # local std of t1's high-frequency part, taken only inside the rectangle
+            d = _box_mean(t1, LOCAL_STD_RADIUS)
+            np.subtract(t1, d, out=d)
+            np.square(d, out=d)
+            local_sigma = np.sqrt(_box_mean(d, LOCAL_STD_RADIUS)[rect])
+            # rectangle row i is the rw draws from pixel (y + i, x) on
+            t1[rect] += amp * local_sigma * np.stack(
+                [rng.normal(cfg.seed, STREAM_ANOMALY, rw, (y + i) * w + x) for i in range(rh)])
+        return t0, Raster(t1), scene_truth(cfg)
     except FormatError as exc:
         raise BadConfig(f"config overflows the scene: {exc}") from exc
 

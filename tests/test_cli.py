@@ -366,23 +366,26 @@ def _run_files(out: Path) -> dict:
             if p.is_file()}
 
 
-def test_run_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+def test_run_bytes_do_not_depend_on_the_worker_count(tmp_path):
     paths = _write_scene_files(tmp_path)
-    cfg_path = str(tmp_path / "run.json")
-    with open(cfg_path, "w") as fh:
-        json.dump({"scene": {k: paths[k] for k in ("t0", "t1", "inner", "outer")},
-                   "detectors": ["diff", "hacd", "patch-hacd", "glcm-hacd"]}, fh)
-    assert main(["run", cfg_path, "--out", str(tmp_path / "default")]) == 0
-    default = _run_files(tmp_path / "default")
-    assert len(default) == 25  # 5 (diff) or 6 files per detector, roc.svg, league.csv
-    # one usable CPU, one worker; three, so three workers split the rate
-    # tables of 61, 253 and 2053 rows unevenly and one of them evaluates two
-    # of the four maps
-    for cpus in ({0}, {0, 1, 2}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        out = tmp_path / f"cpus-{len(cpus)}"
-        assert main(["run", cfg_path, "--out", str(out)]) == 0
-        assert _run_files(out) == default, cpus
+    scene = {k: paths[k] for k in ("t0", "t1", "inner", "outer")}
+    detectors = ["diff", "hacd", "patch-hacd", "glcm-hacd"]
+
+    def run(chosen):
+        out = tmp_path / str(len(chosen))
+        (tmp_path / "run.json").write_text(json.dumps({"scene": scene, "detectors": chosen}))
+        assert main(["run", str(tmp_path / "run.json"), "--out", str(out)]) == 0
+        return _run_files(out)
+
+    every = run(detectors)
+    assert len(every) == 25  # 5 (diff) or 6 files per detector, roc.svg, league.csv
+    # one detector, one worker; three, so three workers split the rate tables
+    # of 61, 253 and 2053 rows unevenly; each detector's files are the same
+    for chosen in (["hacd"], ["glcm-hacd", "diff", "patch-hacd"]):
+        files = run(chosen)
+        mine = {p: b for p, b in files.items() if p.split(os.sep)[0] in chosen}
+        assert mine == {p: b for p, b in every.items() if p.split(os.sep)[0] in chosen}
+        assert len(files) == len(mine) + 2, chosen  # and roc.svg, league.csv
 
 
 def test_run_under_a_foreign_main_module_matches_a_plain_run(tmp_path, src_env):
@@ -503,7 +506,27 @@ def test_run_forks_its_workers_before_synthesis_and_joins_them_on_error(
                                     "ridge": 1e308}))
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert "error SingularCovariance" in capsys.readouterr().err
-    assert workers_at_synthesis == [min(2, len(os.sched_getaffinity(0)))]
+    assert workers_at_synthesis == [2]
+    assert _children() == before
+
+
+def test_run_forks_one_worker_per_detector_whatever_the_usable_cpus(tmp_path, monkeypatch):
+    # one usable CPU still gives each of the four maps a worker of its own
+    before = _children()
+    workers_at_synthesis = []
+
+    def probe(cfg):
+        workers_at_synthesis.append(len(_children() - before))
+        return generate_scene(cfg)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(acdkit.cli, "generate_scene", probe)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"scene": "simple-additive",
+                                    "detectors": ["diff", "hacd", "patch-hacd", "glcm-hacd"]}))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    assert workers_at_synthesis == [4]
+    assert (tmp_path / "o" / "league.csv").exists()
     assert _children() == before
 
 
@@ -536,12 +559,12 @@ def test_run_whose_worker_is_killed_in_its_fill_is_exit_3(tmp_path, src_env):
         "scene": {k: paths[k] for k in ("t0", "t1", "inner", "outer")},
         "detectors": ["diff", "hacd"], "out": str(tmp_path / "o")}))
     code = ("import os, signal, sys, acdkit.cli\n"
-            "fill = acdkit.cli._format_rates\n"
+            "fill = acdkit.evaluate._format_rates\n"
             "def die_in_the_first_slice(table, n, lo, hi):\n"
             "    if lo == 0:\n"
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
             "    fill(table, n, lo, hi)\n"
-            "acdkit.cli._format_rates = die_in_the_first_slice\n"
+            "acdkit.evaluate._format_rates = die_in_the_first_slice\n"
             f"sys.exit(acdkit.cli.main(['run', {str(cfg_path)!r}]))\n")
     proc = subprocess.run([sys.executable, "-c", code], env=src_env,
                           capture_output=True, text=True, timeout=120)
@@ -604,7 +627,7 @@ def test_no_worker_outlives_a_run_killed_while_it_detects(tmp_path, src_env):
             time.sleep(0.02)
         assert marker.exists() and proc.poll() is None
         children = _children(proc.pid)
-        assert len(children) == min(2, len(os.sched_getaffinity(0)))
+        assert len(children) == 2
     finally:
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=60)
@@ -618,35 +641,35 @@ def test_no_worker_outlives_a_run_killed_while_it_detects(tmp_path, src_env):
 def test_rate_tables_filled_in_slices_equal_the_private_tables(parts, monkeypatch):
     # 9001 rows: not a multiple of 2 or 3, and more than two blocks of
     # _CSV_CHUNK_ROWS; a zero count gets no table and divides by nothing
-    monkeypatch.setattr(acdkit.cli, "shared_rate_tables", {})
+    monkeypatch.setattr(acdkit.evaluate, "shared_rate_tables", {})
     rate_table = acdkit.evaluate._rate_table
     counts = (9000, 7, 0, 9000)
-    whole = acdkit.cli._share_rate_tables(counts)
+    whole = acdkit.evaluate.share_rate_tables(counts)
     assert sorted(whole) == [7, 9000]
     for part in reversed(range(parts)):
-        acdkit.cli._fill_rate_tables(whole, part, parts)
-        alone = acdkit.cli._share_rate_tables(counts)
-        acdkit.cli._fill_rate_tables(alone, part, parts)
+        acdkit.evaluate.fill_rate_tables(whole, part, parts)
+        alone = acdkit.evaluate.share_rate_tables(counts)
+        acdkit.evaluate.fill_rate_tables(alone, part, parts)
         for n, table in alone.items():
             lo, hi = (n + 1) * part // parts, (n + 1) * (part + 1) // parts
             assert table[lo:hi].tobytes() == rate_table(n)[lo:hi].tobytes()
             assert not table[:lo].any() and not table[hi:].any()
     for n, table in whole.items():
         assert table.tobytes() == rate_table(n).tobytes()
-    assert acdkit.cli.shared_rate_tables.keys() == {7, 9000}
+    assert acdkit.evaluate.shared_rate_tables.keys() == {7, 9000}
 
 
 def test_rate_tables_filled_by_forked_workers_are_shared_with_their_parent():
     # more forked children than cores, each formatting one slice in its own
     # process as run's do: a slice written to a private copy of the mapping
     # would stay zero here
-    tables = acdkit.cli._share_rate_tables((20000, 3))
+    tables = acdkit.evaluate.share_rate_tables((20000, 3))
     pids = []
     for part in range(4):
         pids.append(os.fork())
         if not pids[-1]:
             try:
-                acdkit.cli._fill_rate_tables(tables, part, 4)
+                acdkit.evaluate.fill_rate_tables(tables, part, 4)
                 os._exit(0)
             finally:
                 os._exit(1)
