@@ -17,7 +17,6 @@ the unknown exact truth.
 
 from __future__ import annotations
 
-import functools
 import json
 import mmap
 import os
@@ -220,10 +219,10 @@ def write_roc_csv(band: RocBand, path: str) -> None:
     band's points exactly.
 
     Every rate of a band from ``roc`` is k / n for one of its three class
-    counts, so the reprs of k / n for k = 0..n are kept per count
-    (``_rate_table``, about 24 B per negative pixel, or the process's
-    ``shared_rate_tables``) and shared by every band of the process with
-    that count; a rate that is not such a quotient is formatted directly.
+    counts, so its cells are read from the reprs of k / n for k = 0..n that
+    ``fill_rate_tables`` installed for those counts (about 24 B per
+    negative pixel), formatted here first if they are not installed; a
+    rate that is not such a quotient is formatted directly.
     Rows are built ``_CSV_CHUNK_ROWS`` at a time as fixed-width, NUL-padded
     byte cells.
     """
@@ -249,18 +248,9 @@ def _format_rates(table: np.ndarray, n: int, lo: int, hi: int) -> None:
         table[a:b] = _reprs(np.arange(a, b) / n)[:, :_CELL_WIDTH]
 
 
-@functools.lru_cache(maxsize=3)  # one table per class count of a run
-def _rate_table(n: int) -> np.ndarray:
-    """Read-only (n + 1, _CELL_WIDTH) NUL-padded reprs of k / n, k = 0..n."""
-    table = np.empty((n + 1, _CELL_WIDTH), np.uint8)
-    _format_rates(table, n, 0, n + 1)
-    table.setflags(write=False)
-    return table
-
-
-# the filled tables of _rate_table by count that this process shares with
-# others (``run``'s workers); roc.csv reads them in place of its own
-shared_rate_tables: dict[int, np.ndarray] = {}
+# the rate tables by class count that roc.csv reads; only fill_rate_tables
+# writes it, so a process holds the tables of one set of counts
+_rate_tables: dict[int, np.ndarray] = {}
 
 
 def share_rate_tables(counts) -> dict[int, np.ndarray]:
@@ -274,16 +264,24 @@ def share_rate_tables(counts) -> dict[int, np.ndarray]:
 
 
 def fill_rate_tables(tables, part: int, parts: int) -> None:
-    """Format slice ``part`` of ``parts`` of every table in ``tables`` and read
-    them as this process's ``shared_rate_tables``, which are whole once each
-    of the ``parts`` processes sharing the mapping has formatted its slice."""
+    """Format slice ``part`` of ``parts`` of every table in ``tables`` and make
+    them, in place of any others, the tables this process's roc.csv reads;
+    they are whole once each of the ``parts`` processes sharing the mapping
+    has formatted its slice."""
     for n, table in tables.items():
         _format_rates(table, n, (n + 1) * part // parts, (n + 1) * (part + 1) // parts)
-    shared_rate_tables.update(tables)
+    _rate_tables.clear()
+    _rate_tables.update(tables)
 
 
 def _roc_csv_chunks(band: RocBand):
     ic, oc = band.inner_curve, band.outer_curve
+    counts = (band.n_neg, band.n_pos_inner, band.n_pos_outer)
+    # bound once, so a fill in another thread cannot swap them mid-file
+    tables = _rate_tables.copy()
+    if not tables.keys() >= set(counts):
+        tables = share_rate_tables(counts)
+        fill_rate_tables(tables, 0, 1)
     rate_columns = ((ic.fpr, band.n_neg), (ic.tpr, band.n_pos_inner),
                     (oc.fpr, band.n_neg), (oc.tpr, band.n_pos_outer))
     yield "threshold,fpr_inner,tpr_inner,fpr_outer,tpr_outer\n"
@@ -297,8 +295,7 @@ def _roc_csv_chunks(band: RocBand):
             # fmin/fmax keep k in 0..n (NaN too); the int64 views compare
             # bits, so -0.0 is not taken for 0.0
             k = np.rint(np.fmax(np.fmin(rate, 1.0), 0.0) * n).astype(np.int64)
-            table = shared_rate_tables.get(n)
-            cells[:, j, :_CELL_WIDTH] = (_rate_table(n) if table is None else table)[k]
+            cells[:, j, :_CELL_WIDTH] = tables[n][k]
             other = (k / n).view(np.int64) != rate.view(np.int64)
             cells[other, j] = _reprs(rate[other])
         cells[:, :4, _CELL_WIDTH] = ord(",")

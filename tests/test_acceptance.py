@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,7 +203,7 @@ def _tree_digest(out):
         for f in sorted(files):
             p = os.path.join(root, f)
             rel = os.path.relpath(p, out)
-            digests[rel] = hashlib.sha256(open(p, "rb").read()).hexdigest()
+            digests[rel] = hashlib.sha256(Path(p).read_bytes()).hexdigest()
     return digests
 
 

@@ -211,8 +211,8 @@ def test_synth_named_scene_round_trip(tmp_path):
     out2 = str(tmp_path / "scene2")
     assert main(["synth", "textured", "--out", out2]) == 0
     for name in ("t0", "t1"):
-        b1 = open(os.path.join(out, name + ".r32"), "rb").read()
-        b2 = open(os.path.join(out2, name + ".r32"), "rb").read()
+        b1 = Path(out, name + ".r32").read_bytes()
+        b2 = Path(out2, name + ".r32").read_bytes()
         assert b1 == b2
 
 
@@ -301,10 +301,10 @@ def test_run_pipeline_with_explicit_paths(tmp_path):
     with open(cfg_path, "w") as fh:
         json.dump(cfg, fh)
     assert main(["run", cfg_path]) == 0
-    league = open(os.path.join(out, "league.csv")).read().strip().splitlines()
+    league = Path(out, "league.csv").read_text().strip().splitlines()
     assert league[0] == "detector,pauc_inner,pauc_outer,auc_inner,auc_outer"
     assert len(league) == 3
-    combined = open(os.path.join(out, "roc.svg")).read()
+    combined = Path(out, "roc.svg").read_text()
     assert combined.count("<polyline") == 4
     for det in ("diff", "hacd"):
         for name in ("anomaly.r32", "roc.csv", "roc.svg", "summary.json"):
@@ -329,14 +329,14 @@ def test_run_matches_detect_plus_eval(tmp_path):
         assert main(["detect", "--detector", det, "--t0", paths["t0"],
                      "--t1", paths["t1"], "--out", det_out]) == 0
         ev_out = str(tmp_path / "ev" / det)
-        acdkit.evaluate._rate_table.cache_clear()
+        acdkit.evaluate._rate_tables.clear()
         assert main(["eval", "--map", os.path.join(det_out, "anomaly"),
                      "--inner", paths["inner"], "--outer", paths["outer"],
                      "--out", ev_out]) == 0
         for out, name in [(det_out, "anomaly.r32"), (det_out, "anomaly.json"),
                           (ev_out, "roc.csv"), (ev_out, "roc.svg"), (ev_out, "summary.json")]:
-            a = open(os.path.join(out, name), "rb").read()
-            b = open(os.path.join(run_out, det, name), "rb").read()
+            a = Path(out, name).read_bytes()
+            b = Path(run_out, det, name).read_bytes()
             assert a == b, (det, name)
 
 
@@ -637,12 +637,16 @@ def test_no_worker_outlives_a_run_killed_while_it_detects(tmp_path, src_env):
     assert not alive
 
 
+def _rate_reprs(n):
+    """The rows of a whole rate table of count ``n``: the reprs of k / n."""
+    return acdkit.evaluate._reprs(np.arange(n + 1) / n)[:, :acdkit.evaluate._CELL_WIDTH]
+
+
 @pytest.mark.parametrize("parts", [1, 2, 3])
 def test_rate_tables_filled_in_slices_equal_the_private_tables(parts, monkeypatch):
     # 9001 rows: not a multiple of 2 or 3, and more than two blocks of
     # _CSV_CHUNK_ROWS; a zero count gets no table and divides by nothing
-    monkeypatch.setattr(acdkit.evaluate, "shared_rate_tables", {})
-    rate_table = acdkit.evaluate._rate_table
+    monkeypatch.setattr(acdkit.evaluate, "_rate_tables", {})
     counts = (9000, 7, 0, 9000)
     whole = acdkit.evaluate.share_rate_tables(counts)
     assert sorted(whole) == [7, 9000]
@@ -652,11 +656,11 @@ def test_rate_tables_filled_in_slices_equal_the_private_tables(parts, monkeypatc
         acdkit.evaluate.fill_rate_tables(alone, part, parts)
         for n, table in alone.items():
             lo, hi = (n + 1) * part // parts, (n + 1) * (part + 1) // parts
-            assert table[lo:hi].tobytes() == rate_table(n)[lo:hi].tobytes()
+            assert table[lo:hi].tobytes() == _rate_reprs(n)[lo:hi].tobytes()
             assert not table[:lo].any() and not table[hi:].any()
     for n, table in whole.items():
-        assert table.tobytes() == rate_table(n).tobytes()
-    assert acdkit.evaluate.shared_rate_tables.keys() == {7, 9000}
+        assert table.tobytes() == _rate_reprs(n).tobytes()
+    assert acdkit.evaluate._rate_tables.keys() == {7, 9000}
 
 
 def test_rate_tables_filled_by_forked_workers_are_shared_with_their_parent():
@@ -676,22 +680,22 @@ def test_rate_tables_filled_by_forked_workers_are_shared_with_their_parent():
     for pid in pids:
         assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
     for n, table in tables.items():
-        assert table.tobytes() == acdkit.evaluate._rate_table(n).tobytes()
+        assert table.tobytes() == _rate_reprs(n).tobytes()
 
 
 def test_run_workers_read_the_shared_rate_tables(tmp_path, monkeypatch):
-    # the workers fork after this patch, so building a private table of any
-    # of the run's three class counts would fail the run
+    # the workers fork after this patch, so a worker that laid out rate
+    # tables of its own for the run's class counts would fail the run
     paths = _write_scene_files(tmp_path)
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({
         "scene": {k: paths[k] for k in ("t0", "t1", "inner", "outer")},
         "detectors": ["diff", "hacd"], "out": str(tmp_path / "o")}))
 
-    def no_private_table(n):
-        raise AssertionError(f"a worker formatted its own rate table of {n}")
+    def no_private_tables(counts):
+        raise AssertionError(f"a worker formatted its own rate tables of {counts}")
 
-    monkeypatch.setattr(acdkit.evaluate, "_rate_table", no_private_table)
+    monkeypatch.setattr(acdkit.evaluate, "share_rate_tables", no_private_tables)
     assert main(["run", str(cfg_path)]) == 0
     assert (tmp_path / "o" / "league.csv").exists()
 
@@ -730,7 +734,7 @@ def test_run_league_ranks_texture_detectors_first(tmp_path):
                    "detectors": ["diff", "hacd", "patch-hacd", "glcm-hacd"],
                    "out": out}, fh)
     assert main(["run", run_cfg]) == 0
-    rows = open(os.path.join(out, "league.csv")).read().strip().splitlines()[1:]
+    rows = Path(out, "league.csv").read_text().strip().splitlines()[1:]
     assert len(rows) == 4
     order = [r.split(",")[0] for r in rows]
     assert set(order[:2]) == {"patch-hacd", "glcm-hacd"}
@@ -859,7 +863,7 @@ def test_convert_round_trip(tmp_path):
     save_raster(r, base)
     txt = str(tmp_path / "dump.txt")
     assert main(["convert", base, txt]) == 0
-    first = open(txt).read().splitlines()
+    first = Path(txt).read_text().splitlines()
     assert first[0] == "4 3"
     back = str(tmp_path / "back")
     assert main(["convert", txt, back]) == 0
@@ -874,7 +878,7 @@ def test_convert_accepts_either_sidecar_path(tmp_path, ext):
     via_base, via_file = str(tmp_path / "base.txt"), str(tmp_path / "file.txt")
     assert main(["convert", base, via_base]) == 0
     assert main(["convert", base + ext, via_file]) == 0
-    assert open(via_file).read() == open(via_base).read()
+    assert Path(via_file).read_text() == Path(via_base).read_text()
 
 
 @pytest.mark.parametrize("ext", [".r32", ".json"])
@@ -893,7 +897,7 @@ def test_eval_accepts_either_sidecar_path(tmp_path, ext):
                 open(os.path.join(outs["file"], name), "rb") as b:
             assert a.read() == b.read()
     # the plot is labeled by the map's stem, not by the sidecar file name
-    assert ">anomaly<" in open(os.path.join(outs["file"], "roc.svg")).read()
+    assert ">anomaly<" in Path(outs["file"], "roc.svg").read_text()
 
 
 def test_convert_missing_source(tmp_path, capsys):
@@ -923,6 +927,18 @@ def test_convert_dump_value_that_is_not_a_finite_float32_names_the_dump(tmp_path
     assert main(["convert", str(tmp_path / "dump.txt"), str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "FormatError" in err and "dump.txt" in err
+
+
+@pytest.mark.parametrize("dump,message", [
+    ("\n  \n", "empty pixel dump"),
+    ("2 x\n1 2\n", "bad pixel dump"),
+    ("2 2\n1 2\n", "does not match declared 2x2"),
+], ids=["blank", "header-not-integer", "rows-missing"])
+def test_convert_malformed_dump_is_format_error(tmp_path, capsys, dump, message):
+    (tmp_path / "dump.txt").write_text(dump)
+    assert main(["convert", str(tmp_path / "dump.txt"), str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "FormatError" in err and "dump.txt" in err and message in err
 
 
 @pytest.mark.parametrize("command", [
@@ -973,6 +989,10 @@ def test_out_onto_a_file_is_io_error(tmp_path, capsys, command):
     (None, None, ["eval", "--map", "m", "--out", "o"]),
     (None, None, ["nope"]),
     (None, None, []),
+    ("run", {"detectors": []}, []),
+    ("run", {"scene": {"t2": "x"}}, []),
+    (None, None, ["synth", "--out", "o"]),
+    (None, None, ["synth", "textured", "--config", "c.json", "--out", "o"]),
 ], ids=["eval-fpr-max-0", "run-fpr-max-0", "offsets-not-pairs", "patch-not-int",
         "seed-not-int", "levels-0", "offsets-flag-not-pairs", "ridge-nan",
         "patch-fractional", "levels-fractional", "seed-fractional", "offsets-fractional",
@@ -981,7 +1001,9 @@ def test_out_onto_a_file_is_io_error(tmp_path, capsys, command):
         "levels-flag-fractional", "ridge-flag-not-number", "detector-flag-unknown",
         "offsets-flag-empty", "offsets-flag-empty-pair", "eval-fpr-max-flag-not-number",
         "ridge-flag-no-value", "ridge-flag-dash-value", "flag-unknown",
-        "eval-inner-flag-missing", "command-unknown", "command-missing"])
+        "eval-inner-flag-missing", "command-unknown", "command-missing",
+        "detectors-empty", "scene-path-key-unknown", "synth-scene-missing",
+        "synth-scene-and-config"])
 def test_malformed_option_is_exit_2(tmp_path, capsys, command, fields, flags):
     paths = _write_scene_files(tmp_path, side=16)
     out = str(tmp_path / "o")
@@ -992,7 +1014,7 @@ def test_malformed_option_is_exit_2(tmp_path, capsys, command, fields, flags):
     else:
         cfg = {"t0": paths["t0"], "t1": paths["t1"], **fields}
         if command == "run":
-            cfg.update(detectors=["diff"], inner=paths["inner"])
+            cfg = {"detectors": ["diff"], "inner": paths["inner"], **cfg}
         else:
             cfg["detector"] = "glcm-hacd"
         cfg_path = str(tmp_path / "cfg.json")

@@ -2,6 +2,7 @@ import csv
 import math
 import pickle
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -120,7 +121,9 @@ def test_evaluate_map_holds_each_column_once(tmp_path, monkeypatch):
     # a float64 copy of the map makes 59; at the peak, while roc.csv is
     # written, the band's four columns (32), the rate table (24 B per
     # negative pixel) and one block of cells take about 62, where the AUCs'
-    # temporaries beside the rate table make 73 and blocks of 16384 rows 78
+    # temporaries beside the rate table make 73 and blocks of 16384 rows 78;
+    # the rate tables are an anonymous mapping, which tracemalloc does not
+    # see, so their size is added to the peak from roc.csv on
     side = 512
     scores = np.random.default_rng(7).permutation(side * side).astype(np.float32)
     save_raster(Raster(scores.reshape(side, side)), str(tmp_path / "anomaly"))
@@ -128,12 +131,13 @@ def test_evaluate_map_holds_each_column_once(tmp_path, monkeypatch):
     inner[200:300, 200:300] = True
     outer[196:304, 196:304] = True
     gt = _gt(inner, outer)
-    evaluate._rate_table.cache_clear()
+    monkeypatch.setattr(evaluate, "_rate_tables", {})
     before_csv = []
     write_roc_csv = evaluate.write_roc_csv
 
     def probe(band, path):
         before_csv.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
         write_roc_csv(band, path)
 
     monkeypatch.setattr(evaluate, "write_roc_csv", probe)
@@ -144,6 +148,7 @@ def test_evaluate_map_holds_each_column_once(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    peak += sum(table.nbytes for table in evaluate._rate_tables.values())
     assert summary["n_neg"] == side * side - 108 * 108
     assert before_csv[0] <= 57 * side * side
     assert peak <= 64 * side * side
@@ -312,7 +317,7 @@ def test_svg_structure_and_clipping(tmp_path):
     band = roc(FOUR_PIXEL_MAP, FOUR_PIXEL_GT)
     path = str(tmp_path / "roc.svg")
     render_loglog_svg({"fixture": band}, path)
-    text = open(path).read()
+    text = Path(path).read_text()
     assert text.count("<polyline") == 2
     assert "fixture" in text
     assert text.startswith("<?xml")
@@ -325,7 +330,7 @@ def test_svg_deterministic_bytes(tmp_path):
     p1, p2 = str(tmp_path / "a.svg"), str(tmp_path / "b.svg")
     render_loglog_svg({"x": band}, p1)
     render_loglog_svg({"x": band}, p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_svg_multiple_bands(tmp_path):
@@ -333,7 +338,7 @@ def test_svg_multiple_bands(tmp_path):
     b2 = roc(_amap([[0.1, 0.2], [0.9, 0.8]]), FOUR_PIXEL_GT)
     path = str(tmp_path / "multi.svg")
     render_loglog_svg({"good": b1, "bad": b2}, path)
-    text = open(path).read()
+    text = Path(path).read_text()
     assert text.count("<polyline") == 4
     assert "good" in text and "bad" in text
 
@@ -429,18 +434,19 @@ def test_csv_bytes_match_reference_on_awkward_values(tmp_path):
     _assert_csv_matches_reference(band, tmp_path)
 
 
-def test_csv_bytes_match_reference_with_warm_and_cold_rate_tables(tmp_path):
+def test_csv_bytes_match_reference_with_warm_and_cold_rate_tables(tmp_path, monkeypatch):
     # bands of one mask pair share their class counts, so the second one
     # reads rate tables the first one built
-    evaluate._rate_table.cache_clear()
+    monkeypatch.setattr(evaluate, "_rate_tables", {})
     _assert_csv_matches_reference(_random_large_band(44, 100), tmp_path)
-    built = evaluate._rate_table.cache_info().misses
+    built = evaluate._rate_tables.copy()
     _assert_csv_matches_reference(_random_large_band(45, 100), tmp_path)
-    assert evaluate._rate_table.cache_info().misses == built
+    assert all(evaluate._rate_tables[n] is table for n, table in built.items())
     # other counts in between evict those tables
     _assert_csv_matches_reference(_random_large_band(46, 90), tmp_path)
+    assert not built.keys() & evaluate._rate_tables.keys()
     _assert_csv_matches_reference(_random_large_band(47, 100), tmp_path)
-    evaluate._rate_table.cache_clear()
+    evaluate._rate_tables.clear()
     _assert_csv_matches_reference(_random_large_band(48, 100), tmp_path)
 
 
@@ -465,21 +471,19 @@ def test_csv_bytes_match_reference_on_the_widest_reprs(tmp_path):
 def test_csv_refuses_a_repr_wider_than_a_cell(tmp_path, monkeypatch):
     path = tmp_path / "roc.csv"
     monkeypatch.setattr(evaluate, "_CELL_WIDTH", 23)
-    evaluate._rate_table.cache_clear()  # tables are built at the cell width
-    try:
-        # a 24-character threshold would be cut to "-2.2250738585072014e-30"
-        with pytest.raises(ValueError, match="longer than 23 characters"):
-            write_roc_csv(_widest_band(), str(path))
-        assert not path.exists()
-        # a rate of the shared table: repr(1 / 3) has 18 characters
-        monkeypatch.setattr(evaluate, "_CELL_WIDTH", 8)
-        curve = RocCurve([math.inf, 2.0, 1.0], [0.0, 1 / 3, 1.0], [0.0, 0.5, 1.0])
-        band = RocBand(curve, curve, 0.0, 0.0, 0.01, n_pos_inner=2, n_pos_outer=2, n_neg=3)
-        with pytest.raises(ValueError, match="longer than 8 characters"):
-            write_roc_csv(band, str(path))
-        assert not path.exists()
-    finally:
-        evaluate._rate_table.cache_clear()
+    # tables are built at the cell width, so none is kept past this test
+    monkeypatch.setattr(evaluate, "_rate_tables", {})
+    # a 24-character threshold would be cut to "-2.2250738585072014e-30"
+    with pytest.raises(ValueError, match="longer than 23 characters"):
+        write_roc_csv(_widest_band(), str(path))
+    assert not path.exists()
+    # a rate of the shared table: repr(1 / 3) has 18 characters
+    monkeypatch.setattr(evaluate, "_CELL_WIDTH", 8)
+    curve = RocCurve([math.inf, 2.0, 1.0], [0.0, 1 / 3, 1.0], [0.0, 0.5, 1.0])
+    band = RocBand(curve, curve, 0.0, 0.0, 0.01, n_pos_inner=2, n_pos_outer=2, n_neg=3)
+    with pytest.raises(ValueError, match="longer than 8 characters"):
+        write_roc_csv(band, str(path))
+    assert not path.exists()
 
 
 @settings(max_examples=60, deadline=None)

@@ -109,6 +109,19 @@ def test_bad_magic_rejected(tmp_path):
         load_raster(base)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("dtype", "f64le", "unsupported dtype/order"),
+    ("width", 0, "width/height must be positive integers"),
+])
+def test_bad_header_field_rejected(tmp_path, field, value, message):
+    base = str(tmp_path / "bad")
+    _write_r32(base, 1, 1, struct.pack("<f", 0.0),
+               header={"magic": "R32", "width": 1, "height": 1,
+                       "dtype": "f32le", "order": "row-major", field: value})
+    with pytest.raises(FormatError, match=message):
+        load_raster(base)
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(NotFound):
         load_raster(str(tmp_path / "nope"))

@@ -290,6 +290,7 @@ def test_suite_masks_validate():
         dict(background_corr_len=-1),
         dict(pervasive_patches=((90, 0, 20, 8, 1.5),)),
         dict(pervasive_patches=((0, 0, 4, 4, 0.0),)),
+        dict(width=0),                             # an empty grid
     ],
 )
 def test_bad_configs(kw):
