@@ -31,14 +31,7 @@ import traceback
 
 from .detectors import DETECTOR_NAMES, run_detector
 from .errors import AcdError, BadConfig, DimensionMismatch, FormatError, NotFound
-from .evaluate import (
-    DEFAULT_FPR_MAX,
-    class_counts,
-    evaluate_map,
-    fill_rate_tables,
-    share_rate_tables,
-    write_loglog_svg,
-)
+from .evaluate import DEFAULT_FPR_MAX, evaluate_map, write_loglog_svg
 # bench/spans.py traces these three here
 from .evaluate import render_loglog_svg, roc, write_roc_csv  # noqa: F401
 from .features import DEFAULT_LEVELS, DEFAULT_OFFSETS, DEFAULT_PATCH
@@ -234,16 +227,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _evaluator(part: int, parts: int, tables, truth: GroundTruth, fpr_max: float,
-               out_dir: str, go: int, results: int) -> None:
-    """``run``'s child ``part`` of ``parts``: fill its slice of ``tables``, report
-    None on the pipe end ``results``, then wait for a byte on ``go``, evaluate
-    the map in ``out_dir`` and pickle back (points, summary) or the exception.
-    EOF on ``go`` means the parent died, so the child ends evaluating nothing."""
+def _evaluator(truth: GroundTruth, fpr_max: float, out_dir: str, go: int, results: int) -> None:
+    """``run``'s evaluating child: wait for a byte on the pipe end ``go``,
+    evaluate the map in ``out_dir`` and pickle (points, summary) or the
+    exception to the pipe end ``results``.  EOF on ``go`` means the parent
+    died, so the child ends evaluating nothing."""
     with open(go, "rb", buffering=0) as go_in, open(results, "wb") as out:
-        fill_rate_tables(tables, part, parts)
-        pickle.dump(None, out)
-        out.flush()
         if go_in.read(1):
             try:
                 result = evaluate_map(_map_base(out_dir), out_dir, truth, fpr_max)
@@ -280,23 +269,20 @@ def cmd_run(args: argparse.Namespace) -> int:
         scene_dir = os.path.join(out_dir, "scene")
         cfg.update((k, os.path.join(scene_dir, k)) for k in _SCENE_PATHS)
     t0, t1, inner = (_require(cfg, k) for k in ("t0", "t1", "inner"))
-    # every map of the run is scored on these masks, so the children inherit
-    # them, and the rate tables of roc.csv, sized by their class counts
+    # every map of the run is scored on these masks, so the children inherit them
     truth = scene_truth(scene_cfg) if suite else load_ground_truth(inner, cfg.get("outer"))
-    shape, tables = truth.shape, share_rate_tables(class_counts(truth))
+    shape = truth.shape
 
     # The children fork from the post-import heap; signal is imported here
-    # so that other commands do not load it.  Each child formats its slice
-    # of the tables and reports; every report is read before the first map
-    # is handed over.  A child owes one result, so it may wait on its pipe
-    # until this process reads it.  Only this process holds the go pipes
-    # open, so its death is EOF to every child.
+    # so that other commands do not load it.  A child owes one result, so
+    # it may wait on its pipe until this process reads it.  Only this
+    # process holds the go pipes open, so its death is EOF to every child.
     import signal
 
     dirs = [os.path.join(out_dir, name) for name in detectors]
     pids, gos, results = [], [], []
 
-    def receive(k: int):  # child k's next result; EOF means it ended
+    def receive(k: int):  # child k's result; EOF means it ended
         try:
             got = pickle.load(results[k])
         except (EOFError, pickle.UnpicklingError):
@@ -308,7 +294,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return got
 
     try:
-        for k, d in enumerate(dirs):
+        for d in dirs:
             (go_r, go_w), (result_r, result_w) = os.pipe(), os.pipe()
             gos.append(open(go_w, "wb", buffering=0))
             results.append(open(result_r, "rb"))
@@ -317,7 +303,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 try:
                     for end in gos + results:
                         end.close()
-                    _evaluator(k, len(dirs), tables, truth, cfg["roc_fpr_max"], d, go_r, result_w)
+                    _evaluator(truth, cfg["roc_fpr_max"], d, go_r, result_w)
                     os._exit(0)
                 finally:
                     os._exit(1)
@@ -331,12 +317,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise DimensionMismatch(f"mask {inner} is {shape[1]}x{shape[0]}, "
                                     f"expected {pair.t0.width}x{pair.t0.height}")
         # detection stays here, where the tile threads have every core; an
-        # evaluation is eval's evaluate_map of the persisted map, and the
-        # tables hold eval's bytes, so no output depends on the child count
+        # evaluation is eval's evaluate_map of the persisted map, so no
+        # output depends on the child count
         for k, (name, d) in enumerate(zip(detectors, dirs)):
             _detect_pair({**cfg, "detector": name}, pair, d)
-            for j in range(len(dirs)) if k == 0 else ():
-                receive(j)
             with contextlib.suppress(BrokenPipeError):  # a dead child shows at its result
                 gos[k].write(b"\1")
         outcomes = [receive(k) for k in range(len(dirs))]

@@ -18,7 +18,6 @@ the unknown exact truth.
 from __future__ import annotations
 
 import json
-import mmap
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -34,10 +33,8 @@ DEFAULT_FPR_FLOOR = 1e-5
 
 # cap on polyline vertices per curve when rendering
 _SVG_MAX_POINTS = 4096
-# roc.csv rows formatted per block, bounding the cells held in memory
+# roc.csv rows tested per block, bounding the counts held in memory
 _CSV_CHUNK_ROWS = 4096
-# longest float64 repr, e.g. -2.2250738585072014e-308
-_CELL_WIDTH = 24
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -212,95 +209,52 @@ def auc(curve: RocCurve) -> float:
 
 
 def write_roc_csv(band: RocBand, path: str) -> None:
-    """Write both curves, aligned on their shared threshold grid.
+    """Write both curves, aligned on their shared threshold grid, as the
+    rows where they turn.
 
     Columns: threshold,fpr_inner,tpr_inner,fpr_outer,tpr_outer.  Floats
-    use shortest round-trip decimals, so parsing the file re-yields the
-    band's points exactly.
-
-    Every rate of a band from ``roc`` is k / n for one of its three class
-    counts, so its cells are read from the reprs of k / n for k = 0..n that
-    ``fill_rate_tables`` installed for those counts (about 24 B per
-    negative pixel), formatted here first if they are not installed; a
-    rate that is not such a quotient is formatted directly.
-    Rows are built ``_CSV_CHUNK_ROWS`` at a time as fixed-width, NUL-padded
-    byte cells.
+    use shortest round-trip decimals, so parsing the file re-yields each
+    written point exactly.  The rows are the first, the last, and every
+    row where the step into it and the step out of it are not parallel on
+    the inner curve (fpr_inner, tpr_inner) or on the outer curve.  The
+    steps are taken in integer counts, k = rint(rate * n) for the rate's
+    class count n, by an exact int64 cross product (class counts below
+    2**31); a rate that is not the float k / n, only possible in a
+    hand-built band, keeps its row too.  On a band from ``roc`` the outer
+    curve moves at every threshold, so every operating point left out lies
+    on the segment between the rows kept on either side of it.  Rows are
+    tested ``_CSV_CHUNK_ROWS`` at a time.
     """
     write_text(path, _roc_csv_chunks(band))
 
 
-def _reprs(values: np.ndarray) -> np.ndarray:
-    """Shortest round-trip reprs of ``values``, one NUL-padded row of
-    ``_CELL_WIDTH + 1`` bytes each with the last byte left 0; raises
-    instead of truncating a longer repr."""
-    text = np.array(list(map(repr, values.tolist())), dtype=f"S{_CELL_WIDTH + 1}")
-    cells = text.view(np.uint8).reshape(-1, _CELL_WIDTH + 1)
-    if cells[:, _CELL_WIDTH].any():
-        raise ValueError(f"a float repr is longer than {_CELL_WIDTH} characters")
-    return cells
-
-
-def _format_rates(table: np.ndarray, n: int, lo: int, hi: int) -> None:
-    """Fill rows lo..hi-1 of an (n + 1, _CELL_WIDTH) table with the
-    NUL-padded reprs of k / n."""
-    for a in range(lo, hi, _CSV_CHUNK_ROWS):
-        b = min(a + _CSV_CHUNK_ROWS, hi)
-        table[a:b] = _reprs(np.arange(a, b) / n)[:, :_CELL_WIDTH]
-
-
-# the rate tables by class count that roc.csv reads; only fill_rate_tables
-# writes it, so a process holds the tables of one set of counts
-_rate_tables: dict[int, np.ndarray] = {}
-
-
-def share_rate_tables(counts) -> dict[int, np.ndarray]:
-    """Blank rate tables of each nonzero count in ``counts`` (an empty class
-    has no rates), laid out in one anonymous mapping that the processes
-    forked after it share; making them touches no page."""
-    sizes = {n: (n + 1) * _CELL_WIDTH for n in sorted(set(counts) - {0})}
-    whole = np.frombuffer(mmap.mmap(-1, sum(sizes.values())), np.uint8)
-    parts = np.split(whole, np.cumsum(list(sizes.values()))[:-1])
-    return {n: part.reshape(n + 1, _CELL_WIDTH) for n, part in zip(sizes, parts)}
-
-
-def fill_rate_tables(tables, part: int, parts: int) -> None:
-    """Format slice ``part`` of ``parts`` of every table in ``tables`` and make
-    them, in place of any others, the tables this process's roc.csv reads;
-    they are whole once each of the ``parts`` processes sharing the mapping
-    has formatted its slice."""
-    for n, table in tables.items():
-        _format_rates(table, n, (n + 1) * part // parts, (n + 1) * (part + 1) // parts)
-    _rate_tables.clear()
-    _rate_tables.update(tables)
-
-
 def _roc_csv_chunks(band: RocBand):
     ic, oc = band.inner_curve, band.outer_curve
-    counts = (band.n_neg, band.n_pos_inner, band.n_pos_outer)
-    # bound once, so a fill in another thread cannot swap them mid-file
-    tables = _rate_tables.copy()
-    if not tables.keys() >= set(counts):
-        tables = share_rate_tables(counts)
-        fill_rate_tables(tables, 0, 1)
-    rate_columns = ((ic.fpr, band.n_neg), (ic.tpr, band.n_pos_inner),
-                    (oc.fpr, band.n_neg), (oc.tpr, band.n_pos_outer))
+    columns = (ic.thresholds, ic.fpr, ic.tpr, oc.fpr, oc.tpr)
+    counts = (band.n_neg, band.n_pos_inner, band.n_neg, band.n_pos_outer)
+    size = ic.thresholds.size
     yield "threshold,fpr_inner,tpr_inner,fpr_outer,tpr_outer\n"
-    for lo in range(0, ic.thresholds.size, _CSV_CHUNK_ROWS):
-        hi = lo + _CSV_CHUNK_ROWS
-        thresholds = ic.thresholds[lo:hi]
-        cells = np.zeros((thresholds.size, 5, _CELL_WIDTH + 1), np.uint8)
-        cells[:, 0] = _reprs(thresholds)
-        for j, (column, n) in enumerate(rate_columns, 1):
-            rate = column[lo:hi]
+    for lo in range(0, size, _CSV_CHUNK_ROWS):
+        hi = min(lo + _CSV_CHUNK_ROWS, size)
+        # the chunk's rows and a neighbour on each side, whose steps decide
+        # whether the chunk's first and last rows turn
+        a, b = max(lo - 1, 0), min(hi + 1, size)
+        k = np.empty((4, b - a), np.int64)
+        keep = np.zeros(b - a, bool)
+        keep[0], keep[-1] = a == 0, b == size
+        for j, (column, n) in enumerate(zip(columns[1:], counts)):
+            rate = column[a:b]
             # fmin/fmax keep k in 0..n (NaN too); the int64 views compare
             # bits, so -0.0 is not taken for 0.0
-            k = np.rint(np.fmax(np.fmin(rate, 1.0), 0.0) * n).astype(np.int64)
-            cells[:, j, :_CELL_WIDTH] = tables[n][k]
-            other = (k / n).view(np.int64) != rate.view(np.int64)
-            cells[other, j] = _reprs(rate[other])
-        cells[:, :4, _CELL_WIDTH] = ord(",")
-        cells[:, 4, _CELL_WIDTH] = ord("\n")
-        yield cells[cells != 0].tobytes().decode("ascii")
+            k[j] = np.rint(np.fmax(np.fmin(rate, 1.0), 0.0) * n)
+            keep |= (k[j] / n).view(np.int64) != rate.view(np.int64)
+        steps = np.diff(k)
+        into, out = steps[:, :-1], steps[:, 1:]
+        keep[1:-1] |= ((into[0] * out[1] != into[1] * out[0])
+                       | (into[2] * out[3] != into[3] * out[2]))
+        rows = np.flatnonzero(keep[lo - a:hi - a]) + lo
+        yield "".join(f"{t!r},{fi!r},{ti!r},{fo!r},{to!r}\n"
+                      for t, fi, ti, fo, to in zip(*(c[rows].tolist() for c in columns)))
 
 
 def evaluate_map(path: str, out_dir: str, truth: GroundTruth | tuple[str, str | None],
@@ -318,8 +272,8 @@ def evaluate_map(path: str, out_dir: str, truth: GroundTruth | tuple[str, str | 
     exists, and the AUCs' temporaries are gone before roc.csv is written,
     so the arrays held at once are at most the band's four columns
     (thresholds, the shared fpr, two tpr) with either ``roc``'s classes in
-    score order and running count or the rate tables and one
-    ``_CSV_CHUNK_ROWS`` block of cells.
+    score order and running count or one ``_CSV_CHUNK_ROWS`` block of
+    roc.csv's counts.
     """
     scores = load_raster(path).data
     if not isinstance(truth, GroundTruth):

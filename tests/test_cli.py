@@ -312,9 +312,7 @@ def test_run_pipeline_with_explicit_paths(tmp_path):
 
 
 def test_run_matches_detect_plus_eval(tmp_path):
-    # run evaluates in forked workers, which format rates from the tables
-    # each one builds (or inherits from this process at fork); each eval
-    # here starts from an empty table cache
+    # run evaluates in forked workers; eval here evaluates in this process
     detectors = ["diff", "hacd", "patch-hacd", "glcm-hacd"]
     paths = _write_scene_files(tmp_path)
     run_out = str(tmp_path / "run")
@@ -329,7 +327,6 @@ def test_run_matches_detect_plus_eval(tmp_path):
         assert main(["detect", "--detector", det, "--t0", paths["t0"],
                      "--t1", paths["t1"], "--out", det_out]) == 0
         ev_out = str(tmp_path / "ev" / det)
-        acdkit.evaluate._rate_tables.clear()
         assert main(["eval", "--map", os.path.join(det_out, "anomaly"),
                      "--inner", paths["inner"], "--outer", paths["outer"],
                      "--out", ev_out]) == 0
@@ -379,8 +376,8 @@ def test_run_bytes_do_not_depend_on_the_worker_count(tmp_path):
 
     every = run(detectors)
     assert len(every) == 25  # 5 (diff) or 6 files per detector, roc.svg, league.csv
-    # one detector, one worker; three, so three workers split the rate tables
-    # of 61, 253 and 2053 rows unevenly; each detector's files are the same
+    # one detector, one worker; three, three workers; each detector's files
+    # are the same
     for chosen in (["hacd"], ["glcm-hacd", "diff", "patch-hacd"]):
         files = run(chosen)
         mine = {p: b for p, b in files.items() if p.split(os.sep)[0] in chosen}
@@ -549,30 +546,6 @@ def test_run_whose_worker_is_killed_is_exit_3(tmp_path, src_env):
     assert "RuntimeError: an evaluation worker exited with code -9" in proc.stderr
 
 
-def test_run_whose_worker_is_killed_in_its_fill_is_exit_3(tmp_path, src_env):
-    # the worker with the first slice of the rate tables is killed while it
-    # formats it, so its report never comes and run ends with exit 3,
-    # neither waiting forever nor writing a roc.csv from a blank slice
-    paths = _write_scene_files(tmp_path)
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps({
-        "scene": {k: paths[k] for k in ("t0", "t1", "inner", "outer")},
-        "detectors": ["diff", "hacd"], "out": str(tmp_path / "o")}))
-    code = ("import os, signal, sys, acdkit.cli\n"
-            "fill = acdkit.evaluate._format_rates\n"
-            "def die_in_the_first_slice(table, n, lo, hi):\n"
-            "    if lo == 0:\n"
-            "        os.kill(os.getpid(), signal.SIGKILL)\n"
-            "    fill(table, n, lo, hi)\n"
-            "acdkit.evaluate._format_rates = die_in_the_first_slice\n"
-            f"sys.exit(acdkit.cli.main(['run', {str(cfg_path)!r}]))\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=src_env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 3, proc.stderr
-    assert "RuntimeError: an evaluation worker exited with code -9" in proc.stderr
-    assert not (tmp_path / "o" / "diff" / "roc.csv").exists()
-
-
 def test_run_hands_each_map_over_as_soon_as_it_is_written(tmp_path, monkeypatch):
     # the first detector's map is evaluated while the last detector runs, not
     # once every map is written: the last detection waits for its summary
@@ -635,69 +608,6 @@ def test_no_worker_outlives_a_run_killed_while_it_detects(tmp_path, src_env):
     while (alive := set(filter(_running, children))) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not alive
-
-
-def _rate_reprs(n):
-    """The rows of a whole rate table of count ``n``: the reprs of k / n."""
-    return acdkit.evaluate._reprs(np.arange(n + 1) / n)[:, :acdkit.evaluate._CELL_WIDTH]
-
-
-@pytest.mark.parametrize("parts", [1, 2, 3])
-def test_rate_tables_filled_in_slices_equal_the_private_tables(parts, monkeypatch):
-    # 9001 rows: not a multiple of 2 or 3, and more than two blocks of
-    # _CSV_CHUNK_ROWS; a zero count gets no table and divides by nothing
-    monkeypatch.setattr(acdkit.evaluate, "_rate_tables", {})
-    counts = (9000, 7, 0, 9000)
-    whole = acdkit.evaluate.share_rate_tables(counts)
-    assert sorted(whole) == [7, 9000]
-    for part in reversed(range(parts)):
-        acdkit.evaluate.fill_rate_tables(whole, part, parts)
-        alone = acdkit.evaluate.share_rate_tables(counts)
-        acdkit.evaluate.fill_rate_tables(alone, part, parts)
-        for n, table in alone.items():
-            lo, hi = (n + 1) * part // parts, (n + 1) * (part + 1) // parts
-            assert table[lo:hi].tobytes() == _rate_reprs(n)[lo:hi].tobytes()
-            assert not table[:lo].any() and not table[hi:].any()
-    for n, table in whole.items():
-        assert table.tobytes() == _rate_reprs(n).tobytes()
-    assert acdkit.evaluate._rate_tables.keys() == {7, 9000}
-
-
-def test_rate_tables_filled_by_forked_workers_are_shared_with_their_parent():
-    # more forked children than cores, each formatting one slice in its own
-    # process as run's do: a slice written to a private copy of the mapping
-    # would stay zero here
-    tables = acdkit.evaluate.share_rate_tables((20000, 3))
-    pids = []
-    for part in range(4):
-        pids.append(os.fork())
-        if not pids[-1]:
-            try:
-                acdkit.evaluate.fill_rate_tables(tables, part, 4)
-                os._exit(0)
-            finally:
-                os._exit(1)
-    for pid in pids:
-        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-    for n, table in tables.items():
-        assert table.tobytes() == _rate_reprs(n).tobytes()
-
-
-def test_run_workers_read_the_shared_rate_tables(tmp_path, monkeypatch):
-    # the workers fork after this patch, so a worker that laid out rate
-    # tables of its own for the run's class counts would fail the run
-    paths = _write_scene_files(tmp_path)
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps({
-        "scene": {k: paths[k] for k in ("t0", "t1", "inner", "outer")},
-        "detectors": ["diff", "hacd"], "out": str(tmp_path / "o")}))
-
-    def no_private_tables(counts):
-        raise AssertionError(f"a worker formatted its own rate tables of {counts}")
-
-    monkeypatch.setattr(acdkit.evaluate, "share_rate_tables", no_private_tables)
-    assert main(["run", str(cfg_path)]) == 0
-    assert (tmp_path / "o" / "league.csv").exists()
 
 
 def test_run_refuses_masks_off_the_scene_grid(tmp_path, capsys):

@@ -118,12 +118,9 @@ def test_evaluate_map_holds_each_column_once(tmp_path, monkeypatch):
     # an all-distinct 512x512 map: up to roc.csv, the f32 map (4 B per
     # pixel), the tie-group ends, the band's four columns, the classes in
     # score order and one running count come to about 55 B per pixel, where
-    # a float64 copy of the map makes 59; at the peak, while roc.csv is
-    # written, the band's four columns (32), the rate table (24 B per
-    # negative pixel) and one block of cells take about 62, where the AUCs'
-    # temporaries beside the rate table make 73 and blocks of 16384 rows 78;
-    # the rate tables are an anonymous mapping, which tracemalloc does not
-    # see, so their size is added to the peak from roc.csv on
+    # a float64 copy of the map makes 59; from roc.csv on, the band's four
+    # columns (32) and one block of roc.csv's counts take about 35, where
+    # blocks of 16384 rows make 38 and one block of every row 122
     side = 512
     scores = np.random.default_rng(7).permutation(side * side).astype(np.float32)
     save_raster(Raster(scores.reshape(side, side)), str(tmp_path / "anomaly"))
@@ -131,7 +128,6 @@ def test_evaluate_map_holds_each_column_once(tmp_path, monkeypatch):
     inner[200:300, 200:300] = True
     outer[196:304, 196:304] = True
     gt = _gt(inner, outer)
-    monkeypatch.setattr(evaluate, "_rate_tables", {})
     before_csv = []
     write_roc_csv = evaluate.write_roc_csv
 
@@ -148,10 +144,9 @@ def test_evaluate_map_holds_each_column_once(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    peak += sum(table.nbytes for table in evaluate._rate_tables.values())
     assert summary["n_neg"] == side * side - 108 * 108
     assert before_csv[0] <= 57 * side * side
-    assert peak <= 64 * side * side
+    assert peak <= 37 * side * side
 
 
 def _stable_reference_roc(scores, inner, outer):
@@ -289,28 +284,35 @@ def test_dominance_sanity():
     assert band.pauc_outer == pytest.approx(0.01, abs=1e-15)
 
 
-def test_csv_round_trip(tmp_path):
-    band = roc(FOUR_PIXEL_MAP, FOUR_PIXEL_GT)
-    path = str(tmp_path / "roc.csv")
-    write_roc_csv(band, path)
+def _read_roc_csv(path):
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["threshold", "fpr_inner", "tpr_inner", "fpr_outer", "tpr_outer"]
-    assert len(rows) == 1 + band.inner_curve.thresholds.size
-    parsed = np.array([[float(v) for v in row] for row in rows[1:]])
-    assert np.array_equal(parsed[:, 0], band.inner_curve.thresholds)
-    assert np.array_equal(parsed[:, 1], band.inner_curve.fpr)
-    assert np.array_equal(parsed[:, 2], band.inner_curve.tpr)
-    assert np.array_equal(parsed[:, 3], band.outer_curve.fpr)
-    assert np.array_equal(parsed[:, 4], band.outer_curve.tpr)
+    return np.array([[float(v) for v in row] for row in rows[1:]])
+
+
+def _band_columns(band):
+    ic, oc = band.inner_curve, band.outer_curve
+    return np.stack([ic.thresholds, ic.fpr, ic.tpr, oc.fpr, oc.tpr], axis=1)
+
+
+def test_csv_round_trip(tmp_path):
+    # thresholds 0.9 and 0.2 lie on straight runs (two positives, then two
+    # negatives), so the file holds the corners: inf, 0.8 and 0.1
+    band = roc(FOUR_PIXEL_MAP, FOUR_PIXEL_GT)
+    path = str(tmp_path / "roc.csv")
+    write_roc_csv(band, path)
+    parsed = _read_roc_csv(path)
+    assert parsed.tolist() == _band_columns(band)[[0, 2, 4]].tolist()
+    assert parsed[:, 0].tolist() == [math.inf, 0.8, 0.1]
 
 
 def test_csv_two_point_band(tmp_path):
     band = roc(_amap([[1.0, 1.0, 1.0]]), _gt([[True, False, False]]))
-    path = str(tmp_path / "two.csv")
-    write_roc_csv(band, path)
-    with open(path) as fh:
-        assert len(fh.read().strip().splitlines()) == 3  # header + 2 points
+    path = tmp_path / "two.csv"
+    write_roc_csv(band, str(path))
+    assert path.read_text() == ("threshold,fpr_inner,tpr_inner,fpr_outer,tpr_outer\n"
+                                "inf,0.0,0.0,0.0,0.0\n1.0,1.0,1.0,1.0,1.0\n")
 
 
 def test_svg_structure_and_clipping(tmp_path):
@@ -348,20 +350,31 @@ def test_svg_requires_a_band(tmp_path):
         render_loglog_svg({}, str(tmp_path / "no.svg"))
 
 
-# Reference writers: the straightforward per-cell / per-vertex formatting
+# Reference writers: the straightforward per-row / per-vertex formatting
 # that the vectorised writers must reproduce byte for byte.
 
 def _reference_write_roc_csv(band, path):
+    """roc.csv by its rule, one row at a time in Python ints: the first and the
+    last row, a row with a rate that is not the float k / n, and a row where
+    the inner or the outer curve turns."""
     ic, oc = band.inner_curve, band.outer_curve
+    rows = list(zip(*(c.tolist() for c in (ic.thresholds, ic.fpr, ic.tpr, oc.fpr, oc.tpr))))
+    counts = (band.n_neg, band.n_pos_inner, band.n_neg, band.n_pos_outer)
+    k = [[round(min(max(rate, 0.0), 1.0) * n) for rate, n in zip(row[1:], counts)]
+         for row in rows]
+
+    def other(i):
+        return any((kk / n).hex() != rate.hex() for rate, kk, n in zip(rows[i][1:], k[i], counts))
+
+    def turns(i):
+        into = [b - a for a, b in zip(k[i - 1], k[i])]
+        out = [b - a for a, b in zip(k[i], k[i + 1])]
+        return (into[0] * out[1] != into[1] * out[0]) or (into[2] * out[3] != into[3] * out[2])
+
     lines = ["threshold,fpr_inner,tpr_inner,fpr_outer,tpr_outer"]
-    for i in range(ic.thresholds.size):
-        lines.append(
-            ",".join(
-                repr(v)
-                for v in (ic.thresholds[i].item(), ic.fpr[i].item(), ic.tpr[i].item(),
-                          oc.fpr[i].item(), oc.tpr[i].item())
-            )
-        )
+    for i, row in enumerate(rows):
+        if i in (0, len(rows) - 1) or other(i) or turns(i):
+            lines.append(",".join(map(repr, row)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -434,22 +447,6 @@ def test_csv_bytes_match_reference_on_awkward_values(tmp_path):
     _assert_csv_matches_reference(band, tmp_path)
 
 
-def test_csv_bytes_match_reference_with_warm_and_cold_rate_tables(tmp_path, monkeypatch):
-    # bands of one mask pair share their class counts, so the second one
-    # reads rate tables the first one built
-    monkeypatch.setattr(evaluate, "_rate_tables", {})
-    _assert_csv_matches_reference(_random_large_band(44, 100), tmp_path)
-    built = evaluate._rate_tables.copy()
-    _assert_csv_matches_reference(_random_large_band(45, 100), tmp_path)
-    assert all(evaluate._rate_tables[n] is table for n, table in built.items())
-    # other counts in between evict those tables
-    _assert_csv_matches_reference(_random_large_band(46, 90), tmp_path)
-    assert not built.keys() & evaluate._rate_tables.keys()
-    _assert_csv_matches_reference(_random_large_band(47, 100), tmp_path)
-    evaluate._rate_tables.clear()
-    _assert_csv_matches_reference(_random_large_band(48, 100), tmp_path)
-
-
 # float64 reprs of 23 and 24 characters; no float64 repr is longer than 24
 WIDEST_REPRS = [-2.2250738585072014e-308, -1.7976931348623157e+308,
                 -1.2345678901234567e-100, -3.0000000000000004e-05]
@@ -464,26 +461,11 @@ def _widest_band():
 
 
 def test_csv_bytes_match_reference_on_the_widest_reprs(tmp_path):
-    assert max(map(len, map(repr, WIDEST_REPRS))) == evaluate._CELL_WIDTH
+    assert max(map(len, map(repr, WIDEST_REPRS))) == 24
     _assert_csv_matches_reference(_widest_band(), tmp_path)
-
-
-def test_csv_refuses_a_repr_wider_than_a_cell(tmp_path, monkeypatch):
-    path = tmp_path / "roc.csv"
-    monkeypatch.setattr(evaluate, "_CELL_WIDTH", 23)
-    # tables are built at the cell width, so none is kept past this test
-    monkeypatch.setattr(evaluate, "_rate_tables", {})
-    # a 24-character threshold would be cut to "-2.2250738585072014e-30"
-    with pytest.raises(ValueError, match="longer than 23 characters"):
-        write_roc_csv(_widest_band(), str(path))
-    assert not path.exists()
-    # a rate of the shared table: repr(1 / 3) has 18 characters
-    monkeypatch.setattr(evaluate, "_CELL_WIDTH", 8)
-    curve = RocCurve([math.inf, 2.0, 1.0], [0.0, 1 / 3, 1.0], [0.0, 0.5, 1.0])
-    band = RocBand(curve, curve, 0.0, 0.0, 0.01, n_pos_inner=2, n_pos_outer=2, n_neg=3)
-    with pytest.raises(ValueError, match="longer than 8 characters"):
-        write_roc_csv(band, str(path))
-    assert not path.exists()
+    # every row turns or holds a rate that is not k / n, so every repr is written
+    assert _read_roc_csv(str(tmp_path / "new.csv")).tolist() == \
+        _band_columns(_widest_band()).tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -505,6 +487,80 @@ def test_writers_match_reference_property(tmp_path_factory, data, shape, chunk_r
     with mock.patch.object(evaluate, "_CSV_CHUNK_ROWS", chunk_rows):
         _assert_csv_matches_reference(band, tmp_path)
     _assert_svg_matches_reference({"a": band}, tmp_path)
+
+
+@st.composite
+def _tied_bands(draw):
+    """A band from roc of a map with few distinct values, so most pixels tie,
+    0.0 beside -0.0, and distinct floats, whose runs of one class lie on a
+    straight segment of both curves."""
+    shape = draw(st.tuples(st.integers(1, 30), st.integers(1, 30)))
+    scores = draw(hnp.arrays(np.float64, shape, elements=st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.5e-7]),
+        st.integers(-40, 40).map(float),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )))
+    outer = draw(hnp.arrays(np.bool_, shape))
+    inner = outer & draw(hnp.arrays(np.bool_, shape))
+    assume(inner.any() and not outer.all())
+    return roc(_amap(scores), _gt(inner, outer))
+
+
+def _counts(band, rates):
+    """The integer counts k = rint(rate * n) of (m, 4) fpr/tpr rows of ``band``."""
+    n = (band.n_neg, band.n_pos_inner, band.n_neg, band.n_pos_outer)
+    return np.rint(rates * n).astype(np.int64)
+
+
+def _written_rows(band, tmp_path):
+    """roc.csv of ``band`` read back, and the band row of each of its rows,
+    found by the row's threshold (a band from roc has distinct thresholds)."""
+    path = str(tmp_path / "roc.csv")
+    write_roc_csv(band, path)
+    parsed = _read_roc_csv(path)
+    rows = np.searchsorted(-band.inner_curve.thresholds, -parsed[:, 0])
+    assert parsed.tolist() == _band_columns(band)[rows].tolist()
+    assert np.all(np.diff(rows) > 0)
+    return parsed, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(band=_tied_bands())
+def test_csv_polyline_holds_every_operating_point_property(tmp_path_factory, band):
+    parsed, rows = _written_rows(band, tmp_path_factory.mktemp("polyline"))
+    points = _counts(band, _band_columns(band)[:, 1:])
+    vertices = _counts(band, parsed[:, 1:])
+    # the segment of each band row: between the kept rows at or around it
+    seg = np.minimum(np.searchsorted(rows, np.arange(len(points)), side="right") - 1,
+                     len(rows) - 2)
+    lo, hi = vertices[seg], vertices[seg + 1]
+    for f, t in ((0, 1), (2, 3)):
+        d, p = hi[:, [f, t]] - lo[:, [f, t]], points[:, [f, t]] - lo[:, [f, t]]
+        assert np.array_equal(d[:, 0] * p[:, 1], d[:, 1] * p[:, 0])
+        assert np.all((0 <= p) & (p <= d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(band=_tied_bands())
+def test_csv_keeps_only_turns_property(tmp_path_factory, band):
+    _, rows = _written_rows(band, tmp_path_factory.mktemp("turns"))
+    counts = _counts(band, _band_columns(band)[:, 1:])
+    inner = rows[1:-1]
+    into, out = counts[inner] - counts[inner - 1], counts[inner + 1] - counts[inner]
+    assert np.all((into[:, 0] * out[:, 1] != into[:, 1] * out[:, 0])
+                  | (into[:, 2] * out[:, 3] != into[:, 3] * out[:, 2]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(band=_tied_bands())
+def test_csv_starts_at_nothing_detected_and_ends_at_everything_property(tmp_path_factory,
+                                                                        band):
+    path = tmp_path_factory.mktemp("ends") / "roc.csv"
+    write_roc_csv(band, str(path))
+    lines = path.read_text().splitlines()
+    assert lines[1] == "inf,0.0,0.0,0.0,0.0"
+    last = band.inner_curve.thresholds[-1].item()
+    assert lines[-1] == f"{last!r},1.0,1.0,1.0,1.0"
 
 
 def test_svg_bytes_match_reference_with_decimation(tmp_path):
