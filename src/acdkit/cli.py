@@ -4,13 +4,11 @@ Subcommands:
     detect   run one detector on a raster pair, write the anomaly map
     eval     score an anomaly map against ground-truth masks
     synth    generate a named or configured synthetic scene
-    run      detect + eval for several detectors, with a combined plot;
-             each map is evaluated, as soon as it is written, in a child
-             process of its own, forked before the scene is synthesised
-             or loaded
+    run      detect + eval for several detectors, with a combined plot:
+             every detector runs, then every map is evaluated
     convert  R32 raster <-> plain-text pixel dump
 
-``eval`` and ``run``'s children evaluate a map with one function,
+``eval`` and ``run`` evaluate a map with one function,
 ``acdkit.evaluate.evaluate_map``.
 
 Exit codes: 0 success, 2 user/data error (the diagnostic names the
@@ -22,15 +20,13 @@ from __future__ import annotations
 
 import argparse
 import collections
-import contextlib
 import dataclasses
 import os
-import pickle
 import sys
 import traceback
 
 from .detectors import DETECTOR_NAMES, run_detector
-from .errors import AcdError, BadConfig, DimensionMismatch, FormatError, NotFound
+from .errors import AcdError, BadConfig, FormatError, NotFound
 from .evaluate import DEFAULT_FPR_MAX, evaluate_map, write_loglog_svg
 # bench/spans.py traces these three here
 from .evaluate import render_loglog_svg, roc, write_roc_csv  # noqa: F401
@@ -38,7 +34,6 @@ from .features import DEFAULT_LEVELS, DEFAULT_OFFSETS, DEFAULT_PATCH
 from .hacd import save_model
 from .raster import (
     CoregisteredPair,
-    GroundTruth,
     Raster,
     _base_path,
     load_ground_truth,
@@ -57,7 +52,6 @@ from .synth import (
     config_to_json,
     generate_scene,
     scene_suite,
-    scene_truth,
 )
 
 # the config keys each command reads
@@ -227,25 +221,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _evaluator(truth: GroundTruth, fpr_max: float, out_dir: str, go: int, results: int) -> None:
-    """``run``'s evaluating child: wait for a byte on the pipe end ``go``,
-    evaluate the map in ``out_dir`` and pickle (points, summary) or the
-    exception to the pipe end ``results``.  EOF on ``go`` means the parent
-    died, so the child ends evaluating nothing."""
-    with open(go, "rb", buffering=0) as go_in, open(results, "wb") as out:
-        if go_in.read(1):
-            try:
-                result = evaluate_map(_map_base(out_dir), out_dir, truth, fpr_max)
-            except Exception as exc:
-                result = exc
-            pickle.dump(result, out)
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    """Fork one evaluating child per listed detector before the scene is
-    synthesised or loaded, detect with every detector in order and tell
-    each child to go as soon as its map is written; write the combined
-    roc.svg and league.csv from the plot points and summaries they return."""
+    """Detect with every listed detector in order, then evaluate each map
+    as ``eval`` does; write the combined roc.svg and league.csv from the
+    plot points and summaries of the evaluations."""
     config = read_json(args.config, BadConfig, _RUN_KEYS)
     # a scene path object gives the same keys as the top level
     paths = config.get("scene") if isinstance(config.get("scene"), dict) else {}
@@ -268,68 +247,19 @@ def cmd_run(args: argparse.Namespace) -> int:
             scene_cfg = dataclasses.replace(scene_cfg, seed=cfg["seed"])
         scene_dir = os.path.join(out_dir, "scene")
         cfg.update((k, os.path.join(scene_dir, k)) for k in _SCENE_PATHS)
+        _write_scene(scene_cfg, scene_dir)
     t0, t1, inner = (_require(cfg, k) for k in ("t0", "t1", "inner"))
-    # every map of the run is scored on these masks, so the children inherit them
-    truth = scene_truth(scene_cfg) if suite else load_ground_truth(inner, cfg.get("outer"))
-    shape = truth.shape
-
-    # The children fork from the post-import heap; signal is imported here
-    # so that other commands do not load it.  A child owes one result, so
-    # it may wait on its pipe until this process reads it.  Only this
-    # process holds the go pipes open, so its death is EOF to every child.
-    import signal
-
+    pair = make_pair(load_raster(t0), load_raster(t1))
+    grid = (pair.t0.width, pair.t0.height)
+    # masks off the grid fail before any detector runs; they are loaded again
+    # once the pair is dropped, so that detection's peak does not hold them
+    load_ground_truth(inner, cfg.get("outer"), grid)
     dirs = [os.path.join(out_dir, name) for name in detectors]
-    pids, gos, results = [], [], []
-
-    def receive(k: int):  # child k's result; EOF means it ended
-        try:
-            got = pickle.load(results[k])
-        except (EOFError, pickle.UnpicklingError):
-            pid, pids[k] = pids[k], None
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            raise RuntimeError(f"an evaluation worker exited with code {code}") from None
-        if isinstance(got, Exception):
-            raise got
-        return got
-
-    try:
-        for d in dirs:
-            (go_r, go_w), (result_r, result_w) = os.pipe(), os.pipe()
-            gos.append(open(go_w, "wb", buffering=0))
-            results.append(open(result_r, "rb"))
-            pids.append(os.fork())
-            if not pids[-1]:
-                try:
-                    for end in gos + results:
-                        end.close()
-                    _evaluator(truth, cfg["roc_fpr_max"], d, go_r, result_w)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            os.close(go_r)
-            os.close(result_w)
-        del truth
-        if suite:
-            _write_scene(scene_cfg, scene_dir)
-        pair = make_pair(load_raster(t0), load_raster(t1))
-        if shape != pair.shape:
-            raise DimensionMismatch(f"mask {inner} is {shape[1]}x{shape[0]}, "
-                                    f"expected {pair.t0.width}x{pair.t0.height}")
-        # detection stays here, where the tile threads have every core; an
-        # evaluation is eval's evaluate_map of the persisted map, so no
-        # output depends on the child count
-        for k, (name, d) in enumerate(zip(detectors, dirs)):
-            _detect_pair({**cfg, "detector": name}, pair, d)
-            with contextlib.suppress(BrokenPipeError):  # a dead child shows at its result
-                gos[k].write(b"\1")
-        outcomes = [receive(k) for k in range(len(dirs))]
-    finally:
-        for end in gos + results:
-            end.close()
-        for pid in filter(None, pids):
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    for name, d in zip(detectors, dirs):
+        _detect_pair({**cfg, "detector": name}, pair, d)
+    del pair
+    truth = load_ground_truth(inner, cfg.get("outer"), grid)
+    outcomes = [evaluate_map(_map_base(d), d, truth, cfg["roc_fpr_max"]) for d in dirs]
 
     points = {name: p for name, (p, _) in zip(detectors, outcomes)}
     rows = [(name, s["pauc_inner"], s["pauc_outer"], s["auc_inner"], s["auc_outer"])
@@ -436,8 +366,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from .threads import stop_blas_pool
+
     try:
         args = build_parser().parse_args(argv)
+        # the pool that importing NumPy started would spin beside synthesis,
+        # I/O and evaluation, which make no BLAS call on more than one thread
+        stop_blas_pool()
         return args.func(args)
     except AcdError as exc:
         print(f"error {type(exc).__name__}: {exc}", file=sys.stderr)

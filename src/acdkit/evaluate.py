@@ -1,11 +1,16 @@
 """Dual-mask ROC curves, partial AUC, CSV export, log-log SVG plots, and
 the evaluation of one persisted anomaly map (``evaluate_map``).
 
+One walk over a map's score order (``_walk``) yields its operating points
+a block at a time, as integer counts.  ``roc`` collects them into a band;
+``evaluate_map`` writes roc.csv from them as they come and keeps only
+what its summary and plot need, so it never holds a band.
+
 A plot is drawn in two steps: ``plot_points`` reduces a band to the
 vertices its polylines draw (at most ``_SVG_MAX_POINTS`` + 1 per curve),
 and ``write_loglog_svg`` writes named vertices as SVG.  ``evaluate_map``
-returns the vertices, not the band, so ``run``'s workers send its parent
-a few thousand points per map whatever the map's size.
+returns the vertices, so ``run`` keeps a few thousand points per map
+whatever the map's size.
 
 A detector is evaluated against both ground-truth masks at once.  The
 outer curve treats every outer-mask pixel as positive; the inner curve
@@ -33,8 +38,9 @@ DEFAULT_FPR_FLOOR = 1e-5
 
 # cap on polyline vertices per curve when rendering
 _SVG_MAX_POINTS = 4096
-# roc.csv rows tested per block, bounding the counts held in memory
-_CSV_CHUNK_ROWS = 4096
+# pixels of the score order, or rows of a band, read at once: bounds the
+# counts and roc.csv rows held in memory
+_BLOCK_ROWS = 4096
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -98,15 +104,62 @@ class RocBand:
 PlotPoints = tuple[np.ndarray, np.ndarray]
 
 
-def class_counts(gt: GroundTruth) -> tuple[int, int, int]:
-    """(n_pos_inner, n_pos_outer, n_neg) of every band on ``gt``.
+def _walk(scores: np.ndarray, gt: GroundTruth):
+    """(the number of operating points, (n_pos_inner, n_pos_outer, n_neg),
+    the blocks) of one pass over the descending score order of a float32 or
+    float64 map.
 
-    Negatives are the complement of the OUTER mask for both curves; the
-    ambiguous outer-minus-inner ring is therefore in neither class of the
-    inner curve (not inner-positive, not a negative).
+    Each block is (float64 thresholds, the (3, m) int64 counts of negatives,
+    inner and outer positives scoring at least each threshold) of the next
+    points; the first is (+inf, 0, 0, 0) alone, each later threshold a
+    distinct score.  Sorting float32 scores gives the order and ties of
+    their float64 values, so only the thresholds are widened.  Raises
+    GridMismatch when map and masks disagree and EmptyClass when a curve
+    would have no positives or no negatives.
     """
-    n_outer = int(np.count_nonzero(gt.outer))
-    return int(np.count_nonzero(gt.inner)), n_outer, gt.outer.size - n_outer
+    if scores.shape != gt.shape:
+        raise GridMismatch(f"anomaly map {scores.shape} does not match masks {gt.shape}")
+    n_inner, n_outer = int(np.count_nonzero(gt.inner)), int(np.count_nonzero(gt.outer))
+    n_neg = gt.outer.size - n_outer  # both curves' negatives: the outer mask's complement
+    for label, n_pos in (("inner", n_inner), ("outer", n_outer)):
+        if n_pos == 0:
+            raise EmptyClass(f"{label} curve has no positive pixels")
+        if n_neg == 0:
+            raise EmptyClass(f"{label} curve has no negative pixels")
+    flat = scores.ravel()
+    # the one tie group whose order shows is 0.0 with -0.0: its threshold is
+    # the zero at the highest raster index, as a stable sort would end it
+    # (without a zero, no threshold reads this)
+    zero = flat[flat.size - 1 - np.argmax((flat == 0)[::-1])]
+    # a tie group's counts are read at its last index, whatever the order
+    # inside it, so the ascending order read backwards will do
+    order = np.argsort(flat)[::-1]
+    ranked = flat[order]
+    n_points = int(np.count_nonzero(ranked[1:] != ranked[:-1])) + 2
+    blocks = _blocks(ranked, order, gt.inner.ravel(), gt.outer.ravel(), zero)
+    return n_points, (n_inner, n_outer, n_neg), blocks
+
+
+def _blocks(ranked, order, inner, outer, zero):
+    """``_walk``'s blocks, from ``_BLOCK_ROWS`` pixels of the order at a time."""
+    yield np.array([np.inf]), np.zeros((3, 1), np.int64)
+    above = np.zeros((2, 1), np.int64)  # inner and outer positives before the block
+    for lo in range(0, ranked.size, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, ranked.size)
+        # the last pixel of each tie group, told by the pixel after it
+        s = ranked[lo:hi + 1]
+        ends = np.flatnonzero(s[1:] != s[:-1] if hi < ranked.size
+                              else np.append(s[1:] != s[:-1], True))
+        running = np.cumsum([inner[order[lo:hi]], outer[order[lo:hi]]], axis=1, dtype=np.int64)
+        running += above
+        above = running[:, -1:]
+        if ends.size:
+            thresholds = s[ends].astype(np.float64)
+            thresholds[thresholds == 0] = zero
+            counts = np.empty((3, ends.size), np.int64)
+            counts[1:] = running[:, ends]
+            counts[0] = lo + 1 + ends - counts[2]  # pixels at or above, less outer positives
+            yield thresholds, counts
 
 
 def roc(amap: AnomalyMap, gt: GroundTruth, fpr_max: float = DEFAULT_FPR_MAX) -> RocBand:
@@ -116,73 +169,19 @@ def roc(amap: AnomalyMap, gt: GroundTruth, fpr_max: float = DEFAULT_FPR_MAX) -> 
     curves).  Raises GridMismatch when map and masks disagree and
     EmptyClass when a curve would have no positives or no negatives.
     """
-    return _roc(amap.scores, gt, fpr_max)
-
-
-def _roc(scores: np.ndarray, gt: GroundTruth, fpr_max: float) -> RocBand:
-    """roc of a finite float32 or float64 score array.  Sorting float32
-    scores gives the order and ties of their float64 values, and widening
-    only the thresholds gives the same values, so no float64 map is made."""
-    if scores.shape != gt.shape:
-        raise GridMismatch(
-            f"anomaly map {scores.shape} does not match masks {gt.shape}"
-        )
-    n_inner, n_outer, n_neg = class_counts(gt)
-    for label, n_pos in (("inner", n_inner), ("outer", n_outer)):
-        if n_pos == 0:
-            raise EmptyClass(f"{label} curve has no positive pixels")
-        if n_neg == 0:
-            raise EmptyClass(f"{label} curve has no negative pixels")
-    scores = scores.ravel()
-    inner = gt.inner.ravel()
-    outer = gt.outer.ravel()
-
-    # a tie group's counts are read at its last index, whatever the order
-    # inside it, so the sort need not be stable
-    order = np.argsort(-scores).astype(np.int64, copy=False)
-    s = scores[order]
-    # last index of each tie group of equal scores
-    group_ends = np.nonzero(np.append(s[1:] != s[:-1], True))[0]
-    thresholds = np.concatenate([[np.inf], s[group_ends]])
-    del s  # freed before the rate columns are built, which lowers roc's peak
-    # the one group whose order shows is 0.0 with -0.0: its threshold is the
-    # zero at the highest raster index, as a stable sort would end it
-    if (zero := np.flatnonzero(thresholds == 0)).size:
-        thresholds[zero] = scores[np.flatnonzero(scores == 0)[-1]]
-
-    # each class in score order, one byte per pixel; then the order's 8-byte
-    # buffer holds each class's running count in turn, as float64: counts
-    # below 2**53 are exact, so each rate is the same quotient k / n as with
-    # integer counts, and each column is written where it is kept
-    members = [m[order] for m in (~outer, inner, outer)]
-    running = order.view(np.float64)
-    del order
-
-    def rate(ranked: np.ndarray, n: int) -> np.ndarray:
-        running[...] = ranked
-        np.cumsum(running, out=running)
-        column = np.empty(thresholds.size)
-        column[0] = 0.0
-        # mode "clip" writes into out directly, where "raise" buffers it
-        np.take(running, group_ends, out=column[1:], mode="clip")
-        column[1:] /= n
-        return column
-
+    n_points, (n_inner, n_outer, n_neg), blocks = _walk(amap.scores, gt)
+    sizes = np.array([[n_neg], [n_inner], [n_outer]])
     # both curves share the thresholds and the negatives' fpr column
-    fpr, tpr_inner, tpr_outer = map(rate, members, (n_neg, n_inner, n_outer))
-    del members, group_ends, running  # freed before the curves check their columns
+    thresholds, fpr, tpr_inner, tpr_outer = columns = np.empty((4, n_points))
+    at = 0
+    for t, counts in blocks:
+        columns[0, at:at + t.size] = t
+        columns[1:, at:at + t.size] = counts / sizes
+        at += t.size
     inner_curve = RocCurve(thresholds, fpr, tpr_inner)
     outer_curve = RocCurve(thresholds, fpr, tpr_outer)
-    return RocBand(
-        inner_curve,
-        outer_curve,
-        pauc(inner_curve, fpr_max),
-        pauc(outer_curve, fpr_max),
-        float(fpr_max),
-        n_inner,
-        n_outer,
-        n_neg,
-    )
+    return RocBand(inner_curve, outer_curve, pauc(inner_curve, fpr_max), pauc(outer_curve, fpr_max),
+                   float(fpr_max), n_inner, n_outer, n_neg)
 
 
 def pauc(curve: RocCurve, fpr_max: float = DEFAULT_FPR_MAX) -> float:
@@ -193,7 +192,11 @@ def pauc(curve: RocCurve, fpr_max: float = DEFAULT_FPR_MAX) -> float:
     """
     if not 0.0 < fpr_max <= 1.0:
         raise ValueError(f"fpr_max must be in (0, 1], got {fpr_max}")
-    f, t = curve.fpr, curve.tpr
+    return _pauc(curve.fpr, curve.tpr, fpr_max)
+
+
+def _pauc(f: np.ndarray, t: np.ndarray, fpr_max: float) -> float:
+    """pauc of the curve (f, t), read only up to the first point past fpr_max."""
     idx = int(np.searchsorted(f, fpr_max, side="right"))
     ff, tt = f[:idx], t[:idx]
     if idx < f.size and (ff.size == 0 or ff[-1] < fpr_max):
@@ -223,76 +226,112 @@ def write_roc_csv(band: RocBand, path: str) -> None:
     hand-built band, keeps its row too.  On a band from ``roc`` the outer
     curve moves at every threshold, so every operating point left out lies
     on the segment between the rows kept on either side of it.  Rows are
-    tested ``_CSV_CHUNK_ROWS`` at a time.
+    tested ``_BLOCK_ROWS`` at a time.
     """
-    write_text(path, _roc_csv_chunks(band))
+    write_text(path, _roc_csv_text(_band_rows(band)))
 
 
-def _roc_csv_chunks(band: RocBand):
+def _band_rows(band: RocBand):
+    """``band``'s rows in ``_roc_csv_text``'s blocks, each count rint(rate * n)."""
     ic, oc = band.inner_curve, band.outer_curve
-    columns = (ic.thresholds, ic.fpr, ic.tpr, oc.fpr, oc.tpr)
-    counts = (band.n_neg, band.n_pos_inner, band.n_neg, band.n_pos_outer)
-    size = ic.thresholds.size
+    sizes = np.array([[band.n_neg], [band.n_pos_inner], [band.n_neg], [band.n_pos_outer]])
+    for lo in range(0, ic.thresholds.size, _BLOCK_ROWS):
+        rows = np.stack([c[lo:lo + _BLOCK_ROWS]
+                         for c in (ic.thresholds, ic.fpr, ic.tpr, oc.fpr, oc.tpr)])
+        # fmin/fmax keep k in 0..n (NaN too); the int64 views compare bits,
+        # so -0.0 is not taken for 0.0
+        k = np.rint(np.fmax(np.fmin(rows[1:], 1.0), 0.0) * sizes).astype(np.int64)
+        yield rows, k, ((k / sizes).view(np.int64) != rows[1:].view(np.int64)).any(axis=0)
+
+
+def _roc_csv_text(blocks):
+    """roc.csv's text from blocks of consecutive rows (rows, k, keep): the
+    file's (5, m) float64 columns, the (4, m) int64 counts of its rates and
+    the rows kept whatever their steps.  A block's last row is written with
+    the next block, once the step out of it is known."""
     yield "threshold,fpr_inner,tpr_inner,fpr_outer,tpr_outer\n"
-    for lo in range(0, size, _CSV_CHUNK_ROWS):
-        hi = min(lo + _CSV_CHUNK_ROWS, size)
-        # the chunk's rows and a neighbour on each side, whose steps decide
-        # whether the chunk's first and last rows turn
-        a, b = max(lo - 1, 0), min(hi + 1, size)
-        k = np.empty((4, b - a), np.int64)
-        keep = np.zeros(b - a, bool)
-        keep[0], keep[-1] = a == 0, b == size
-        for j, (column, n) in enumerate(zip(columns[1:], counts)):
-            rate = column[a:b]
-            # fmin/fmax keep k in 0..n (NaN too); the int64 views compare
-            # bits, so -0.0 is not taken for 0.0
-            k[j] = np.rint(np.fmax(np.fmin(rate, 1.0), 0.0) * n)
-            keep |= (k[j] / n).view(np.int64) != rate.view(np.int64)
+    tail = None  # the last two rows read, the last of them not yet written
+    for block in blocks:
+        if tail is None:
+            rows, k, keep = block
+            keep, first = keep.copy(), 0
+            keep[0] = True  # the first row
+        else:
+            rows, k, keep = (np.concatenate(pair, axis=-1) for pair in zip(tail, block))
+            first = tail[2].size - 1
         steps = np.diff(k)
         into, out = steps[:, :-1], steps[:, 1:]
         keep[1:-1] |= ((into[0] * out[1] != into[1] * out[0])
                        | (into[2] * out[3] != into[3] * out[2]))
-        rows = np.flatnonzero(keep[lo - a:hi - a]) + lo
-        yield "".join(f"{t!r},{fi!r},{ti!r},{fo!r},{to!r}\n"
-                      for t, fi, ti, fo, to in zip(*(c[rows].tolist() for c in columns)))
+        yield _csv_lines(rows[:, np.flatnonzero(keep[first:-1]) + first])
+        tail = rows[:, -2:], k[:, -2:], keep[-2:]
+    yield _csv_lines(tail[0][:, -1:])  # the last row
+
+
+def _csv_lines(rows: np.ndarray) -> str:
+    # the rate columns repeat values (both fpr columns are one), so each
+    # distinct rate is formatted once, told apart by its bits: -0.0 from 0.0
+    bits, index = np.unique(rows[1:].view(np.int64), return_inverse=True)
+    text = list(map(repr, bits.view(np.float64).tolist()))
+    cells = [text[i] for i in index.ravel().tolist()]
+    m = rows.shape[1]
+    return "".join(map("{},{},{},{},{}\n".format, map(repr, rows[0].tolist()),
+                       *(cells[j * m:(j + 1) * m] for j in range(4))))
 
 
 def evaluate_map(path: str, out_dir: str, truth: GroundTruth | tuple[str, str | None],
                  fpr_max: float) -> tuple[PlotPoints, dict]:
     """Evaluate the f32 anomaly map persisted at ``path`` into ``out_dir``:
     roc.csv, roc.svg labelled by the map's file stem (or "map"), and
-    summary.json.  Returns the band's ``plot_points`` and the summary dict,
-    whose sizes do not grow with the map, and drops the band itself.
+    summary.json.  Returns the map's ``plot_points`` and the summary dict,
+    whose sizes do not grow with the map.  ``truth`` is the GroundTruth or
+    the (inner, outer) mask paths, loaded on the map's grid.
 
-    ``truth`` is the GroundTruth or the (inner, outer) mask paths, loaded on
-    the map's grid.  ``eval`` and ``run``'s workers call this function; the
-    workers are forked, so nothing pickles it, or imports ``__main__``.
-
-    ``roc`` sorts the f32 map itself, which is dropped once the band
-    exists, and the AUCs' temporaries are gone before roc.csv is written,
-    so the arrays held at once are at most the band's four columns
-    (thresholds, the shared fpr, two tpr) with either ``roc``'s classes in
-    score order and running count or one ``_CSV_CHUNK_ROWS`` block of
-    roc.csv's counts.
+    One ``_walk`` writes roc.csv as its blocks come and keeps only the
+    rates up to the first point past ``fpr_max`` (all ``pauc`` reads), the
+    plotted vertices and two integer sums: each AUC is the exact sum of
+    dneg * (k_before + k_after) over the steps, over 2 * n_neg * n_pos,
+    rounded once.  The map is dropped once sorted, so the walk holds its
+    order and sorted scores (12 B per pixel) and one block at a time.
     """
     scores = load_raster(path).data
     if not isinstance(truth, GroundTruth):
         truth = load_ground_truth(*truth, scores.shape[::-1])
-    band = _roc(scores, truth, fpr_max)
+    n_points, (n_inner, n_outer, n_neg), blocks = _walk(scores, truth)
     del scores
-    summary = {
-        "pauc_inner": band.pauc_inner,
-        "pauc_outer": band.pauc_outer,
-        "auc_inner": auc(band.inner_curve),
-        "auc_outer": auc(band.outer_curve),
-        "fpr_max": band.fpr_max,
-        "n_pos_inner": band.n_pos_inner,
-        "n_pos_outer": band.n_pos_outer,
-        "n_neg": band.n_neg,
-    }
+    sizes = np.array([[n_neg], [n_inner], [n_outer]])
+    vertex_rows = _vertex_rows(n_points)
+    head, shown, area = [], [], [0, 0]
+
+    def rows():
+        at, last = 0, np.zeros((3, 1), np.int64)
+        for t, counts in blocks:
+            rates = counts / sizes
+            if not head or head[-1][0, -1] <= fpr_max:
+                head.append(rates[:, :np.searchsorted(rates[0], fpr_max, side="right") + 1])
+            lo, hi = np.searchsorted(vertex_rows, (at, at + t.size))
+            shown.append(rates[:, vertex_rows[lo:hi] - at])
+            k = np.concatenate([last, counts], axis=1)
+            for j in (0, 1):
+                area[j] += int(np.diff(k[0]) @ (k[j + 1, :-1] + k[j + 1, 1:]))
+            at, last = at + t.size, counts[:, -1:]
+            yield np.stack([t, *rates[[0, 1, 0, 2]]]), counts[[0, 1, 0, 2]], np.zeros(t.size, bool)
+
     make_dir(out_dir)
-    write_roc_csv(band, os.path.join(out_dir, "roc.csv"))
-    points = plot_points(band)
+    write_text(os.path.join(out_dir, "roc.csv"), _roc_csv_text(rows()))
+    f, tpr_inner, tpr_outer = np.concatenate(head, axis=1)
+    summary = {
+        "pauc_inner": _pauc(f, tpr_inner, fpr_max),
+        "pauc_outer": _pauc(f, tpr_outer, fpr_max),
+        "auc_inner": area[0] / (2 * n_neg * n_inner),
+        "auc_outer": area[1] / (2 * n_neg * n_outer),
+        "fpr_max": float(fpr_max),
+        "n_pos_inner": n_inner,
+        "n_pos_outer": n_outer,
+        "n_neg": n_neg,
+    }
+    f, tpr_inner, tpr_outer = np.concatenate(shown, axis=1)
+    points = np.stack([f, tpr_inner]), np.stack([f, tpr_outer])
     label = _base_path(os.path.basename(os.path.normpath(path))) or "map"
     write_loglog_svg({label: points}, os.path.join(out_dir, "roc.svg"))
     write_text(os.path.join(out_dir, "summary.json"),
@@ -300,16 +339,19 @@ def evaluate_map(path: str, out_dir: str, truth: GroundTruth | tuple[str, str | 
     return points, summary
 
 
+def _vertex_rows(n: int) -> np.ndarray:
+    """The points of an n-point curve that its polyline draws: every
+    ``ceil(n / _SVG_MAX_POINTS)``-th and the last."""
+    rows = np.arange(0, n, -(-n // _SVG_MAX_POINTS))
+    return rows if rows[-1] == n - 1 else np.append(rows, n - 1)
+
+
 def plot_points(band: RocBand) -> PlotPoints:
     """The vertices ``write_loglog_svg`` draws for ``band``: each curve's
-    (fpr, tpr) rows at every ``ceil(n / _SVG_MAX_POINTS)``-th operating
-    point and the last one, so at most ``_SVG_MAX_POINTS`` + 1 columns."""
+    (fpr, tpr) rows at its ``_vertex_rows``."""
     def vertices(curve: RocCurve) -> np.ndarray:
-        n = curve.fpr.size
-        idx = np.arange(0, n, -(-n // _SVG_MAX_POINTS))
-        if idx[-1] != n - 1:
-            idx = np.append(idx, n - 1)
-        return np.stack([curve.fpr[idx], curve.tpr[idx]])
+        rows = _vertex_rows(curve.fpr.size)
+        return np.stack([curve.fpr[rows], curve.tpr[rows]])
 
     return vertices(band.inner_curve), vertices(band.outer_curve)
 

@@ -388,11 +388,13 @@ def load_model(path: str) -> HacdModel:
 
     Raises NotFound when the file is missing, IoError when it cannot be read
     and FormatError when it is not a model: bad UTF-8 or JSON, a missing key,
-    or arrays that do not fit d_x, d_y.
+    a d_x or d_y that is not a JSON integer, or arrays that do not fit them.
     """
     doc = read_json(path, FormatError)
     try:
-        dx, dy = int(doc["d_x"]), int(doc["d_y"])
+        dx, dy = doc["d_x"], doc["d_y"]
+        if type(dx) is not int or type(dy) is not int:  # not a bool, a string or a fraction
+            raise TypeError(f"d_x and d_y must be JSON integers, got {dx!r}, {dy!r}")
         mean_x = np.array(doc["mean_x"], dtype=np.float64).reshape(dx)
         mean_y = np.array(doc["mean_y"], dtype=np.float64).reshape(dy)
         cov = np.array(doc["cov"], dtype=np.float64).reshape(dx + dy, dx + dy)

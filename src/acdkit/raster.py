@@ -224,7 +224,8 @@ def load_raster(path: str) -> Raster:
     if header.get("dtype") != _HEADER_DTYPE or header.get("order") != _HEADER_ORDER:
         raise FormatError(f"{header_path}: unsupported dtype/order")
     width, height = header.get("width"), header.get("height")
-    if not (isinstance(width, int) and isinstance(height, int) and width >= 1 and height >= 1):
+    # type(...) is int: JSON true and false parse as bools, which are ints too
+    if not (type(width) is int and type(height) is int and width >= 1 and height >= 1):
         raise FormatError(f"{header_path}: width/height must be positive integers")
 
     payload = _read_bytes(payload_path)

@@ -157,7 +157,7 @@ def generate_scene(cfg: SceneConfig) -> tuple[Raster, Raster, GroundTruth]:
     other full-size planes are the background field and the box means.  A
     config whose values overflow float64 or float32 on the way is refused
     with BadConfig when the planes become Rasters, without a warning."""
-    from . import rng  # here, not at import: run's children fork before synthesis
+    from . import rng  # here, not at import, so that only synthesis loads it
 
     h, w = cfg.height, cfg.width
     r = cfg.background_corr_len

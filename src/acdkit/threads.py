@@ -6,8 +6,8 @@ change their last bits with it.  So the whole detector (fit, the model's
 factorisations and score) runs with BLAS pinned to one thread, and a
 patch fit or score takes its parallelism from column tiles of a fixed
 width instead, one share per thread, each tile computed alike; the bits
-then depend on the grid alone.  ``hacd`` imports this module where it is
-used, so ``import acdkit`` compiles none of it.
+then depend on the grid alone.  ``hacd`` and ``cli.main`` import this
+module where it is used, so ``import acdkit`` compiles none of it.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ def _blas():
     overlap a BLAS call on another thread; the next call that uses more
     than one thread starts the pool again.  A pool thread spins for about
     0.1 s of CPU time after each call before it sleeps, which is lost to
-    the threads that fit or score tiles, or to the processes that evaluate
-    beside them.
+    the threads that fit or score tiles.
     """
     try:
         lib = ctypes.CDLL(_multiarray_umath.__file__)  # its symbols include its libraries'
@@ -57,6 +56,20 @@ def _blas():
             stop.argtypes, stop.restype = [], ctypes.c_int
             return get, set_, stop
     return None
+
+
+def stop_blas_pool() -> None:
+    """End the BLAS thread pool, if there is one, as a fork would.
+
+    A pool thread spins after it starts, as after each call, beside the
+    caller's work; the next BLAS call that uses more than one thread starts
+    the pool again.  Like ``_blas``'s stop, it must not overlap a BLAS call
+    on another thread.
+    """
+    calls = _blas()
+    if calls is not None:
+        with _lock:
+            calls[2]()
 
 
 @contextlib.contextmanager

@@ -5,11 +5,9 @@ import inspect
 import io
 import json
 import os
-import signal
 import subprocess
 import sys
 import tempfile
-import time
 import typing
 from pathlib import Path
 
@@ -36,6 +34,7 @@ from acdkit import (
 import acdkit.cli
 import acdkit.errors
 import acdkit.evaluate
+import acdkit.threads
 from acdkit.cli import main
 
 
@@ -312,7 +311,8 @@ def test_run_pipeline_with_explicit_paths(tmp_path):
 
 
 def test_run_matches_detect_plus_eval(tmp_path):
-    # run evaluates in forked workers; eval here evaluates in this process
+    # run and eval evaluate a map with one function; run reads the masks
+    # once for every map, eval once per map
     detectors = ["diff", "hacd", "patch-hacd", "glcm-hacd"]
     paths = _write_scene_files(tmp_path)
     run_out = str(tmp_path / "run")
@@ -338,9 +338,9 @@ def test_run_matches_detect_plus_eval(tmp_path):
 
 
 def test_run_combined_plot_is_the_plot_of_the_recomputed_bands(tmp_path):
-    # the workers return plot points, not bands; the combined roc.svg must be
-    # the plot of the bands that roc recomputes from the written maps, on a
-    # grid with more distinct scores than a polyline draws
+    # run keeps each evaluation's plot points, not its band; the combined
+    # roc.svg must be the plot of the bands that roc recomputes from the
+    # written maps, on a grid with more distinct scores than a polyline draws
     detectors = ["diff", "hacd", "patch-hacd", "glcm-hacd"]
     paths = _write_scene_files(tmp_path, side=80)
     out = tmp_path / "run"
@@ -376,8 +376,8 @@ def test_run_bytes_do_not_depend_on_the_worker_count(tmp_path):
 
     every = run(detectors)
     assert len(every) == 25  # 5 (diff) or 6 files per detector, roc.svg, league.csv
-    # one detector, one worker; three, three workers; each detector's files
-    # are the same
+    # one detector or three: each detector's files are the same, since each
+    # map and each evaluation depend on that detector alone
     for chosen in (["hacd"], ["glcm-hacd", "diff", "patch-hacd"]):
         files = run(chosen)
         mine = {p: b for p, b in files.items() if p.split(os.sep)[0] in chosen}
@@ -387,8 +387,7 @@ def test_run_bytes_do_not_depend_on_the_worker_count(tmp_path):
 
 def test_run_under_a_foreign_main_module_matches_a_plain_run(tmp_path, src_env):
     # under `python -m cProfile -m acdkit.cli` the CLI module is not
-    # sys.modules["__main__"]; the forked children pickle no function, and
-    # none of them writes the profile when it ends
+    # sys.modules["__main__"], and run's outputs and stderr stay the same
     paths = _write_scene_files(tmp_path)
     cfg_path = str(tmp_path / "run.json")
     with open(cfg_path, "w") as fh:
@@ -432,10 +431,9 @@ def test_cli_imports_no_network_or_mail_modules(src_env):
 
 
 def test_cli_imports_no_pool_or_thread_module_until_a_command_needs_it(tmp_path, src_env):
-    # acdkit.threads is imported by the first fit or score, so that a process
-    # that does not use it does not hold its module; synth, detect with every
-    # detector, eval and run (which forks its children with os.fork) in one
-    # process load no multiprocessing
+    # acdkit.threads is imported when a command starts, to stop the BLAS
+    # pool, not by importing acdkit.cli; synth, detect with every detector,
+    # eval and run in one process load no multiprocessing
     paths = _write_scene_files(tmp_path, side=24)
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps(_SMALL_SCENE))
@@ -461,7 +459,8 @@ def test_cli_imports_no_pool_or_thread_module_until_a_command_needs_it(tmp_path,
 
 
 def test_run_empty_inner_mask_in_a_worker_is_exit_2(tmp_path, capsys):
-    # the roc of every detector's map raises EmptyClass in its worker
+    # the evaluation of the first map raises EmptyClass, which exits 2 as in
+    # eval, once every detector has run; no league is written
     paths = _write_scene_files(tmp_path)
     save_raster(Raster(np.zeros((48, 48), np.float32)), paths["inner"])
     out = tmp_path / "o"
@@ -475,144 +474,40 @@ def test_run_empty_inner_mask_in_a_worker_is_exit_2(tmp_path, capsys):
     assert not (out / "league.csv").exists()
 
 
-def _children(pid="self") -> set[int]:
-    """The pids of the children of process ``pid``, zombies too, from /proc."""
+def _children() -> set[int]:
+    """The pids of this process's children, zombies too, from /proc."""
     found = set()
-    for path in glob.glob(f"/proc/{pid}/task/*/children"):
+    for path in glob.glob("/proc/self/task/*/children"):
         with contextlib.suppress(FileNotFoundError):
             found.update(map(int, Path(path).read_text().split()))
     return found
 
 
-def test_run_forks_its_workers_before_synthesis_and_joins_them_on_error(
-        tmp_path, capsys, monkeypatch):
-    # the workers fork before the scene exists, so they start from the
-    # post-import heap; a detection that fails after the fork (the ridge
-    # overflows hacd's covariance) still exits 2 and leaves no worker behind,
-    # not even a zombie
-    before = _children()
-    workers_at_synthesis = []
+def test_run_starts_no_child_process(tmp_path, monkeypatch):
+    # run detects and evaluates in its own process: no child exists while a
+    # detector runs or while a map is evaluated
+    before, seen = _children(), []
 
-    def probe(cfg):
-        workers_at_synthesis.append(len(_children() - before))
-        return generate_scene(cfg)
+    def probe(function):
+        def probed(*args):
+            seen.append(_children() - before)
+            return function(*args)
+        return probed
 
-    monkeypatch.setattr(acdkit.cli, "generate_scene", probe)
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps({"scene": "simple-additive", "detectors": ["diff", "hacd"],
-                                    "ridge": 1e308}))
-    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
-    assert "error SingularCovariance" in capsys.readouterr().err
-    assert workers_at_synthesis == [2]
-    assert _children() == before
-
-
-def test_run_forks_one_worker_per_detector_whatever_the_usable_cpus(tmp_path, monkeypatch):
-    # one usable CPU still gives each of the four maps a worker of its own
-    before = _children()
-    workers_at_synthesis = []
-
-    def probe(cfg):
-        workers_at_synthesis.append(len(_children() - before))
-        return generate_scene(cfg)
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(acdkit.cli, "generate_scene", probe)
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps({"scene": "simple-additive",
-                                    "detectors": ["diff", "hacd", "patch-hacd", "glcm-hacd"]}))
-    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
-    assert workers_at_synthesis == [4]
-    assert (tmp_path / "o" / "league.csv").exists()
-    assert _children() == before
-
-
-def test_run_whose_worker_is_killed_is_exit_3(tmp_path, src_env):
-    # a worker killed mid-task (as the OOM killer would) ends run with exit 3
-    # naming the exit code, instead of a wait for the lost task
+    monkeypatch.setattr(acdkit.cli, "_detect_pair", probe(acdkit.cli._detect_pair))
+    monkeypatch.setattr(acdkit.cli, "evaluate_map", probe(acdkit.cli.evaluate_map))
     paths = _write_scene_files(tmp_path)
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({
         "scene": {k: paths[k] for k in ("t0", "t1", "inner", "outer")},
         "detectors": ["diff", "hacd"], "out": str(tmp_path / "o")}))
-    code = ("import os, signal, sys, acdkit.cli\n"
-            "def die(*args, **kwargs):\n"
-            "    os.kill(os.getpid(), signal.SIGKILL)\n"
-            "acdkit.cli.evaluate_map = die\n"
-            f"sys.exit(acdkit.cli.main(['run', {str(cfg_path)!r}]))\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=src_env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 3, proc.stderr
-    assert "RuntimeError: an evaluation worker exited with code -9" in proc.stderr
-
-
-def test_run_hands_each_map_over_as_soon_as_it_is_written(tmp_path, monkeypatch):
-    # the first detector's map is evaluated while the last detector runs, not
-    # once every map is written: the last detection waits for its summary
-    paths = _write_scene_files(tmp_path)
-    out = tmp_path / "o"
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps({
-        "scene": {k: paths[k] for k in ("t0", "t1", "inner", "outer")},
-        "detectors": ["diff", "hacd"], "out": str(out)}))
-    detect, summary, seen = acdkit.cli._detect_pair, out / "diff" / "summary.json", []
-
-    def probe(cfg, pair, out_dir):
-        if cfg["detector"] == "hacd":
-            deadline = time.monotonic() + 30
-            while not summary.exists() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            seen.append(summary.exists())
-        return detect(cfg, pair, out_dir)
-
-    monkeypatch.setattr(acdkit.cli, "_detect_pair", probe)
     assert main(["run", str(cfg_path)]) == 0
-    assert seen == [True]
-
-
-def _running(pid: int) -> bool:
-    """Whether process ``pid`` exists and is not a zombie."""
-    try:
-        return Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0] != "Z"
-    except FileNotFoundError:
-        return False
-
-
-def test_no_worker_outlives_a_run_killed_while_it_detects(tmp_path, src_env):
-    # run's parent killed mid-detection (as the OOM killer would) closes the
-    # task pipes that only it holds, so every child sees EOF and ends
-    paths = _write_scene_files(tmp_path)
-    cfg_path, marker = tmp_path / "run.json", tmp_path / "detecting"
-    cfg_path.write_text(json.dumps({
-        "scene": {k: paths[k] for k in ("t0", "t1", "inner", "outer")},
-        "detectors": ["diff", "hacd"], "out": str(tmp_path / "o")}))
-    code = ("import sys, time, acdkit.cli\n"
-            "def stall(*args):\n"
-            f"    open({str(marker)!r}, 'w').close()\n"
-            "    time.sleep(600)\n"
-            "acdkit.cli._detect_pair = stall\n"
-            f"sys.exit(acdkit.cli.main(['run', {str(cfg_path)!r}]))\n")
-    proc = subprocess.Popen([sys.executable, "-c", code], env=src_env,
-                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    try:
-        deadline = time.monotonic() + 120
-        while not marker.exists() and proc.poll() is None and time.monotonic() < deadline:
-            time.sleep(0.02)
-        assert marker.exists() and proc.poll() is None
-        children = _children(proc.pid)
-        assert len(children) == 2
-    finally:
-        proc.send_signal(signal.SIGKILL)
-        proc.wait(timeout=60)
-    deadline = time.monotonic() + 10
-    while (alive := set(filter(_running, children))) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert not alive
+    assert seen == [set()] * 4
 
 
 def test_run_refuses_masks_off_the_scene_grid(tmp_path, capsys):
-    # scene path masks are loaded before the rasters, on their own grid, and
-    # checked against the rasters before any detector runs
+    # scene path masks are loaded on the rasters' grid, after the rasters
+    # and before any detector runs
     paths = _write_scene_files(tmp_path)
     for key in ("inner", "outer"):
         save_raster(Raster(np.zeros((40, 48), np.float32)), paths[key])
@@ -778,6 +673,29 @@ def test_convert_round_trip(tmp_path):
     back = str(tmp_path / "back")
     assert main(["convert", txt, back]) == 0
     assert load_raster(back) == r
+
+
+def test_main_stops_the_blas_pool_before_the_command(tmp_path):
+    # a pool thread left from an earlier product would spin beside the
+    # command's own work; the count is set to 2 so that a product starts
+    # the pool even where the process started at one thread
+    calls = acdkit.threads._blas()
+    assert calls is not None, "NumPy's OpenBLAS thread calls were not found"
+    get, set_, _ = calls
+    before = get()
+    set_(2)
+    try:
+        acdkit.threads.stop_blas_pool()
+        tasks = len(os.listdir("/proc/self/task"))
+        np.ones((400, 400)) @ np.ones((400, 400))
+        assert len(os.listdir("/proc/self/task")) == tasks + 1
+        base = str(tmp_path / "r")
+        save_raster(Raster(np.ones((2, 3), np.float32)), base)
+        assert main(["convert", base, str(tmp_path / "dump.txt")]) == 0
+        assert len(os.listdir("/proc/self/task")) == tasks
+        assert get() == 2
+    finally:
+        set_(before)
 
 
 @pytest.mark.parametrize("ext", [".r32", ".json"])

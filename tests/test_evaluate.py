@@ -2,6 +2,7 @@ import csv
 import math
 import pickle
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -93,10 +94,10 @@ def test_ambiguous_band_excluded_from_inner_curve():
 
 
 def test_roc_holds_each_column_once():
-    # an all-distinct 512x512 map: the tie-group ends, the shared thresholds
-    # and fpr, two tpr columns, the three classes in score order and one
-    # running count come to about 51 B per pixel; a second fpr, a kept sort
-    # order or sorted copy, or a cumulative sum per column adds 8 B or more
+    # an all-distinct 512x512 map: the sort order and sorted scores (16 B
+    # per pixel), the shared thresholds and fpr, two tpr columns (32) and
+    # one block come to about 50 B per pixel; a second fpr column, a copy of
+    # the map or a cumulative sum per column adds 8 B or more
     side = 512
     scores = np.random.default_rng(7).permutation(side * side).astype(np.float64)
     amap = _amap(scores.reshape(side, side))
@@ -114,13 +115,12 @@ def test_roc_holds_each_column_once():
     assert peak <= 56 * side * side
 
 
-def test_evaluate_map_holds_each_column_once(tmp_path, monkeypatch):
-    # an all-distinct 512x512 map: up to roc.csv, the f32 map (4 B per
-    # pixel), the tie-group ends, the band's four columns, the classes in
-    # score order and one running count come to about 55 B per pixel, where
-    # a float64 copy of the map makes 59; from roc.csv on, the band's four
-    # columns (32) and one block of roc.csv's counts take about 35, where
-    # blocks of 16384 rows make 38 and one block of every row 122
+def test_evaluate_map_holds_each_column_once(tmp_path):
+    # an all-distinct 512x512 map: the f32 map, its sort order and sorted
+    # scores and the first tie-group test come to 17 B per pixel; from then
+    # on the order and the sorted scores (12) with one block of counts and
+    # roc.csv rows, about 19 in all, where a float64 copy of the map or one
+    # full column of the band adds 8
     side = 512
     scores = np.random.default_rng(7).permutation(side * side).astype(np.float32)
     save_raster(Raster(scores.reshape(side, side)), str(tmp_path / "anomaly"))
@@ -128,15 +128,6 @@ def test_evaluate_map_holds_each_column_once(tmp_path, monkeypatch):
     inner[200:300, 200:300] = True
     outer[196:304, 196:304] = True
     gt = _gt(inner, outer)
-    before_csv = []
-    write_roc_csv = evaluate.write_roc_csv
-
-    def probe(band, path):
-        before_csv.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.reset_peak()
-        write_roc_csv(band, path)
-
-    monkeypatch.setattr(evaluate, "write_roc_csv", probe)
     tracemalloc.start()
     try:
         _, summary = evaluate.evaluate_map(str(tmp_path / "anomaly"), str(tmp_path / "out"),
@@ -145,8 +136,7 @@ def test_evaluate_map_holds_each_column_once(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert summary["n_neg"] == side * side - 108 * 108
-    assert before_csv[0] <= 57 * side * side
-    assert peak <= 37 * side * side
+    assert peak <= 21 * side * side
 
 
 def _stable_reference_roc(scores, inner, outer):
@@ -164,27 +154,71 @@ def _stable_reference_roc(scores, inner, outer):
     return (np.concatenate([[np.inf], ranked[ends]]), rate(~outer), rate(inner), rate(outer))
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
-       dtype=st.sampled_from([np.float32, np.float64]))
-def test_roc_matches_a_stable_sort_reference_property(data, shape, dtype):
-    # few distinct values, so most pixels tie, and 0.0 beside -0.0: the one
-    # tie whose order shows in the bytes (the threshold's sign)
-    scores = data.draw(hnp.arrays(dtype, shape, elements=st.sampled_from(
+@st.composite
+def _tied_maps(draw, dtype):
+    """(scores, inner, outer): a map of few distinct values, so most pixels
+    tie, with 0.0 beside -0.0 (the one tie whose order shows in the bytes,
+    the threshold's sign), and masks that give both curves both classes."""
+    shape = draw(st.tuples(st.integers(1, 40), st.integers(1, 40)))
+    scores = draw(hnp.arrays(dtype, shape, elements=st.sampled_from(
         [0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.5, 2.5e-7])))
-    outer = data.draw(hnp.arrays(np.bool_, shape))
-    inner = outer & data.draw(hnp.arrays(np.bool_, shape))
+    outer = draw(hnp.arrays(np.bool_, shape))
+    inner = outer & draw(hnp.arrays(np.bool_, shape))
     assume(inner.any() and not outer.all())
+    return scores, inner, outer
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from([np.float32, np.float64]).flatmap(_tied_maps))
+def test_roc_matches_a_stable_sort_reference_property(case):
+    scores, inner, outer = case
     gt = _gt(inner, outer)
     expect = _stable_reference_roc(scores, inner, outer)
-    # the f32 map as evaluate_map scores it, and as the public roc does
-    bands = [evaluate._roc(scores, gt, 0.01), roc(_amap(scores), gt)]
-    for band in bands:
-        got = (band.inner_curve.thresholds, band.inner_curve.fpr, band.inner_curve.tpr,
-               band.outer_curve.tpr)
-        for a, b in zip(got, expect):
+    band = roc(_amap(scores), gt)
+    # the map as the walk reads it (the f32 map in evaluate_map), and as
+    # the public roc collects it
+    n_points, sizes, blocks = evaluate._walk(scores, gt)
+    thresholds, counts = (np.concatenate(c, axis=-1) for c in zip(*blocks))
+    n_inner, n_outer, n_neg = sizes
+    walked = (thresholds, counts[0] / n_neg, counts[1] / n_inner, counts[2] / n_outer)
+    got = (band.inner_curve.thresholds, band.inner_curve.fpr, band.inner_curve.tpr,
+           band.outer_curve.tpr)
+    assert thresholds.size == n_points
+    for columns in (walked, got):
+        for a, b in zip(columns, expect):
             assert a.dtype == np.float64
             assert a.view(np.int64).tolist() == b.view(np.int64).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_tied_maps(np.float32), block_rows=st.integers(1, 5),
+       fpr_max=st.sampled_from([0.01, 0.2, 0.5, 1.0]))
+def test_evaluate_map_matches_roc_property(tmp_path_factory, case, block_rows, fpr_max):
+    # blocks of a few pixels end inside tie groups and beside the first
+    # point past fpr_max; the files, pAUCs and plot come out as from roc's
+    # band, and each AUC is the exact area, rounded once
+    scores, inner, outer = case
+    gt = _gt(inner, outer)
+    tmp = tmp_path_factory.mktemp("evaluate")
+    save_raster(Raster(scores), str(tmp / "anomaly"))
+    with mock.patch.object(evaluate, "_BLOCK_ROWS", block_rows):
+        points, summary = evaluate.evaluate_map(str(tmp / "anomaly"), str(tmp / "out"), gt,
+                                                fpr_max)
+    band = roc(_amap(scores), gt, fpr_max)
+    write_roc_csv(band, str(tmp / "roc.csv"))
+    render_loglog_svg({"anomaly": band}, str(tmp / "roc.svg"))
+    for name in ("roc.csv", "roc.svg"):
+        assert (tmp / "out" / name).read_bytes() == (tmp / name).read_bytes(), name
+    assert [p.tolist() for p in points] == [p.tolist() for p in evaluate.plot_points(band)]
+    assert summary["pauc_inner"].hex() == band.pauc_inner.hex()
+    assert summary["pauc_outer"].hex() == band.pauc_outer.hex()
+    # the area under a ROC curve with ties as diagonal steps is the share
+    # of (positive, negative) pairs ranked right, a tie counting one half
+    negatives = scores[~outer].astype(np.float64)
+    for label, positive in (("inner", inner), ("outer", outer)):
+        pairs = scores[positive].astype(np.float64)[:, None] - negatives
+        halves = 2 * np.count_nonzero(pairs > 0) + np.count_nonzero(pairs == 0)
+        assert summary[f"auc_{label}"] == float(Fraction(int(halves), 2 * pairs.size))
 
 
 def test_grid_mismatch():
@@ -423,7 +457,7 @@ def _random_large_band(seed, side):
 
 def test_csv_bytes_match_reference_across_chunks(tmp_path):
     band = _random_large_band(41, 300)
-    assert band.inner_curve.thresholds.size > evaluate._CSV_CHUNK_ROWS
+    assert band.inner_curve.thresholds.size > evaluate._BLOCK_ROWS
     _assert_csv_matches_reference(band, tmp_path)
 
 
@@ -484,7 +518,7 @@ def test_writers_match_reference_property(tmp_path_factory, data, shape, chunk_r
     assume(inner.any() and not outer.all())
     band = roc(_amap(scores), _gt(inner, outer))
     tmp_path = tmp_path_factory.mktemp("writers")
-    with mock.patch.object(evaluate, "_CSV_CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(evaluate, "_BLOCK_ROWS", chunk_rows):
         _assert_csv_matches_reference(band, tmp_path)
     _assert_svg_matches_reference({"a": band}, tmp_path)
 
@@ -574,8 +608,8 @@ def test_svg_bytes_match_reference_with_decimation(tmp_path):
 
 
 def test_evaluate_map_returns_a_result_that_does_not_grow_with_the_map(tmp_path):
-    # run's workers send this result to their parent through a pipe: the
-    # plot points and the summary, not the band of every distinct score
+    # run keeps this result of every map until it draws the combined plot:
+    # the plot points and the summary, not the band of every distinct score
     sizes = {}
     for side in (64, 256):
         scores = np.random.default_rng(side).normal(size=(side, side)).astype(np.float32)

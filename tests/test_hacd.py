@@ -345,7 +345,11 @@ def test_a_model_that_constructs_survives_save_and_load(
     lambda doc: (doc["mean_x"].pop(), doc["mean_y"].append(0.0)),
     lambda doc: doc["cov"].__setitem__(0, float("nan")),
     lambda doc: doc.__setitem__("ridge", float("nan")),
-], ids=["truncated", "missing-key", "cov-length", "mean-length", "nan-cov", "nan-ridge"])
+    lambda doc: doc.__setitem__("d_y", True),
+    lambda doc: doc.__setitem__("d_y", "1"),
+    lambda doc: doc.__setitem__("d_x", 2.5),
+], ids=["truncated", "missing-key", "cov-length", "mean-length", "nan-cov", "nan-ridge",
+        "bool-dim", "string-dim", "fraction-dim"])
 def test_bad_model_file_is_format_error(tmp_path, edit):
     path = tmp_path / "model.json"
     save_model(_random_model(np.random.default_rng(23), 2, 1), str(path))

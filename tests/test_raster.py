@@ -112,6 +112,8 @@ def test_bad_magic_rejected(tmp_path):
 @pytest.mark.parametrize("field,value,message", [
     ("dtype", "f64le", "unsupported dtype/order"),
     ("width", 0, "width/height must be positive integers"),
+    ("width", True, "width/height must be positive integers"),
+    ("height", True, "width/height must be positive integers"),
 ])
 def test_bad_header_field_rejected(tmp_path, field, value, message):
     base = str(tmp_path / "bad")
