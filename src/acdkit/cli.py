@@ -366,14 +366,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from .threads import stop_blas_pool
+    from .threads import one_blas_thread
 
     try:
         args = build_parser().parse_args(argv)
-        # the pool that importing NumPy started would spin beside synthesis,
-        # I/O and evaluation, which make no BLAS call on more than one thread
-        stop_blas_pool()
-        return args.func(args)
+        # entering the pin stops the pool that importing NumPy started, which
+        # would spin beside synthesis, I/O and evaluation; the detector
+        # stages' own pins nest inside it, so it is not started again
+        with one_blas_thread():
+            return args.func(args)
     except AcdError as exc:
         print(f"error {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

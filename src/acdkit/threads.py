@@ -58,20 +58,6 @@ def _blas():
     return None
 
 
-def stop_blas_pool() -> None:
-    """End the BLAS thread pool, if there is one, as a fork would.
-
-    A pool thread spins after it starts, as after each call, beside the
-    caller's work; the next BLAS call that uses more than one thread starts
-    the pool again.  Like ``_blas``'s stop, it must not overlap a BLAS call
-    on another thread.
-    """
-    calls = _blas()
-    if calls is not None:
-        with _lock:
-            calls[2]()
-
-
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the block with BLAS on one thread; yield the count that the

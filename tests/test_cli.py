@@ -419,10 +419,11 @@ def test_cli_as_main_is_not_imported_again(tmp_path, src_env):
 
 
 def test_cli_imports_no_network_or_mail_modules(src_env):
-    # the SVG writer escapes labels with html.escape; xml.sax.saxutils would
-    # pull in urllib.request and with it http.client, email, ssl and socket
+    # the SVG writer escapes labels by hand, so html's entity tables are
+    # never loaded; xml.sax.saxutils would pull in urllib.request and with
+    # it http.client, email, ssl and socket
     code = ("import sys, acdkit.cli\n"
-            "print(sorted({'urllib.request', 'http.client', 'email', 'ssl', 'socket'}"
+            "print(sorted({'html', 'urllib.request', 'http.client', 'email', 'ssl', 'socket'}"
             " & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], env=src_env,
                           capture_output=True, text=True, timeout=120)
@@ -431,9 +432,9 @@ def test_cli_imports_no_network_or_mail_modules(src_env):
 
 
 def test_cli_imports_no_pool_or_thread_module_until_a_command_needs_it(tmp_path, src_env):
-    # acdkit.threads is imported when a command starts, to stop the BLAS
-    # pool, not by importing acdkit.cli; synth, detect with every detector,
-    # eval and run in one process load no multiprocessing
+    # acdkit.threads is imported when a command starts, to pin BLAS to one
+    # thread, not by importing acdkit.cli; synth, detect with every
+    # detector, eval and run in one process load no multiprocessing
     paths = _write_scene_files(tmp_path, side=24)
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps(_SMALL_SCENE))
@@ -685,7 +686,8 @@ def test_main_stops_the_blas_pool_before_the_command(tmp_path):
     before = get()
     set_(2)
     try:
-        acdkit.threads.stop_blas_pool()
+        with acdkit.threads.one_blas_thread():
+            pass
         tasks = len(os.listdir("/proc/self/task"))
         np.ones((400, 400)) @ np.ones((400, 400))
         assert len(os.listdir("/proc/self/task")) == tasks + 1
@@ -694,6 +696,56 @@ def test_main_stops_the_blas_pool_before_the_command(tmp_path):
         assert main(["convert", base, str(tmp_path / "dump.txt")]) == 0
         assert len(os.listdir("/proc/self/task")) == tasks
         assert get() == 2
+    finally:
+        set_(before)
+
+
+@pytest.mark.parametrize("command,outcome", [
+    ("synth", 0), ("detect-hacd", 0), ("detect-patch-hacd", 0), ("eval", 0), ("run", 0),
+    ("convert", 0), ("convert-missing", 2), ("convert-raising", 3),
+])
+def test_every_command_runs_on_one_blas_thread(tmp_path, monkeypatch, command, outcome):
+    # the detector stages' pins nest inside the command's, so the pool is
+    # not started again between them; main leaves the count and the threads
+    # as it found them, on an error too
+    get, set_, _ = acdkit.threads._blas()
+    paths = _write_scene_files(tmp_path, side=24)
+    scene, run = tmp_path / "scene.json", tmp_path / "run.json"
+    scene.write_text(json.dumps(_SMALL_SCENE))
+    run.write_text(json.dumps({"scene": paths, "detectors": ["diff", "hacd"]}))
+    out = str(tmp_path / "o")
+    argv = {
+        "synth": ["synth", "--config", str(scene), "--out", out],
+        "detect-hacd": ["detect", "--detector", "hacd", "--t0", paths["t0"], "--t1", paths["t1"],
+                        "--out", out],
+        "detect-patch-hacd": ["detect", "--detector", "patch-hacd", "--patch", "3",
+                              "--t0", paths["t0"], "--t1", paths["t1"], "--out", out],
+        "eval": ["eval", "--map", paths["t1"], "--inner", paths["inner"], "--out", out],
+        "run": ["run", str(run), "--out", out],
+        "convert": ["convert", paths["t0"], out],
+        "convert-missing": ["convert", str(tmp_path / "missing"), out],
+        "convert-raising": ["convert", paths["t0"], out],
+    }[command]
+    name = "cmd_" + argv[0]
+    cmd, counts = getattr(acdkit.cli, name), []
+
+    def pinned(args):
+        counts.append(get())
+        if command == "convert-raising":
+            raise RuntimeError("a fault inside the command")
+        return cmd(args)
+
+    monkeypatch.setattr(acdkit.cli, name, pinned)  # build_parser reads it when called
+    before = get()
+    set_(2)
+    try:
+        with acdkit.threads.one_blas_thread():
+            pass
+        tasks = len(os.listdir("/proc/self/task"))
+        assert main(argv) == outcome
+        assert counts == [1]
+        assert get() == 2
+        assert len(os.listdir("/proc/self/task")) == tasks
     finally:
         set_(before)
 
