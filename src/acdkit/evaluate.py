@@ -84,6 +84,8 @@ class RocBand:
 
     The counts are the curves' class sizes: tpr_inner, tpr_outer and both
     fpr columns are multiples of 1/n_pos_inner, 1/n_pos_outer and 1/n_neg.
+    Both curves hold the same thresholds, bit for bit: roc.csv writes one
+    threshold column for both.
     """
 
     inner_curve: RocCurve
@@ -98,6 +100,9 @@ class RocBand:
     def __post_init__(self):
         if min(self.n_pos_inner, self.n_pos_outer, self.n_neg) < 1:
             raise ValueError("class counts must be >= 1")
+        inner, outer = self.inner_curve.thresholds, self.outer_curve.thresholds
+        if not np.array_equal(inner.view(np.int64), outer.view(np.int64)):
+            raise ValueError("the inner and outer curves' thresholds differ")
 
 
 # a band's inner and outer curves as the (2, k) fpr/tpr vertices plotted

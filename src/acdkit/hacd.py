@@ -32,9 +32,9 @@ Fit and score read the feature sources one image row at a time (see
 `acdkit.features`).  The one moment routine, ``_moments``, sums products
 of mean-centred row blocks in one pass; its feed is each output row's
 vectors from ``rows()``, or, for two patch sources of one size, the
-padded-row windows that neighbouring pixels' patches share.  Fit and score
-run with BLAS on one thread, patch fits and scores in column tiles on
-threads (`acdkit.threads`).
+padded-row windows that neighbouring pixels' patches share.  fit_hacd,
+load_model and score_map run with BLAS on one thread, patch fits and scores
+in column tiles on threads (`acdkit.threads`).
 """
 
 from __future__ import annotations
@@ -98,7 +98,10 @@ class HacdModel:
     at fit time.  The marginal blocks are its top-left d_x x d_x and
     bottom-right d_y x d_y submatrices.  ``canon_x`` (d_x x r) and
     ``canon_y`` (d_y x r) map centered features to canonical variates whose
-    correlations are ``rho`` (r = min(d_x, d_y), descending).
+    correlations are ``rho`` (r = min(d_x, d_y), descending).  Building one
+    changes no thread state: fit_hacd, load_model and every CLI command pin
+    BLAS to one thread around it, and a model built outside them factors at
+    the caller's count (its last bits followed it at 289 dims per epoch).
     """
 
     mean_x: np.ndarray
@@ -132,19 +135,15 @@ class HacdModel:
             if not np.isfinite(val).all():
                 raise SingularCovariance(f"{name} has non-finite entries")
 
-        from .threads import one_blas_thread
-
         dx = mx.size
         solve = np.linalg.solve
-        # on one thread: at d = 2 x 276 LAPACK's last bits followed the count
-        with one_blas_thread():
-            _cholesky(c, "joint covariance")  # only the positive-definiteness check
-            lx = _cholesky(c[:dx, :dx], "x-marginal covariance")
-            ly = _cholesky(c[dx:, dx:], "y-marginal covariance")
-            whitened_xy = solve(ly, solve(lx, c[:dx, dx:]).T).T
-            u, rho, vt = np.linalg.svd(whitened_xy, full_matrices=False)
-            canon_x = solve(lx.T, u)
-            canon_y = solve(ly.T, vt.T)
+        _cholesky(c, "joint covariance")  # only the positive-definiteness check
+        lx = _cholesky(c[:dx, :dx], "x-marginal covariance")
+        ly = _cholesky(c[dx:, dx:], "y-marginal covariance")
+        whitened_xy = solve(ly, solve(lx, c[:dx, dx:]).T).T
+        u, rho, vt = np.linalg.svd(whitened_xy, full_matrices=False)
+        canon_x = solve(lx.T, u)
+        canon_y = solve(ly.T, vt.T)
         if rho[0] >= 1.0:
             raise SingularCovariance(
                 f"x and y are perfectly correlated (canonical correlation {rho[0]:.17g}); "
@@ -191,9 +190,7 @@ Features = FeatureStack | PatchWindows | GlcmCounts
 
 def _check_grids(x: Features, y: Features) -> None:
     if (x.height, x.width) != (y.height, y.width):
-        raise GridMismatch(
-            f"x grid {x.width}x{x.height} != y grid {y.width}x{y.height}"
-        )
+        raise GridMismatch(f"x grid {x.width}x{x.height} != y grid {y.width}x{y.height}")
 
 
 def fit_hacd(x: Features, y: Features, ridge: float | None = None) -> HacdModel:
@@ -206,12 +203,13 @@ def fit_hacd(x: Features, y: Features, ridge: float | None = None) -> HacdModel:
     before inversion; None selects the default 1e-6 * trace(C) / (d_x +
     d_y).
 
-    ``_moments`` gives the moments, BLAS on one thread.  Two PatchWindows
-    of one patch size feed it their padded-row windows by column tiles, on
-    as many threads as BLAS had (``threads.fit_tiles``); every other pair
-    feeds it ``rows()`` on this thread.  A GlcmCounts source counts its
-    pairs again on each pass over ``rows()``, so fit and score each count
-    them once and neither holds an O(pixels x cells) array.
+    The moments (``_moments``) and the model run with BLAS on one thread.
+    Two PatchWindows of one patch size feed ``_moments`` their padded-row
+    windows by column tiles, on as many threads as BLAS had
+    (``threads.fit_tiles``); every other pair feeds it ``rows()`` on this
+    thread.  A GlcmCounts source counts its pairs again on each pass over
+    ``rows()``, so fit and score each count them once and neither holds an
+    O(pixels x cells) array.
 
     Raises GridMismatch when the stacks disagree and SingularCovariance
     when the regularized covariance cannot be factorized (e.g. fewer
@@ -225,8 +223,8 @@ def fit_hacd(x: Features, y: Features, ridge: float | None = None) -> HacdModel:
             mean, cov = fit_tiles(_moments, x, y, threads)
         else:
             mean, cov = _moments(x.rows(), y.rows(), 1, x.height, x.width)
-    eps = DEFAULT_RIDGE_SCALE * float(np.trace(cov)) / len(cov) if ridge is None else float(ridge)
-    return HacdModel.from_covariance(mean[: x.dim], mean[x.dim :], cov, ridge=eps)
+        eps = float(ridge) if ridge is not None else DEFAULT_RIDGE_SCALE * np.trace(cov) / len(cov)
+        return HacdModel.from_covariance(mean[: x.dim], mean[x.dim :], cov, ridge=eps)
 
 
 def _moments(xs, ys, s: int, h: int, w: int):
@@ -324,9 +322,8 @@ def hacd_score(m: HacdModel, x: np.ndarray, y: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.size != m.d_x or y.size != m.d_y:
-        raise DimensionMismatch(
-            f"input dims ({x.size}, {y.size}) do not match model ({m.d_x}, {m.d_y})"
-        )
+        raise DimensionMismatch(f"input dims ({x.size}, {y.size}) do not match "
+                                f"model ({m.d_x}, {m.d_y})")
     return float(_scorer(m)(x[None, :], y[None, :])[0])
 
 
@@ -345,9 +342,8 @@ def score_map(m: HacdModel, x: Features, y: Features) -> AnomalyMap:
 
     _check_grids(x, y)
     if x.dim != m.d_x or y.dim != m.d_y:
-        raise DimensionMismatch(
-            f"stack dims ({x.dim}, {y.dim}) do not match model ({m.d_x}, {m.d_y})"
-        )
+        raise DimensionMismatch(f"stack dims ({x.dim}, {y.dim}) do not match "
+                                f"model ({m.d_x}, {m.d_y})")
     score = _scorer(m)
     out = np.empty((x.height, x.width))
     with one_blas_thread() as threads:
@@ -384,7 +380,7 @@ def save_model(m: HacdModel, path: str) -> None:
 
 
 def load_model(path: str) -> HacdModel:
-    """Load a model saved by save_model; the stored covariance is used as is.
+    """Load a model saved by save_model (its covariance as is), on one BLAS thread.
 
     Raises NotFound when the file is missing, IoError when it cannot be read
     and FormatError when it is not a model: bad UTF-8 or JSON, a missing key,
@@ -403,4 +399,7 @@ def load_model(path: str) -> HacdModel:
         raise FormatError(f"model {path} is not a valid model file: {exc!r}") from exc
     if not all(np.isfinite(a).all() for a in (mean_x, mean_y, cov, ridge)):
         raise FormatError(f"model {path} has a non-finite mean, covariance or ridge")
-    return HacdModel(mean_x, mean_y, cov, ridge=ridge)
+    from .threads import one_blas_thread
+
+    with one_blas_thread():
+        return HacdModel(mean_x, mean_y, cov, ridge=ridge)

@@ -2,12 +2,14 @@
 
 OpenBLAS gives the same bits at any thread count only for some shapes: a
 product with an inner dimension above 256, and LAPACK's factorisations,
-change their last bits with it.  So the whole detector (fit, the model's
-factorisations and score) runs with BLAS pinned to one thread, and a
-patch fit or score takes its parallelism from column tiles of a fixed
-width instead, one share per thread, each tile computed alike; the bits
-then depend on the grid alone.  ``hacd`` and ``cli.main`` import this
-module where it is used, so ``import acdkit`` compiles none of it.
+change their last bits with it.  So the calls that run a detector's BLAS
+pin it to one thread: every CLI command (``cli.main``), ``fit_hacd`` with
+the model it builds, ``score_map`` and ``load_model``; a ``HacdModel``
+built directly outside them factors at the caller's count.  A patch fit
+or score takes its parallelism from column tiles of a fixed width
+instead, one share per thread, each tile computed alike; the bits then
+depend on the grid alone.  ``hacd`` and ``cli.main`` import this module
+where it is used, so ``import acdkit`` compiles none of it.
 """
 
 from __future__ import annotations

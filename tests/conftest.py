@@ -1,6 +1,7 @@
 """Fixtures shared by the test modules."""
 
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -15,3 +16,21 @@ def src_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return env
+
+
+@pytest.fixture
+def assert_task_count():
+    """assert_task_count(n) asserts that this process runs n threads.
+
+    A thread that a product starts, or that a join or a pool stop ends,
+    can show in /proc/self/task a moment after the call returns, on a
+    loaded machine; so the count is read again until it is n or 10 s have
+    passed, and the last count read is asserted."""
+    def check(expected: int) -> None:
+        deadline = time.monotonic() + 10.0
+        while ((count := len(os.listdir("/proc/self/task"))) != expected
+               and time.monotonic() < deadline):
+            time.sleep(0.001)
+        assert count == expected, f"{count} threads, expected {expected}"
+
+    return check

@@ -676,7 +676,7 @@ def test_convert_round_trip(tmp_path):
     assert load_raster(back) == r
 
 
-def test_main_stops_the_blas_pool_before_the_command(tmp_path):
+def test_main_stops_the_blas_pool_before_the_command(tmp_path, assert_task_count):
     # a pool thread left from an earlier product would spin beside the
     # command's own work; the count is set to 2 so that a product starts
     # the pool even where the process started at one thread
@@ -690,11 +690,11 @@ def test_main_stops_the_blas_pool_before_the_command(tmp_path):
             pass
         tasks = len(os.listdir("/proc/self/task"))
         np.ones((400, 400)) @ np.ones((400, 400))
-        assert len(os.listdir("/proc/self/task")) == tasks + 1
+        assert_task_count(tasks + 1)
         base = str(tmp_path / "r")
         save_raster(Raster(np.ones((2, 3), np.float32)), base)
         assert main(["convert", base, str(tmp_path / "dump.txt")]) == 0
-        assert len(os.listdir("/proc/self/task")) == tasks
+        assert_task_count(tasks)
         assert get() == 2
     finally:
         set_(before)
@@ -704,7 +704,8 @@ def test_main_stops_the_blas_pool_before_the_command(tmp_path):
     ("synth", 0), ("detect-hacd", 0), ("detect-patch-hacd", 0), ("eval", 0), ("run", 0),
     ("convert", 0), ("convert-missing", 2), ("convert-raising", 3),
 ])
-def test_every_command_runs_on_one_blas_thread(tmp_path, monkeypatch, command, outcome):
+def test_every_command_runs_on_one_blas_thread(tmp_path, monkeypatch, assert_task_count,
+                                               command, outcome):
     # the detector stages' pins nest inside the command's, so the pool is
     # not started again between them; main leaves the count and the threads
     # as it found them, on an error too
@@ -745,7 +746,7 @@ def test_every_command_runs_on_one_blas_thread(tmp_path, monkeypatch, command, o
         assert main(argv) == outcome
         assert counts == [1]
         assert get() == 2
-        assert len(os.listdir("/proc/self/task")) == tasks
+        assert_task_count(tasks)
     finally:
         set_(before)
 

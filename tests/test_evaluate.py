@@ -242,6 +242,22 @@ def test_band_refuses_an_empty_class_count():
         RocBand(curve, curve, 0.0, 0.0, 0.01, n_pos_inner=2, n_pos_outer=2, n_neg=0)
 
 
+@pytest.mark.parametrize("outer_thresholds", [
+    [math.inf, 9.0, 8.0],  # another grid: roc.csv would pair its rates with 2.0 and 1.0
+    [math.inf, 2.0, 1.0, 0.0],  # a longer one
+    [math.inf, 2.0, -0.0],  # equal as floats, not as bits
+], ids=["other-values", "other-length", "negative-zero"])
+def test_band_refuses_curves_on_different_thresholds(outer_thresholds):
+    inner = RocCurve([math.inf, 2.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.5, 1.0])
+    n = len(outer_thresholds)
+    outer = RocCurve(outer_thresholds, np.linspace(0, 1, n), np.linspace(0, 1, n))
+    with pytest.raises(ValueError, match="thresholds differ"):
+        RocBand(inner, outer, 0.0, 0.0, 0.01, n_pos_inner=2, n_pos_outer=2, n_neg=2)
+    # a copy of the same thresholds is one grid
+    same = RocCurve(inner.thresholds.copy(), inner.fpr, inner.tpr)
+    RocBand(inner, same, 0.0, 0.0, 0.01, n_pos_inner=2, n_pos_outer=2, n_neg=2)
+
+
 def test_pauc_perfect_detector():
     c = RocCurve([math.inf, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 1.0])
     assert pauc(c, 0.01) == pytest.approx(0.01, abs=1e-15)

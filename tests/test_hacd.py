@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import threading
 import time
@@ -685,7 +686,8 @@ def _tiled_case(seed):
 
 
 @pytest.mark.parametrize("in_caller", [True, False], ids=["caller-raises", "other-raises"])
-def test_score_pins_blas_to_one_thread_and_restores_it(monkeypatch, in_caller):
+def test_score_pins_blas_to_one_thread_and_restores_it(monkeypatch, assert_task_count,
+                                                       in_caller):
     # a silent fallback would only cost speed, so finding NumPy's OpenBLAS
     # is asserted; the count is set to 2 so that the pin changes it even
     # where the process started at one thread
@@ -705,10 +707,10 @@ def test_score_pins_blas_to_one_thread_and_restores_it(monkeypatch, in_caller):
         # so that no pool thread spins on
         tasks = len(os.listdir("/proc/self/task"))
         np.ones((400, 400)) @ np.ones((400, 400))
-        assert len(os.listdir("/proc/self/task")) == tasks + 1
+        assert_task_count(tasks + 1)
         with one_blas_thread():
             pass
-        assert len(os.listdir("/proc/self/task")) == tasks
+        assert_task_count(tasks)
 
         # one thread's first tile raises while the other still has rows to
         # score or sum, which the call must wait for; the pair is two fit
@@ -774,6 +776,56 @@ def test_concurrent_pins_keep_one_thread_and_restore_the_count():
     assert not any(t.is_alive() for t in pool)
     assert len(seen) == 8 * 2000 and set(seen) == {1}
     assert (get(), acdkit.threads._depth) == (before, 0)
+
+
+def test_building_a_model_leaves_the_blas_threads_alone(src_env, assert_task_count):
+    # only the calls that run a detector's BLAS pin it: a model built
+    # directly neither loads acdkit.threads nor stops the pool that a
+    # two-thread product started
+    code = ("import sys, acdkit\n"
+            "acdkit.HacdModel.from_covariance([0.0], [0.0], [[1.0, 0.5], [0.5, 1.0]])\n"
+            "print('acdkit.threads' in sys.modules)")
+    child = subprocess.run([sys.executable, "-c", code], env=src_env, capture_output=True,
+                           text=True, check=True)
+    assert child.stdout == "False\n"
+    get, set_, _ = acdkit.threads._blas()
+    before = get()
+    set_(2)
+    try:
+        with one_blas_thread():
+            pass
+        tasks = len(os.listdir("/proc/self/task"))
+        np.ones((400, 400)) @ np.ones((400, 400))
+        assert_task_count(tasks + 1)
+        _random_model(np.random.default_rng(41), 3, 2)
+        assert get() == 2
+        assert_task_count(tasks + 1)
+    finally:
+        set_(before)
+
+
+def test_fit_and_load_factor_above_256_dims_alike_at_one_and_two_threads(tmp_path):
+    # with 289 dims per epoch a model's factorisations follow the BLAS
+    # count in their last bits, so fit_hacd and load_model must build
+    # theirs inside their pins
+    pair = _textured_pair(40, 40, seed=42)
+    x, y = PatchWindows(pair.t0, 17), PatchWindows(pair.t1, 17)
+    assert x.dim > 256
+    get, set_, _ = acdkit.threads._blas()
+    before, models = get(), []
+    try:
+        for count in (1, 2):
+            set_(count)
+            fitted = fit_hacd(x, y)
+            path = str(tmp_path / f"model{count}.json")
+            save_model(fitted, path)
+            models += [fitted, load_model(path)]
+    finally:
+        set_(before)
+    for name in ("canon_x", "canon_y", "rho", "cov"):
+        fit1, load1, fit2, load2 = (getattr(m, name).tobytes() for m in models)
+        assert fit1 == fit2, name
+        assert load1 == load2, name
 
 
 def test_score_without_blas_handle_runs_on_the_calling_thread(monkeypatch):
