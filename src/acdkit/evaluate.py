@@ -101,7 +101,7 @@ class RocBand:
         if min(self.n_pos_inner, self.n_pos_outer, self.n_neg) < 1:
             raise ValueError("class counts must be >= 1")
         inner, outer = self.inner_curve.thresholds, self.outer_curve.thresholds
-        if not np.array_equal(inner.view(np.int64), outer.view(np.int64)):
+        if inner is not outer and not np.array_equal(inner.view(np.int64), outer.view(np.int64)):
             raise ValueError("the inner and outer curves' thresholds differ")
 
 

@@ -190,7 +190,9 @@ Features = FeatureStack | PatchWindows | GlcmCounts
 
 def _check_grids(x: Features, y: Features) -> None:
     if (x.height, x.width) != (y.height, y.width):
-        raise GridMismatch(f"x grid {x.width}x{x.height} != y grid {y.width}x{y.height}")
+        raise GridMismatch(
+            f"x grid {x.width}x{x.height} != y grid {y.width}x{y.height}"
+        )
 
 
 def fit_hacd(x: Features, y: Features, ridge: float | None = None) -> HacdModel:
@@ -223,7 +225,7 @@ def fit_hacd(x: Features, y: Features, ridge: float | None = None) -> HacdModel:
             mean, cov = fit_tiles(_moments, x, y, threads)
         else:
             mean, cov = _moments(x.rows(), y.rows(), 1, x.height, x.width)
-        eps = float(ridge) if ridge is not None else DEFAULT_RIDGE_SCALE * np.trace(cov) / len(cov)
+        eps = DEFAULT_RIDGE_SCALE * float(np.trace(cov)) / len(cov) if ridge is None else float(ridge)
         return HacdModel.from_covariance(mean[: x.dim], mean[x.dim :], cov, ridge=eps)
 
 
@@ -322,8 +324,9 @@ def hacd_score(m: HacdModel, x: np.ndarray, y: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.size != m.d_x or y.size != m.d_y:
-        raise DimensionMismatch(f"input dims ({x.size}, {y.size}) do not match "
-                                f"model ({m.d_x}, {m.d_y})")
+        raise DimensionMismatch(
+            f"input dims ({x.size}, {y.size}) do not match model ({m.d_x}, {m.d_y})"
+        )
     return float(_scorer(m)(x[None, :], y[None, :])[0])
 
 
@@ -342,8 +345,9 @@ def score_map(m: HacdModel, x: Features, y: Features) -> AnomalyMap:
 
     _check_grids(x, y)
     if x.dim != m.d_x or y.dim != m.d_y:
-        raise DimensionMismatch(f"stack dims ({x.dim}, {y.dim}) do not match "
-                                f"model ({m.d_x}, {m.d_y})")
+        raise DimensionMismatch(
+            f"stack dims ({x.dim}, {y.dim}) do not match model ({m.d_x}, {m.d_y})"
+        )
     score = _scorer(m)
     out = np.empty((x.height, x.width))
     with one_blas_thread() as threads:
