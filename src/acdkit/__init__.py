@@ -25,7 +25,6 @@ from .errors import (
 from .evaluate import (
     RocBand,
     RocCurve,
-    auc,
     pauc,
     render_loglog_svg,
     roc,

@@ -2,9 +2,10 @@
 the evaluation of one persisted anomaly map (``evaluate_map``).
 
 One walk over a map's score order (``_walk``) yields its operating points
-a block at a time, as integer counts.  ``roc`` collects them into a band;
-``evaluate_map`` writes roc.csv from them as they come and keeps only
-what its summary and plot need, so it never holds a band.
+a block at a time, as integer counts, and one fold (``_fold``) turns them
+into rates and the map's summary.  ``roc`` collects the rates into a band
+whose scalars are the summary's, bit for bit; ``evaluate_map`` writes
+roc.csv from them as they come, so it never holds a band.
 
 A plot is drawn in two steps: ``plot_points`` reduces a band to the
 vertices its polylines draw (at most ``_SVG_MAX_POINTS`` + 1 per curve),
@@ -73,14 +74,11 @@ class RocCurve:
         object.__setattr__(self, "fpr", f)
         object.__setattr__(self, "tpr", p)
 
-    @property
-    def points(self) -> list[tuple[float, float, float]]:
-        return list(zip(self.thresholds.tolist(), self.fpr.tolist(), self.tpr.tolist()))
-
 
 @dataclass(frozen=True, eq=False)
 class RocBand:
-    """Inner- and outer-truth curves of one anomaly map, with partial AUCs.
+    """Inner- and outer-truth curves of one anomaly map; its scalar fields
+    are the keys of the map's summary.json.
 
     The counts are the curves' class sizes: tpr_inner, tpr_outer and both
     fpr columns are multiples of 1/n_pos_inner, 1/n_pos_outer and 1/n_neg.
@@ -92,6 +90,8 @@ class RocBand:
     outer_curve: RocCurve
     pauc_inner: float
     pauc_outer: float
+    auc_inner: float
+    auc_outer: float
     fpr_max: float
     n_pos_inner: int
     n_pos_outer: int
@@ -167,6 +167,45 @@ def _blocks(ranked, order, inner, outer, zero):
             yield thresholds, counts
 
 
+def _fold(walk, fpr_max: float, kept: dict):
+    """The blocks of ``walk``, ``_walk``'s result, as (thresholds, counts,
+    the (3, m) fpr, tpr_inner and tpr_outer rates).  Once they run out,
+    ``kept`` holds the "summary", ``RocBand``'s scalar fields, and the
+    "points" of ``plot_points``.  It keeps the rates up to the first point
+    past ``fpr_max`` (all ``pauc`` reads), the plotted vertices and two
+    integer sums: each AUC is the exact sum of dneg * (k_before + k_after)
+    over the steps, over 2 * n_neg * n_pos, rounded once."""
+    n_points, (n_inner, n_outer, n_neg), blocks = walk
+    sizes = np.array([[n_neg], [n_inner], [n_outer]])
+    vertex_rows = _vertex_rows(n_points)
+    head, shown, area = [], [], [0, 0]
+    at, last = 0, np.zeros((3, 1), np.int64)
+    for t, counts in blocks:
+        rates = counts / sizes
+        if not head or head[-1][0, -1] <= fpr_max:
+            head.append(rates[:, :np.searchsorted(rates[0], fpr_max, side="right") + 1])
+        lo, hi = np.searchsorted(vertex_rows, (at, at + t.size))
+        shown.append(rates[:, vertex_rows[lo:hi] - at])
+        k = np.concatenate([last, counts], axis=1)
+        for j in (0, 1):
+            area[j] += int(np.diff(k[0]) @ (k[j + 1, :-1] + k[j + 1, 1:]))
+        at, last = at + t.size, counts[:, -1:]
+        yield t, counts, rates
+    f, tpr_inner, tpr_outer = np.concatenate(head, axis=1)
+    kept["summary"] = {
+        "pauc_inner": _pauc(f, tpr_inner, fpr_max),
+        "pauc_outer": _pauc(f, tpr_outer, fpr_max),
+        "auc_inner": area[0] / (2 * n_neg * n_inner),
+        "auc_outer": area[1] / (2 * n_neg * n_outer),
+        "fpr_max": float(fpr_max),
+        "n_pos_inner": n_inner,
+        "n_pos_outer": n_outer,
+        "n_neg": n_neg,
+    }
+    f, tpr_inner, tpr_outer = np.concatenate(shown, axis=1)
+    kept["points"] = np.stack([f, tpr_inner]), np.stack([f, tpr_outer])
+
+
 def roc(amap: AnomalyMap, gt: GroundTruth, fpr_max: float = DEFAULT_FPR_MAX) -> RocBand:
     """Compute the dual-mask ROC band of an anomaly map.
 
@@ -174,34 +213,32 @@ def roc(amap: AnomalyMap, gt: GroundTruth, fpr_max: float = DEFAULT_FPR_MAX) -> 
     curves).  Raises GridMismatch when map and masks disagree and
     EmptyClass when a curve would have no positives or no negatives.
     """
-    n_points, (n_inner, n_outer, n_neg), blocks = _walk(amap.scores, gt)
-    sizes = np.array([[n_neg], [n_inner], [n_outer]])
+    walk, kept = _walk(amap.scores, gt), {}
     # both curves share the thresholds and the negatives' fpr column
-    thresholds, fpr, tpr_inner, tpr_outer = columns = np.empty((4, n_points))
+    thresholds, fpr, tpr_inner, tpr_outer = columns = np.empty((4, walk[0]))
     at = 0
-    for t, counts in blocks:
+    for t, _, rates in _fold(walk, fpr_max, kept):
         columns[0, at:at + t.size] = t
-        columns[1:, at:at + t.size] = counts / sizes
+        columns[1:, at:at + t.size] = rates
         at += t.size
-    inner_curve = RocCurve(thresholds, fpr, tpr_inner)
-    outer_curve = RocCurve(thresholds, fpr, tpr_outer)
-    return RocBand(inner_curve, outer_curve, pauc(inner_curve, fpr_max), pauc(outer_curve, fpr_max),
-                   float(fpr_max), n_inner, n_outer, n_neg)
+    return RocBand(RocCurve(thresholds, fpr, tpr_inner), RocCurve(thresholds, fpr, tpr_outer),
+                   **kept["summary"])
 
 
 def pauc(curve: RocCurve, fpr_max: float = DEFAULT_FPR_MAX) -> float:
     """Trapezoidal area under the curve on fpr in [0, fpr_max].
 
     The polyline is linearly interpolated at the right edge, so a perfect
-    detector scores exactly fpr_max.
+    detector scores exactly fpr_max.  ``pauc(curve, 1.0)`` is a curve's
+    full trapezoidal area; a band from ``roc`` carries its exact AUCs.
     """
-    if not 0.0 < fpr_max <= 1.0:
-        raise ValueError(f"fpr_max must be in (0, 1], got {fpr_max}")
     return _pauc(curve.fpr, curve.tpr, fpr_max)
 
 
 def _pauc(f: np.ndarray, t: np.ndarray, fpr_max: float) -> float:
     """pauc of the curve (f, t), read only up to the first point past fpr_max."""
+    if not 0.0 < fpr_max <= 1.0:
+        raise ValueError(f"fpr_max must be in (0, 1], got {fpr_max}")
     idx = int(np.searchsorted(f, fpr_max, side="right"))
     ff, tt = f[:idx], t[:idx]
     if idx < f.size and (ff.size == 0 or ff[-1] < fpr_max):
@@ -209,11 +246,6 @@ def _pauc(f: np.ndarray, t: np.ndarray, fpr_max: float) -> float:
         ff = np.append(ff, fpr_max)
         tt = np.append(tt, t[idx - 1] + w * (t[idx] - t[idx - 1]))
     return float(np.trapezoid(tt, ff))
-
-
-def auc(curve: RocCurve) -> float:
-    """Full trapezoidal area under the curve."""
-    return pauc(curve, 1.0)
 
 
 def write_roc_csv(band: RocBand, path: str) -> None:
@@ -292,56 +324,24 @@ def evaluate_map(path: str, out_dir: str, truth: GroundTruth | tuple[str, str | 
     whose sizes do not grow with the map.  ``truth`` is the GroundTruth or
     the (inner, outer) mask paths, loaded on the map's grid.
 
-    One ``_walk`` writes roc.csv as its blocks come and keeps only the
-    rates up to the first point past ``fpr_max`` (all ``pauc`` reads), the
-    plotted vertices and two integer sums: each AUC is the exact sum of
-    dneg * (k_before + k_after) over the steps, over 2 * n_neg * n_pos,
-    rounded once.  The map is dropped once sorted, so the walk holds its
-    order and sorted scores (12 B per pixel) and one block at a time.
+    One ``_walk`` through ``_fold`` writes roc.csv as its blocks come.  The
+    map is dropped once sorted, so the walk holds its order and sorted
+    scores (12 B per pixel) and one block at a time.
     """
     scores = load_raster(path).data
     if not isinstance(truth, GroundTruth):
         truth = load_ground_truth(*truth, scores.shape[::-1])
-    n_points, (n_inner, n_outer, n_neg), blocks = _walk(scores, truth)
+    walk, kept = _walk(scores, truth), {}
     del scores
-    sizes = np.array([[n_neg], [n_inner], [n_outer]])
-    vertex_rows = _vertex_rows(n_points)
-    head, shown, area = [], [], [0, 0]
-
-    def rows():
-        at, last = 0, np.zeros((3, 1), np.int64)
-        for t, counts in blocks:
-            rates = counts / sizes
-            if not head or head[-1][0, -1] <= fpr_max:
-                head.append(rates[:, :np.searchsorted(rates[0], fpr_max, side="right") + 1])
-            lo, hi = np.searchsorted(vertex_rows, (at, at + t.size))
-            shown.append(rates[:, vertex_rows[lo:hi] - at])
-            k = np.concatenate([last, counts], axis=1)
-            for j in (0, 1):
-                area[j] += int(np.diff(k[0]) @ (k[j + 1, :-1] + k[j + 1, 1:]))
-            at, last = at + t.size, counts[:, -1:]
-            yield np.stack([t, *rates[[0, 1, 0, 2]]]), counts[[0, 1, 0, 2]], np.zeros(t.size, bool)
-
     make_dir(out_dir)
-    write_text(os.path.join(out_dir, "roc.csv"), _roc_csv_text(rows()))
-    f, tpr_inner, tpr_outer = np.concatenate(head, axis=1)
-    summary = {
-        "pauc_inner": _pauc(f, tpr_inner, fpr_max),
-        "pauc_outer": _pauc(f, tpr_outer, fpr_max),
-        "auc_inner": area[0] / (2 * n_neg * n_inner),
-        "auc_outer": area[1] / (2 * n_neg * n_outer),
-        "fpr_max": float(fpr_max),
-        "n_pos_inner": n_inner,
-        "n_pos_outer": n_outer,
-        "n_neg": n_neg,
-    }
-    f, tpr_inner, tpr_outer = np.concatenate(shown, axis=1)
-    points = np.stack([f, tpr_inner]), np.stack([f, tpr_outer])
+    write_text(os.path.join(out_dir, "roc.csv"), _roc_csv_text(
+        (np.stack([t, *rates[[0, 1, 0, 2]]]), counts[[0, 1, 0, 2]], np.zeros(t.size, bool))
+        for t, counts, rates in _fold(walk, fpr_max, kept)))
     label = _base_path(os.path.basename(os.path.normpath(path))) or "map"
-    write_loglog_svg({label: points}, os.path.join(out_dir, "roc.svg"))
+    write_loglog_svg({label: kept["points"]}, os.path.join(out_dir, "roc.svg"))
     write_text(os.path.join(out_dir, "summary.json"),
-               json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return points, summary
+               json.dumps(kept["summary"], indent=2, sort_keys=True) + "\n")
+    return kept["points"], kept["summary"]
 
 
 def _vertex_rows(n: int) -> np.ndarray:

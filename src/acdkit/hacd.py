@@ -164,14 +164,6 @@ class HacdModel:
     def d_y(self) -> int:
         return self.mean_y.size
 
-    @property
-    def cov_xx(self) -> np.ndarray:
-        return self.cov[: self.d_x, : self.d_x]
-
-    @property
-    def cov_yy(self) -> np.ndarray:
-        return self.cov[self.d_x :, self.d_x :]
-
     @classmethod
     def from_covariance(
         cls, mean_x: np.ndarray, mean_y: np.ndarray, cov: np.ndarray, ridge: float = 0.0

@@ -47,8 +47,8 @@ def _report(num, name, ok, detail=""):
 def _oracle(m, x, y):
     z = np.concatenate([np.atleast_1d(x), np.atleast_1d(y)])
     p12 = multivariate_normal.pdf(z, mean=np.concatenate([m.mean_x, m.mean_y]), cov=m.cov)
-    p1 = multivariate_normal.pdf(np.atleast_1d(x), mean=m.mean_x, cov=m.cov_xx)
-    p2 = multivariate_normal.pdf(np.atleast_1d(y), mean=m.mean_y, cov=m.cov_yy)
+    p1 = multivariate_normal.pdf(np.atleast_1d(x), mean=m.mean_x, cov=m.cov[:m.d_x, :m.d_x])
+    p2 = multivariate_normal.pdf(np.atleast_1d(y), mean=m.mean_y, cov=m.cov[m.d_x:, m.d_x:])
     return float(-np.log(p12 / (p1 * p2)))
 
 

@@ -21,7 +21,6 @@ from acdkit import (
     Raster,
     RocBand,
     RocCurve,
-    auc,
     pauc,
     render_loglog_svg,
     roc,
@@ -56,7 +55,10 @@ def test_four_pixel_fixture_hand_enumeration():
 
 def test_inner_equals_outer_gives_identical_curves():
     band = roc(FOUR_PIXEL_MAP, FOUR_PIXEL_GT)
-    assert band.inner_curve.points == band.outer_curve.points
+    for a, b in ((band.inner_curve.thresholds, band.outer_curve.thresholds),
+                 (band.inner_curve.fpr, band.outer_curve.fpr),
+                 (band.inner_curve.tpr, band.outer_curve.tpr)):
+        assert a.view(np.int64).tolist() == b.view(np.int64).tolist()
 
 
 def test_constant_map_is_two_endpoints():
@@ -212,13 +214,28 @@ def test_evaluate_map_matches_roc_property(tmp_path_factory, case, block_rows, f
     assert [p.tolist() for p in points] == [p.tolist() for p in evaluate.plot_points(band)]
     assert summary["pauc_inner"].hex() == band.pauc_inner.hex()
     assert summary["pauc_outer"].hex() == band.pauc_outer.hex()
-    # the area under a ROC curve with ties as diagonal steps is the share
-    # of (positive, negative) pairs ranked right, a tie counting one half
-    negatives = scores[~outer].astype(np.float64)
-    for label, positive in (("inner", inner), ("outer", outer)):
-        pairs = scores[positive].astype(np.float64)[:, None] - negatives
-        halves = 2 * np.count_nonzero(pairs > 0) + np.count_nonzero(pairs == 0)
-        assert summary[f"auc_{label}"] == float(Fraction(int(halves), 2 * pairs.size))
+    assert summary["auc_inner"].hex() == band.auc_inner.hex()
+    assert summary["auc_outer"].hex() == band.auc_outer.hex()
+    assert summary["auc_inner"] == _exact_auc(scores, inner, ~outer)
+    assert summary["auc_outer"] == _exact_auc(scores, outer, ~outer)
+
+
+def _exact_auc(scores, positive, negative):
+    """The area under a ROC curve with ties as diagonal steps: the share of
+    (positive, negative) pairs ranked right, a tie counting one half."""
+    scores = scores.astype(np.float64)
+    pairs = scores[positive][:, None] - scores[negative]
+    halves = 2 * np.count_nonzero(pairs > 0) + np.count_nonzero(pairs == 0)
+    return float(Fraction(int(halves), 2 * pairs.size))
+
+
+def test_band_auc_is_the_exact_pair_count():
+    # a trapezoid over this map's float rates gives 0.8565524900631283 for
+    # the inner curve, one bit below the exact area
+    scores, inner, outer = _random_large_map(1, 64)
+    band = roc(_amap(scores), _gt(inner, outer))
+    assert band.auc_inner == _exact_auc(scores, inner, ~outer) == 0.8565524900631284
+    assert band.auc_outer == _exact_auc(scores, outer, ~outer)
 
 
 def test_grid_mismatch():
@@ -239,7 +256,7 @@ def test_empty_class():
 def test_band_refuses_an_empty_class_count():
     curve = roc(FOUR_PIXEL_MAP, FOUR_PIXEL_GT).inner_curve
     with pytest.raises(ValueError, match="class counts"):
-        RocBand(curve, curve, 0.0, 0.0, 0.01, n_pos_inner=2, n_pos_outer=2, n_neg=0)
+        RocBand(curve, curve, 0.0, 0.0, 0.5, 0.5, 0.01, n_pos_inner=2, n_pos_outer=2, n_neg=0)
 
 
 @pytest.mark.parametrize("outer_thresholds", [
@@ -252,22 +269,22 @@ def test_band_refuses_curves_on_different_thresholds(outer_thresholds):
     n = len(outer_thresholds)
     outer = RocCurve(outer_thresholds, np.linspace(0, 1, n), np.linspace(0, 1, n))
     with pytest.raises(ValueError, match="thresholds differ"):
-        RocBand(inner, outer, 0.0, 0.0, 0.01, n_pos_inner=2, n_pos_outer=2, n_neg=2)
+        RocBand(inner, outer, 0.0, 0.0, 0.5, 0.5, 0.01, n_pos_inner=2, n_pos_outer=2, n_neg=2)
     # a copy of the same thresholds is one grid
     same = RocCurve(inner.thresholds.copy(), inner.fpr, inner.tpr)
-    RocBand(inner, same, 0.0, 0.0, 0.01, n_pos_inner=2, n_pos_outer=2, n_neg=2)
+    RocBand(inner, same, 0.0, 0.0, 0.5, 0.5, 0.01, n_pos_inner=2, n_pos_outer=2, n_neg=2)
 
 
 def test_pauc_perfect_detector():
     c = RocCurve([math.inf, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 1.0])
     assert pauc(c, 0.01) == pytest.approx(0.01, abs=1e-15)
-    assert auc(c) == pytest.approx(1.0, abs=1e-15)
+    assert pauc(c, 1.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_pauc_chance_diagonal():
     c = RocCurve([math.inf, 0.0], [0.0, 1.0], [0.0, 1.0])
     assert pauc(c, 0.01) == pytest.approx(5e-5, abs=1e-18)
-    assert auc(c) == pytest.approx(0.5, abs=1e-15)
+    assert pauc(c, 1.0) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_pauc_right_edge_interpolation():
@@ -460,7 +477,9 @@ def _assert_svg_matches_reference(bands, tmp_path):
     assert new.read_bytes() == ref.read_bytes()
 
 
-def _random_large_band(seed, side):
+def _random_large_map(seed, side):
+    """(scores, inner, outer): normal scores, +1.5 inside an outer rectangle
+    whose first 3 rows are not inner."""
     rng = np.random.default_rng(seed)
     outer = np.zeros((side, side), bool)
     outer[side // 4: side // 2, side // 3: 2 * side // 3] = True
@@ -468,6 +487,11 @@ def _random_large_band(seed, side):
     inner[side // 4: side // 4 + 3, :] = False
     scores = rng.normal(size=(side, side))
     scores[outer] += 1.5
+    return scores, inner, outer
+
+
+def _random_large_band(seed, side):
+    scores, inner, outer = _random_large_map(seed, side)
     return roc(_amap(scores), _gt(inner, outer))
 
 
@@ -493,7 +517,7 @@ def test_csv_bytes_match_reference_on_awkward_values(tmp_path):
     _assert_csv_matches_reference(band, tmp_path)
     # an externally built band whose rates hold -0.0 next to 0.0
     curve = RocCurve([math.inf, 0.5, -0.0], [-0.0, 0.0, 1.0], [0.0, -0.0, 1.0])
-    band = RocBand(curve, curve, 0.0, 0.0, 0.01, n_pos_inner=1, n_pos_outer=1, n_neg=1)
+    band = RocBand(curve, curve, 0.0, 0.0, 0.5, 0.5, 0.01, n_pos_inner=1, n_pos_outer=1, n_neg=1)
     _assert_csv_matches_reference(band, tmp_path)
 
 
@@ -507,7 +531,7 @@ def _widest_band():
     fpr = [-2.2250738585072014e-308, 0.0, 1 / 3, 2 / 3, 1.0]
     tpr = [0.0, 1 / 7, 3 / 7, 6 / 7, 1.0]
     curve = RocCurve(thresholds, fpr, tpr)
-    return RocBand(curve, curve, 0.0, 0.0, 0.01, n_pos_inner=7, n_pos_outer=7, n_neg=3)
+    return RocBand(curve, curve, 0.0, 0.0, 0.5, 0.5, 0.01, n_pos_inner=7, n_pos_outer=7, n_neg=3)
 
 
 def test_csv_bytes_match_reference_on_the_widest_reprs(tmp_path):

@@ -68,8 +68,8 @@ def density_ratio_oracle(m, x, y):
     y = np.atleast_1d(np.asarray(y, float))
     z = np.concatenate([x, y])
     p12 = multivariate_normal.pdf(z, mean=np.concatenate([m.mean_x, m.mean_y]), cov=m.cov)
-    p1 = multivariate_normal.pdf(x, mean=m.mean_x, cov=m.cov_xx)
-    p2 = multivariate_normal.pdf(y, mean=m.mean_y, cov=m.cov_yy)
+    p1 = multivariate_normal.pdf(x, mean=m.mean_x, cov=m.cov[:m.d_x, :m.d_x])
+    p2 = multivariate_normal.pdf(y, mean=m.mean_y, cov=m.cov[m.d_x:, m.d_x:])
     return float(-np.log(p12 / (p1 * p2)))
 
 
