@@ -6,12 +6,13 @@ yields each output row's (width, dim) vectors in order; that is what the
 HACD score reads, and the fit unless both sources are `PatchWindows` of
 one size.  `FeatureStack` holds every vector.  Two streamed sources hold
 O(pixels), not O(pixels x dim): `PatchWindows` keeps only the padded
-raster and yields strided views of its windows, and `GlcmCounts` keeps
-one small-integer cell image per offset and counts each row's pairs from
-rolling column windows, afresh on every pass.  `patch_features` and
-`glcm_features` collect those rows into a FeatureStack.  Borders are
-handled by mirror padding (reflection without repeating the edge sample),
-so the output grid always equals the input grid.
+float32 raster (at patch 1 the raster itself) and widens its windows a
+block at a time, and `GlcmCounts` keeps one small-integer cell image per
+offset and counts each row's pairs from rolling column windows, afresh on
+every pass.  `patch_features` and `glcm_features` collect those rows into
+a FeatureStack.  Borders are handled by mirror padding (reflection
+without repeating the edge sample), so the output grid always equals the
+input grid.
 """
 
 from __future__ import annotations
@@ -105,9 +106,10 @@ def _check_patch(patch: int, height: int, width: int) -> int:
 class PatchWindows:
     """Patch features that are read from the mirror-padded raster on demand.
 
-    Holds only the padded raster, never an O(pixels x dim) stack.
-    ``row_windows`` exposes the padded rows the patches are cut from, which
-    a fit of two same-size sources reads instead of ``rows()``.
+    Holds only the padded raster in the raster's float32 (at patch 1 the
+    raster's own array), never an O(pixels x dim) stack.  ``row_windows``
+    exposes the padded rows the patches are cut from, which a fit of two
+    same-size sources reads instead of ``rows()``.
     """
 
     def __init__(self, r: Raster, patch: int = DEFAULT_PATCH):
@@ -115,9 +117,9 @@ class PatchWindows:
         self.height, self.width = r.height, r.width
         self.patch = patch
         self.dim = patch * patch
-        # padded before the cast: the float32 temporary is the smaller one
-        self._padded = np.pad(r.data, pad, mode="reflect").astype(np.float64)
-        self._padded.setflags(write=False)  # rows() may yield views of it
+        # the raster's float32, never widened whole: at patch 1 its own array
+        self._padded = np.pad(r.data, pad, mode="reflect") if pad else r.data
+        self._padded.setflags(write=False)  # row_windows() is a view of it
 
     def rows(self, c0: int = 0, c1: int | None = None):
         """Yield each output row's patch vectors at columns [c0:c1] (by
@@ -127,13 +129,16 @@ class PatchWindows:
         2p-1) padded rows are copied once, column-major, into a (c1 - c0,
         2p-1, p) buffer, so pixel c's patch at block row t is the p*p
         contiguous floats ``buf[c, t:t+p]``: a view with unit inner stride,
-        which BLAS reads in place.  Each padded row is copied about twice
-        instead of once per patch row (p times).  At patch 1 the padded
-        raster is the raster, so its rows are yielded as (c1 - c0, 1) views.
+        which BLAS reads in place.  Each padded row is copied (widened to
+        float64) about twice instead of once per patch row (p times).  At
+        patch 1 each raster row is yielded as a fresh read-only float64 array.
         """
         h, p = self.height, self.patch
         if p == 1:
-            yield from self._padded.reshape(h, self.width, 1)[:, c0:c1]
+            for row in self._padded[:, c0:c1, np.newaxis]:
+                row = row.astype(np.float64)
+                row.setflags(write=False)
+                yield row
             return
         windows = self.row_windows()[:, c0:c1]
         w = windows.shape[1]
@@ -145,9 +150,10 @@ class PatchWindows:
                 yield buf[:, t : t + p].reshape(w, p * p, copy=False)
 
     def row_windows(self) -> np.ndarray:
-        """Read-only (height + patch - 1, width, patch) view: [b, c, j] = padded[b, c + j].
+        """Read-only float32 (height + patch - 1, width, patch) view: [b, c, j] = padded[b, c + j].
 
-        Patch row i of the vectors of output row r is ``row_windows()[r + i]``.
+        Patch row i of the vectors of output row r is ``row_windows()[r + i]``;
+        its reader widens it (``hacd._moments``, as it fills its ring).
         """
         return np.lib.stride_tricks.sliding_window_view(self._padded, self.patch, axis=1)
 

@@ -224,22 +224,22 @@ def fit_hacd(x: Features, y: Features, ridge: float | None = None) -> HacdModel:
 def _moments(xs, ys, s: int, h: int, w: int):
     """(mean, population covariance) of the [x | y] vectors of an h x w grid.
 
-    ``xs`` and ``ys`` each yield h+s-1 blocks, of shape (w, k_x) and (w,
-    k_y); W_b is block b's (w, k) matrix [x | y] less the first block's
-    mean.  Pixel (r, c)'s vector is W_r .. W_{r+s-1} at column c (x parts,
-    then y parts), so product block (i, i+t) sums W_a' W_{a+t} over a = i
-    .. i+h-1.  Each block is copied into a ring of the last s blocks (so a
-    source may reuse its buffer) less its column means u_b, as C_b; then
-    W_a' W_{a+t} = C_a' C_{a+t} + w u_a u_{a+t}'.  One walk sums C_a'
-    C_{a+t} (t < s), block i being the running sum after block h+i-1 less
-    the one after block i-1; the u part is added at the end about block
-    i's mean.  With every block about its own mean, neither an offset nor
-    a drift across blocks costs digits.
+    ``xs`` and ``ys`` each yield h+s-1 float64 or float32 blocks, of shape
+    (w, k_x) and (w, k_y); W_b is block b's (w, k) matrix [x | y] less the
+    first block's mean.  Pixel (r, c)'s vector is W_r .. W_{r+s-1} at column
+    c (x parts, then y parts), so product block (i, i+t) sums W_a' W_{a+t}
+    over a = i .. i+h-1.  Each block is copied into a float64 ring of the
+    last s blocks (so a source may reuse its buffer) less its column means
+    u_b, all in float64, as C_b; then W_a' W_{a+t} = C_a' C_{a+t} + w u_a
+    u_{a+t}'.  One walk sums C_a' C_{a+t} (t < s), block i being the running
+    sum after block h+i-1 less the one after block i-1; the u part is added
+    at the end about block i's mean.  With every block about its own mean,
+    neither an offset nor a drift across blocks costs digits.
     """
     feed = zip(xs, ys)
     x0, y0 = next(feed)
     kx, k = x0.shape[1], x0.shape[1] + y0.shape[1]
-    shift = np.concatenate([x0.mean(axis=0), y0.mean(axis=0)])
+    shift = np.concatenate([x0.mean(axis=0, dtype=float), y0.mean(axis=0, dtype=float)])
     feed = itertools.chain([(x0, y0)], feed)
     # ring[:, b % s] holds C_b, so C_a' ring gives C_a' C_{a+t} in slot (a+t) % s
     ring = np.empty((w, s, k))
@@ -353,8 +353,8 @@ def score_map(m: HacdModel, x: Features, y: Features) -> AnomalyMap:
 
 def diff_score(pair: CoregisteredPair) -> AnomalyMap:
     """Absolute pixelwise difference |t1 - t0|; the baseline detector."""
-    d = np.abs(pair.t1.data.astype(np.float64) - pair.t0.data.astype(np.float64))
-    return AnomalyMap(d)
+    d = np.subtract(pair.t1.data, pair.t0.data, dtype=np.float64)  # the one float64 plane
+    return AnomalyMap(np.abs(d, out=d))
 
 
 def save_model(m: HacdModel, path: str) -> None:

@@ -131,19 +131,28 @@ class SceneConfig:
                 raise BadConfig(f"pervasive patch gain must be > 0, got {pgain}")
 
 
-def _box_mean(a: np.ndarray, radius: int) -> np.ndarray:
-    """Mean over (2*radius+1)^2 mirror-padded windows, via summed-area table."""
-    if radius == 0:
-        return a.astype(np.float64, copy=True)
-    side = 2 * radius + 1
+def _box_mean(a: np.ndarray, radius: int, rect: tuple | None = None) -> np.ndarray:
+    """Mean over (2*radius+1)^2 mirror-padded windows, via summed-area table
+    (Crow 1984), at every pixel or at those of ``rect`` (x, y, w, h); the
+    padding it writes in place is np.pad(mode="reflect")'s for radius < min(h, w)."""
     h, w = a.shape
+    x, y, rw, rh = rect or (0, 0, w, h)
+    if radius == 0:
+        return a[y : y + rh, x : x + rw].astype(np.float64, copy=True)
+    side = 2 * radius + 1
     sat = np.zeros((h + side, w + side))
-    sat[1:, 1:] = np.pad(a, radius, mode="reflect")
+    pad = sat[1:, 1:]
+    pad[radius : radius + h, radius : radius + w] = a
+    pad[:radius, radius : radius + w] = pad[2 * radius : radius : -1, radius : radius + w]
+    pad[radius + h :, radius : radius + w] = pad[radius + h - 2 : h - 2 : -1, radius : radius + w]
+    pad[:, :radius] = pad[:, 2 * radius : radius : -1]
+    pad[:, radius + w :] = pad[:, radius + w - 2 : w - 2 : -1]
     np.cumsum(sat, axis=0, out=sat)
     np.cumsum(sat, axis=1, out=sat)
-    total = sat[side:, side:] - sat[side:, :w]
-    total -= sat[:h, side:]
-    total += sat[:h, :w]
+    lo, hi = sat[y : y + rh], sat[y + side : y + rh + side]
+    total = hi[:, x + side : x + rw + side] - hi[:, x : x + rw]
+    total -= lo[:, x + side : x + rw + side]
+    total += lo[:, x : x + rw]
     total /= float(side * side)
     return total
 
@@ -153,10 +162,10 @@ def generate_scene(cfg: SceneConfig) -> tuple[Raster, Raster, GroundTruth]:
     """Deterministically generate (t0, t1, ground truth) from a config.
 
     t0 and t1 are changed in place, speckle and noise are drawn into them a
-    block at a time, and the anomaly only inside its rectangle: the only
-    other full-size planes are the background field and the box means.  A
-    config whose values overflow float64 or float32 on the way is refused
-    with BadConfig when the planes become Rasters, without a warning."""
+    block at a time, and the anomaly only inside its rectangle: the other
+    full-size planes are the background field, t1's box mean (then its
+    residual) and one summed-area table at a time.  A config whose values
+    overflow float64 or float32 is refused with BadConfig, without a warning."""
     from . import rng  # here, not at import, so that only synthesis loads it
 
     h, w = cfg.height, cfg.width
@@ -193,7 +202,7 @@ def generate_scene(cfg: SceneConfig) -> tuple[Raster, Raster, GroundTruth]:
             d = _box_mean(t1, LOCAL_STD_RADIUS)
             np.subtract(t1, d, out=d)
             np.square(d, out=d)
-            local_sigma = np.sqrt(_box_mean(d, LOCAL_STD_RADIUS)[rect])
+            local_sigma = np.sqrt(_box_mean(d, LOCAL_STD_RADIUS, cfg.anomaly_rect))
             # rectangle row i is the rw draws from pixel (y + i, x) on
             t1[rect] += amp * local_sigma * np.stack(
                 [rng.normal(cfg.seed, STREAM_ANOMALY, rw, (y + i) * w + x) for i in range(rh)])

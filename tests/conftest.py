@@ -2,6 +2,7 @@
 
 import os
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -34,3 +35,19 @@ def assert_task_count():
         assert count == expected, f"{count} threads, expected {expected}"
 
     return check
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(f, *args, **kwargs) calls f and returns (its result, the
+    tracemalloc peak in bytes during the call); what the call returns is
+    still allocated when the peak is read."""
+    def call(f, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            result = f(*args, **kwargs)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return call

@@ -1,7 +1,6 @@
 import csv
 import math
 import pickle
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -95,7 +94,7 @@ def test_ambiguous_band_excluded_from_inner_curve():
     assert not band.inner_curve.fpr.flags.writeable
 
 
-def test_roc_holds_each_column_once():
+def test_roc_holds_each_column_once(traced_peak):
     # an all-distinct 512x512 map: the sort order and sorted scores (16 B
     # per pixel), the shared thresholds and fpr, two tpr columns (32) and
     # one block come to about 50 B per pixel; a second fpr column, a copy of
@@ -107,17 +106,12 @@ def test_roc_holds_each_column_once():
     inner[200:300, 200:300] = True
     outer[196:304, 196:304] = True
     gt = _gt(inner, outer)
-    tracemalloc.start()
-    try:
-        band = roc(amap, gt)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    band, peak = traced_peak(roc, amap, gt)
     assert band.inner_curve.thresholds.size == side * side + 1
     assert peak <= 56 * side * side
 
 
-def test_evaluate_map_holds_each_column_once(tmp_path):
+def test_evaluate_map_holds_each_column_once(tmp_path, traced_peak):
     # an all-distinct 512x512 map: the f32 map, its sort order and sorted
     # scores and the first tie-group test come to 17 B per pixel; from then
     # on the order and the sorted scores (12) with one block of counts and
@@ -130,13 +124,8 @@ def test_evaluate_map_holds_each_column_once(tmp_path):
     inner[200:300, 200:300] = True
     outer[196:304, 196:304] = True
     gt = _gt(inner, outer)
-    tracemalloc.start()
-    try:
-        _, summary = evaluate.evaluate_map(str(tmp_path / "anomaly"), str(tmp_path / "out"),
-                                           gt, 0.01)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (_, summary), peak = traced_peak(
+        evaluate.evaluate_map, str(tmp_path / "anomaly"), str(tmp_path / "out"), gt, 0.01)
     assert summary["n_neg"] == side * side - 108 * 108
     assert peak <= 21 * side * side
 

@@ -61,6 +61,16 @@ def test_patch_one_rows_are_views_of_the_raster():
     assert np.stack(rows)[:, :, 0].tobytes() == r.data.astype(np.float64).tobytes()
 
 
+@pytest.mark.parametrize("patch", [1, 3])
+def test_patch_windows_hold_the_raster_in_float32(patch):
+    # the padded raster stays in the raster's float32, 4 B per pixel, and at
+    # patch 1, where nothing is padded, it is the raster's own array
+    r = _raster(np.random.default_rng(2).normal(size=(6, 5)))
+    windows = PatchWindows(r, patch).row_windows()
+    assert windows.dtype == np.float32 and not windows.flags.writeable
+    assert np.shares_memory(windows, r.data) == (patch == 1)
+
+
 def test_patch_constant_raster():
     fs = patch_features(_raster(np.full((12, 13), 2.5)), 11)
     assert fs.dim == 121

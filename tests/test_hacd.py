@@ -6,7 +6,6 @@ import subprocess
 import sys
 import threading
 import time
-import tracemalloc
 import warnings
 from unittest import mock
 
@@ -287,19 +286,14 @@ def test_save_model_streams_the_bytes_of_one_json_dumps(tmp_path, dims):
     assert all(repr(v) in text for v in edges)
 
 
-def test_save_model_transient_does_not_grow_with_d_squared(tmp_path):
+def test_save_model_transient_does_not_grow_with_d_squared(tmp_path, traced_peak):
     # the covariance is formatted one row at a time: about 47 KB at d = 242
     # (one row's floats and text, the file buffer), where the document built
     # whole took 7.2 MB
     rng = np.random.default_rng(5)
     m = _random_model(rng, 121, 121)
     path = tmp_path / "model.json"
-    tracemalloc.start()
-    try:
-        save_model(m, str(path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(save_model, m, str(path))
     assert path.read_text() == _one_dumps(m)
     assert peak <= 1024 * (m.d_x + m.d_y)
 
@@ -858,38 +852,55 @@ def test_mixed_patch_sizes_fit_and_score_through_tiles():
     _assert_close_scores(score_map(m, x, y).scores, score_map(want, sx, sy).scores)
 
 
-def _detector_peak_bytes(name, height, width, seed):
+def _detector_peak_bytes(traced_peak, name, height, width, seed):
     """tracemalloc peak of running detector ``name`` on a textured pair."""
-    pair = _textured_pair(height, width, seed=seed)
-    tracemalloc.start()
-    try:
-        run_detector(name, pair)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(run_detector, name, _textured_pair(height, width, seed=seed))[1]
 
 
-def test_patch_detector_memory_does_not_grow_with_pixels_times_dim():
-    # the padded rasters, the score map and the input pair grow by a few
-    # float64 per pixel; a 121-dim float64 stack of either epoch would add
-    # at least 968 bytes per pixel
-    small = _detector_peak_bytes("patch-hacd", 256, 128, seed=33)
-    large = _detector_peak_bytes("patch-hacd", 1024, 128, seed=33)
-    assert (large - small) / (768 * 128) <= 4 * 8
+def test_patch_detector_memory_does_not_grow_with_pixels_times_dim(traced_peak):
+    # the score peak holds the float32 padded rasters (8.6 B per pixel at
+    # width 128) and the float64 score map (8), and the 256-row grid peaks
+    # in its fit's fixed buffers instead, so the difference reads about 12.4
+    # B per pixel; float64 padded rasters add 8.6 more, and a 121-dim
+    # float64 stack of either epoch at least 968
+    small = _detector_peak_bytes(traced_peak, "patch-hacd", 256, 128, seed=33)
+    large = _detector_peak_bytes(traced_peak, "patch-hacd", 1024, 128, seed=33)
+    assert (large - small) / (768 * 128) <= 16
 
 
-def test_glcm_detector_memory_does_not_grow_with_pixels_times_cells():
+def test_hacd_detector_holds_no_copy_of_the_rasters(traced_peak):
+    # at patch 1 the sources are the rasters themselves, so the float64
+    # score map and its finiteness mask (9 B per pixel) are all that grows;
+    # a float64 copy of either raster adds 8
+    small = _detector_peak_bytes(traced_peak, "hacd", 256, 128, seed=33)
+    large = _detector_peak_bytes(traced_peak, "hacd", 1024, 128, seed=33)
+    assert (large - small) / (768 * 128) <= 12
+
+
+def test_diff_score_holds_one_float64_plane(traced_peak):
+    # the float64 difference, taken absolute in place, and AnomalyMap's
+    # finiteness mask come to 9 B per pixel; a second float64 plane adds 8
+    side = 512
+    pair = _textured_pair(side, side, seed=36)
+    amap, peak = traced_peak(diff_score, pair)
+    want = np.abs(pair.t1.data.astype(np.float64) - pair.t0.data.astype(np.float64))
+    assert amap.scores.tobytes() == want.tobytes()
+    assert peak <= 9 * side * side + 4096
+
+
+def test_glcm_detector_memory_does_not_grow_with_pixels_times_cells(traced_peak):
     # quantize's sort order and ranks, the cell images and the score map
     # grow by a few words per pixel; a uint16 count stack of 36 cells per
     # pixel, of either epoch, would add 72 bytes per pixel
-    small = _detector_peak_bytes("glcm-hacd", 256, 128, seed=35)
-    large = _detector_peak_bytes("glcm-hacd", 1024, 128, seed=35)
+    small = _detector_peak_bytes(traced_peak, "glcm-hacd", 256, 128, seed=35)
+    large = _detector_peak_bytes(traced_peak, "glcm-hacd", 1024, 128, seed=35)
     assert (large - small) / (768 * 128) <= 36
 
 
-def test_glcm_detector_holds_no_float64_stack():
+def test_glcm_detector_holds_no_float64_stack(traced_peak):
     # the detector holds per-pixel cell images and quantize's transients,
     # a few words per pixel, so a float64 (h, w, 36) stack of either epoch
     # breaks the budget
     height, width = 512, 256
-    assert _detector_peak_bytes("glcm-hacd", height, width, seed=34) < height * width * 36 * 8
+    peak = _detector_peak_bytes(traced_peak, "glcm-hacd", height, width, seed=34)
+    assert peak < height * width * 36 * 8

@@ -1,5 +1,4 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,16 +49,11 @@ def test_any_span_of_draws_has_the_bits_of_the_whole(draw, seed, stream, start, 
 
 
 @pytest.mark.parametrize("draw", [rng.normal, rng.exponential])
-def test_draws_hold_their_output_and_one_block(draw):
+def test_draws_hold_their_output_and_one_block(draw, traced_peak):
     # 8 B per draw for the result, plus at most four block-sized arrays
     n = 8 * rng.BLOCK
     draw(0, 0, 3)
-    tracemalloc.start()
-    try:
-        draw(1, 2, n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(draw, 1, 2, n)
     assert peak <= 8 * n + 4 * 8 * rng.BLOCK + 4096
 
 

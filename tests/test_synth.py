@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,19 +178,43 @@ def test_suite_scenes_keep_their_golden_bytes(name):
     assert digests == _SUITE_DIGESTS[name]
 
 
+def _pad_box_mean(a, radius):
+    """generate_scene's box mean at every pixel, through an np.pad copy of
+    ``a`` beside its summed-area table and every step out of place."""
+    if radius == 0:
+        return a.copy()
+    side = 2 * radius + 1
+    h, w = a.shape
+    sat = np.zeros((h + side, w + side))
+    sat[1:, 1:] = np.pad(a, radius, mode="reflect")
+    sat = sat.cumsum(axis=0).cumsum(axis=1)
+    return (sat[side:, side:] - sat[side:, :w] - sat[:h, side:] + sat[:h, :w]) / float(side**2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_box_mean_pads_in_place_as_np_pad_does(data):
+    # the table's reflected rows and columns, written in place, and a mean
+    # read at one rectangle only give the np.pad route's bits, for every
+    # radius that SceneConfig allows (radius < min(h, w)) on grids from 5x5
+    h = data.draw(st.integers(5, 24), label="h")
+    w = data.draw(st.integers(5, 24), label="w")
+    radius = data.draw(st.integers(0, min(h, w) - 1), label="radius")
+    x, y = data.draw(st.integers(0, w - 1), label="x"), data.draw(st.integers(0, h - 1), label="y")
+    rect = data.draw(st.none() | st.tuples(
+        st.just(x), st.just(y), st.integers(1, w - x), st.integers(1, h - y)), label="rect")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    a = 1e3 + np.random.default_rng(seed).normal(size=(h, w))
+    want = _pad_box_mean(a, radius)
+    if rect is not None:
+        rx, ry, rw, rh = rect
+        want = want[ry : ry + rh, rx : rx + rw]
+    assert synth._box_mean(a, radius, rect).tobytes() == want.tobytes()
+
+
 def _whole_plane_scene(cfg):
     """t0 and t1 (float32) by generate_scene's formulas on whole planes: every
     field drawn full size, the anomaly's too, and every step out of place."""
-    def box_mean(a, radius):
-        if radius == 0:
-            return a.copy()
-        side = 2 * radius + 1
-        h, w = a.shape
-        sat = np.zeros((h + side, w + side))
-        sat[1:, 1:] = np.pad(a, radius, mode="reflect")
-        sat = sat.cumsum(axis=0).cumsum(axis=1)
-        return (sat[side:, side:] - sat[side:, :w] - sat[:h, side:] + sat[:h, :w]) / float(side**2)
-
     def field(stream, draw=rng.normal):
         return draw(cfg.seed, stream, h * w).reshape(h, w)
 
@@ -199,7 +222,7 @@ def _whole_plane_scene(cfg):
     x, y, rw, rh = cfg.anomaly_rect
     rect = slice(y, y + rh), slice(x, x + rw)
     t0 = synth.BG_LEVEL + synth.BG_SIGMA * (
-        box_mean(field(synth.STREAM_BACKGROUND), r) * float(2 * r + 1))
+        _pad_box_mean(field(synth.STREAM_BACKGROUND), r) * float(2 * r + 1))
     t1 = cfg.pervasive_gain * t0 + cfg.pervasive_offset
     for px, py, pw, ph, pgain in cfg.pervasive_patches:
         t1[py : py + ph, px : px + pw] *= pgain
@@ -214,7 +237,8 @@ def _whole_plane_scene(cfg):
     amp = float(np.sqrt(max(np.float64(cfg.anomaly_texture_gain) ** 2 - 1.0, 0.0)))
     if amp > 0.0:
         radius = synth.LOCAL_STD_RADIUS
-        local_sigma = np.sqrt(box_mean(np.square(t1 - box_mean(t1, radius)), radius)[rect])
+        local_sigma = np.sqrt(
+            _pad_box_mean(np.square(t1 - _pad_box_mean(t1, radius)), radius)[rect])
         t1[rect] += amp * local_sigma * field(synth.STREAM_ANOMALY)[rect]
     return t0.astype(np.float32), t1.astype(np.float32)
 
@@ -256,18 +280,16 @@ def test_generate_scene_has_the_bytes_of_the_whole_plane_formulas(cfg, block):
 
 
 @pytest.mark.parametrize("name", sorted(_SUITE_DIGESTS))
-def test_generate_scene_holds_no_plane_twice(name):
-    # at the peak, t0 (float32) and t1 (float64), the local-sigma step's
-    # squared difference and a box mean's summed-area table and padded input
-    # come to about 37 B per pixel; a kept copy or dead intermediate adds 8 each
+def test_generate_scene_holds_no_plane_twice(name, traced_peak):
+    # at the peak, in either box mean of the local-sigma step, t0 (float32,
+    # 4 B per pixel) and t1 (float64, 8) sit beside a summed-area table with
+    # its padding (8.2) and one more plane (8): the first mean's output, or
+    # the squared difference the second reads; with cumsum's buffers about
+    # 28.7 B per pixel.  An np.pad copy beside a table, a full-plane second
+    # mean, a kept copy or a dead intermediate adds 8 each
     cfg = scene_suite()[name]
-    tracemalloc.start()
-    try:
-        generate_scene(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 38 * cfg.width * cfg.height
+    _, peak = traced_peak(generate_scene, cfg)
+    assert peak <= 30 * cfg.width * cfg.height
 
 
 def test_suite_masks_validate():
